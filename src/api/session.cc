@@ -185,8 +185,8 @@ Result<RecordForest> Session::Migrate(const Program& program, const RecordForest
   SessionTraceScope trace_scope("session.migrate", &bounded);
   auto out = failpoint::GuardExceptions("migration", [&]() -> Result<RecordForest> {
     DYNAMITE_FAILPOINT("session.migrate");
-    // No pre-validation on the hot path: ToFacts validates the forest anyway
-    // (a second walk here cost ~20% on migration microbenchmarks). Instead,
+    // No pre-validation on the hot path: ToFacts validates each root as it
+    // emits it, so a separate walk here would repeat that work. Instead,
     // classify failures after the fact — if the forest is what's wrong, the
     // caller gets the typed kSchemaMismatch; otherwise the original error.
     auto result = migrator_->Migrate(program, source, bounded, stats);
@@ -206,8 +206,8 @@ Result<PipelineResult> Session::SynthesizeAndMigrate(const Example& example,
                                                      const RunContext& ctx) const {
   // One bounded context covers both stages: a single budget (wall-clock AND
   // bytes) for the whole pipeline rather than per-stage budgets. The source
-  // instance is not pre-validated (ToFacts validates it inside the migrate
-  // stage; see Migrate for why) — failures are classified post hoc.
+  // instance is not pre-validated (ToFacts validates it root by root inside
+  // the migrate stage; see Migrate) — failures are classified post hoc.
   MemoryBudget local_budget(options_.max_memory_bytes);
   RunContext bounded =
       WithBudget(Bounded(ctx), &local_budget, options_.max_memory_bytes);

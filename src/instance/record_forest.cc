@@ -1,5 +1,7 @@
 #include "instance/record_forest.h"
 
+#include "util/trace.h"
+
 namespace dynamite {
 
 const Value& RecordNode::Prim(const std::string& attr) const {
@@ -34,39 +36,6 @@ size_t CountRecords(const RecordNode& node) {
   }
   return n;
 }
-
-Status ValidateNode(const RecordNode& node, const Schema& schema) {
-  if (!schema.IsRecord(node.type)) {
-    return Status::InvalidArgument("unknown record type in instance: " + node.type);
-  }
-  for (const std::string& attr : schema.AttrsOf(node.type)) {
-    if (schema.IsPrimitive(attr)) {
-      const Value& v = node.Prim(attr);
-      if (v.is_null()) {
-        return Status::InvalidArgument("record " + node.type + " missing attribute " + attr);
-      }
-      if (!ValueMatchesType(v, schema.PrimitiveOf(attr))) {
-        return Status::TypeError("record " + node.type + " attribute " + attr +
-                                 " has value " + v.ToString() + " incompatible with " +
-                                 PrimitiveTypeToString(schema.PrimitiveOf(attr)));
-      }
-    }
-  }
-  for (const auto& [attr, kids] : node.children) {
-    if (!schema.IsRecord(attr)) {
-      return Status::InvalidArgument("record " + node.type + " has children under " + attr +
-                                     " which is not a record type");
-    }
-    for (const RecordNode& k : kids) {
-      if (k.type != attr) {
-        return Status::InvalidArgument("child of type " + k.type + " stored under attribute " +
-                                       attr);
-      }
-      DYNAMITE_RETURN_NOT_OK(ValidateNode(k, schema));
-    }
-  }
-  return Status::OK();
-}
 }  // namespace
 
 size_t RecordForest::TotalRecords() const {
@@ -75,13 +44,86 @@ size_t RecordForest::TotalRecords() const {
   return n;
 }
 
-Status ValidateForest(const RecordForest& forest, const Schema& schema) {
-  for (const RecordNode& r : forest.roots) {
-    if (schema.IsNestedRecord(r.type)) {
-      return Status::InvalidArgument("nested record type " + r.type +
-                                     " cannot appear at the top level");
+RecordTypeTable::RecordTypeTable(const Schema& schema) {
+  const std::vector<std::string>& names = schema.RecordNames();
+  types_.resize(names.size());
+  for (size_t t = 0; t < names.size(); ++t) index_.emplace(names[t], t);
+  for (size_t t = 0; t < names.size(); ++t) {
+    Type& type = types_[t];
+    type.index = t;
+    type.name = &names[t];
+    type.attrs = &schema.AttrsOf(names[t]);
+    type.nested = schema.IsNestedRecord(names[t]);
+    const std::vector<std::string>& attrs = *type.attrs;
+    type.is_prim.resize(attrs.size());
+    type.prim_type.resize(attrs.size(), PrimitiveType::kInt);
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      if (schema.IsPrimitive(attrs[i])) {
+        type.is_prim[i] = true;
+        type.prim_type[i] = schema.PrimitiveOf(attrs[i]);
+      } else if (auto it = index_.find(attrs[i]); it != index_.end()) {
+        type.record_attrs.push_back(i);
+        type.record_types.push_back(it->second);
+      }
     }
-    DYNAMITE_RETURN_NOT_OK(ValidateNode(r, schema));
+  }
+}
+
+const RecordTypeTable::Type* RecordTypeTable::Find(const std::string& name) const {
+  auto it = index_.find(name);
+  return it == index_.end() ? nullptr : &types_[it->second];
+}
+
+Result<const RecordTypeTable::Type*> RecordTypeTable::ValidateRoot(
+    const RecordNode& root) const {
+  const Type* type = Find(root.type);
+  if (type == nullptr) {
+    return Status::InvalidArgument("unknown record type in instance: " + root.type);
+  }
+  if (type->nested) {
+    return Status::InvalidArgument("nested record type " + root.type +
+                                   " cannot appear at the top level");
+  }
+  DYNAMITE_RETURN_NOT_OK(ValidateNode(root, *type));
+  return type;
+}
+
+Status RecordTypeTable::ValidateNode(const RecordNode& node, const Type& type) const {
+  const std::vector<std::string>& attrs = *type.attrs;
+  for (size_t i = 0; i < attrs.size(); ++i) {
+    if (!type.is_prim[i]) continue;
+    const Value& v = node.Prim(attrs[i]);
+    if (v.is_null()) {
+      return Status::InvalidArgument("record " + node.type + " missing attribute " + attrs[i]);
+    }
+    if (!ValueMatchesType(v, type.prim_type[i])) {
+      return Status::TypeError("record " + node.type + " attribute " + attrs[i] +
+                               " has value " + v.ToString() + " incompatible with " +
+                               PrimitiveTypeToString(type.prim_type[i]));
+    }
+  }
+  for (const auto& [attr, kids] : node.children) {
+    const Type* kid_type = Find(attr);
+    if (kid_type == nullptr) {
+      return Status::InvalidArgument("record " + node.type + " has children under " + attr +
+                                     " which is not a record type");
+    }
+    for (const RecordNode& k : kids) {
+      if (k.type != attr) {
+        return Status::InvalidArgument("child of type " + k.type + " stored under attribute " +
+                                       attr);
+      }
+      DYNAMITE_RETURN_NOT_OK(ValidateNode(k, *kid_type));
+    }
+  }
+  return Status::OK();
+}
+
+Status ValidateForest(const RecordForest& forest, const Schema& schema) {
+  DYNAMITE_TRACE_SPAN("instance.validate");
+  RecordTypeTable table(schema);
+  for (const RecordNode& r : forest.roots) {
+    DYNAMITE_RETURN_NOT_OK(table.ValidateRoot(r).status());
   }
   return Status::OK();
 }

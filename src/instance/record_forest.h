@@ -10,6 +10,7 @@
 #define DYNAMITE_INSTANCE_RECORD_FOREST_H_
 
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -44,9 +45,47 @@ struct RecordForest {
   size_t TotalRecords() const;
 };
 
+/// A schema's record types resolved once for per-record work, so validation,
+/// fact emission and forest rebuild make no by-name schema lookup per cell.
+/// Holds pointers into `schema`, which must outlive the table.
+class RecordTypeTable {
+ public:
+  /// One record type, resolved.
+  struct Type {
+    size_t index = 0;                                 ///< RecordNames() position
+    const std::string* name = nullptr;                ///< the schema's name
+    const std::vector<std::string>* attrs = nullptr;  ///< Schema::AttrsOf
+    std::vector<bool> is_prim;                        ///< parallel to *attrs
+    std::vector<PrimitiveType> prim_type;             ///< set where is_prim
+    std::vector<size_t> record_attrs;                 ///< indices of record attrs
+    std::vector<size_t> record_types;                 ///< their types' indexes
+    bool nested = false;                              ///< nested in another record
+  };
+
+  explicit RecordTypeTable(const Schema& schema);
+
+  /// Types in schema RecordNames() order; Type::index is the position.
+  const std::vector<Type>& types() const { return types_; }
+
+  /// The record type named `name`; nullptr when `name` is not a record type.
+  const Type* Find(const std::string& name) const;
+
+  /// Validates one top-level record and its subtree and returns its type;
+  /// the error is the one ValidateForest reports when this root is the
+  /// first bad one.
+  Result<const Type*> ValidateRoot(const RecordNode& root) const;
+
+ private:
+  Status ValidateNode(const RecordNode& node, const Type& type) const;
+
+  std::vector<Type> types_;
+  std::unordered_map<std::string, size_t> index_;
+};
+
 /// Validates that every record in the forest conforms to `schema`: known
 /// record types, every primitive attribute present with a type-compatible
-/// value, children only under record-typed attributes.
+/// value, children only under record-typed attributes. Returns the first
+/// error in root order (depth-first within a root).
 Status ValidateForest(const RecordForest& forest, const Schema& schema);
 
 }  // namespace dynamite

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
+#include <optional>
 
 #include "datalog/index.h"
 #include "util/check.h"
@@ -33,103 +33,86 @@ std::map<std::string, std::vector<std::string>> FactSignatures(const Schema& sch
 
 namespace {
 
-/// Per-record-type conversion state, resolved once per ToFacts call: the
-/// target relation, the (stable) schema attribute list, and per-attribute
-/// primitive/record classification. The old emitter re-resolved the
-/// relation by name and re-classified every attribute per record — on wide
-/// schemas that name-lookup churn dominated ingest (ISSUE 9 satellite).
-struct TypeInfo {
-  Relation* rel = nullptr;
-  const std::vector<std::string>* attrs = nullptr;  // Schema::AttrsOf, stable
-  std::vector<bool> is_prim;         // parallel to *attrs
-  std::vector<size_t> record_attrs;  // indices into *attrs of record attrs
-  size_t arity = 0;
-  size_t type_index = 0;  // dense, schema RecordNames() order
+/// Per-call conversion state: the schema's resolved record types (shared
+/// with validation) plus the relation each type emits into, indexed by
+/// RecordTypeTable::Type::index.
+struct EmitPlan {
+  RecordTypeTable table;
+  std::vector<Relation*> rels;
 };
-
-using TypeInfoMap = std::unordered_map<std::string, TypeInfo>;
 
 /// Declares one relation per record type — in schema RecordNames() order,
 /// single-threaded even under sharded ingest, so relation uids come out in
-/// the same sequence as the sequential path — and resolves each TypeInfo.
-Result<TypeInfoMap> DeclareRelations(const Schema& schema, FactDatabase* db) {
-  TypeInfoMap types;
-  size_t type_index = 0;
+/// the same sequence as the sequential path.
+Status DeclareRelations(const Schema& schema, FactDatabase* db, EmitPlan* plan) {
   for (const std::string& rec : schema.RecordNames()) {
     DYNAMITE_ASSIGN_OR_RETURN(Relation * rel,
                               db->DeclareRelation(rec, FactSignature(schema, rec)));
-    TypeInfo info;
-    info.rel = rel;
-    info.attrs = &schema.AttrsOf(rec);
-    info.arity = rel->arity();
-    info.type_index = type_index++;
-    info.is_prim.reserve(info.attrs->size());
-    for (size_t i = 0; i < info.attrs->size(); ++i) {
-      bool prim = schema.IsPrimitive((*info.attrs)[i]);
-      info.is_prim.push_back(prim);
-      if (!prim && schema.IsRecord((*info.attrs)[i])) info.record_attrs.push_back(i);
-    }
-    types.emplace(rec, std::move(info));
+    plan->rels.push_back(rel);
   }
-  return types;
+  return Status::OK();
 }
 
-/// Builds one record's fact row into `row_buf` (cleared first); returns the
-/// TypeInfo used, or an error for an unknown type / arity mismatch.
-Result<const TypeInfo*> FillRow(const TypeInfoMap& types, const RecordNode& node,
-                                const Value* parent_id, const Value& my_id,
-                                std::vector<Value>* row_buf) {
-  auto it = types.find(node.type);
-  if (it == types.end()) return Status::NotFound("no relation named " + node.type);
-  const TypeInfo& info = it->second;
+/// Builds one validated record's fact row into `row_buf` (cleared first).
+void FillRow(const RecordTypeTable::Type& type, const RecordNode& node,
+             const Value* parent_id, const Value& my_id, std::vector<Value>* row_buf) {
   row_buf->clear();
   if (parent_id != nullptr) row_buf->push_back(*parent_id);
-  const std::vector<std::string>& attrs = *info.attrs;
+  const std::vector<std::string>& attrs = *type.attrs;
   for (size_t i = 0; i < attrs.size(); ++i) {
-    row_buf->push_back(info.is_prim[i] ? node.Prim(attrs[i]) : my_id);
+    row_buf->push_back(type.is_prim[i] ? node.Prim(attrs[i]) : my_id);
   }
-  if (row_buf->size() != info.arity) {
-    return Status::InvalidArgument("arity mismatch adding fact to " + node.type);
-  }
-  return &info;
 }
 
-/// Sequential columnar fact emission: rows are appended straight into the
-/// relations through one reused value buffer — no per-record Tuple, no
-/// per-record name lookup beyond the single TypeInfo probe.
-struct FactsEmitter {
-  const TypeInfoMap& types;
+/// Depth-first emission of one validated root. `Sink` receives each row
+/// with its record type; identifiers come from `*next_id` in visit order.
+template <typename Sink>
+struct TreeEmitter {
+  const EmitPlan& plan;
   uint64_t* next_id;
+  Sink sink;
   std::vector<Value> row_buf;
 
-  Status Emit(const RecordNode& node, const Value* parent_id) {
+  void Emit(const RecordNode& node, const RecordTypeTable::Type& type,
+            const Value* parent_id) {
     Value my_id = Value::Id((*next_id)++);
-    DYNAMITE_ASSIGN_OR_RETURN(const TypeInfo* info,
-                              FillRow(types, node, parent_id, my_id, &row_buf));
-    info->rel->InsertRow(row_buf.data(), row_buf.size());
-    // row_buf is free to reuse below: the row was appended column-wise.
-    const std::vector<std::string>& attrs = *info->attrs;
-    for (size_t ai : info->record_attrs) {
-      for (const RecordNode& child : node.Children(attrs[ai])) {
-        DYNAMITE_RETURN_NOT_OK(Emit(child, &my_id));
+    FillRow(type, node, parent_id, my_id, &row_buf);
+    sink(type, row_buf);
+    // row_buf is free to reuse below: the sink copied the row.
+    const std::vector<std::string>& attrs = *type.attrs;
+    for (size_t k = 0; k < type.record_attrs.size(); ++k) {
+      const RecordTypeTable::Type& child_type = plan.table.types()[type.record_types[k]];
+      for (const RecordNode& child : node.Children(attrs[type.record_attrs[k]])) {
+        Emit(child, child_type, &my_id);
       }
     }
+  }
+
+  /// Validates `root`, then emits it; a malformed root emits nothing.
+  Status EmitRoot(const RecordNode& root) {
+    DYNAMITE_ASSIGN_OR_RETURN(const RecordTypeTable::Type* type,
+                              plan.table.ValidateRoot(root));
+    Emit(root, *type, nullptr);
     return Status::OK();
   }
 };
 
 /// Sequential emission over the whole forest (also the sharded path's
 /// degradation target: it produces the canonical output by definition).
-Status EmitSequential(const RecordForest& forest, const TypeInfoMap& types,
-                      uint64_t* next_id, const RunContext* ctx) {
-  FactsEmitter emitter{types, next_id, {}};
+/// Rows are appended straight into the relations column-wise.
+Status EmitSequential(const RecordForest& forest, const EmitPlan& plan, uint64_t* next_id,
+                      const RunContext* ctx) {
+  auto insert = [&plan](const RecordTypeTable::Type& type, const std::vector<Value>& row) {
+    plan.rels[type.index]->InsertRow(row.data(), row.size());
+  };
+  TreeEmitter<decltype(insert)> emitter{plan, next_id, insert, {}};
   size_t ticks = 0;
   for (const RecordNode& root : forest.roots) {
     DYNAMITE_FAILPOINT("facts.emit");
     if (ctx != nullptr && (++ticks & 0xff) == 0) {
       DYNAMITE_RETURN_NOT_OK(ctx->Check("facts conversion"));
     }
-    DYNAMITE_RETURN_NOT_OK(emitter.Emit(root, nullptr));
+    DYNAMITE_RETURN_NOT_OK(emitter.EmitRoot(root));
   }
   return Status::OK();
 }
@@ -144,52 +127,28 @@ struct ShardBuffer {
   std::vector<size_t> hashes;
 };
 
-/// The number of fact rows Emit would produce for this subtree (one per
-/// record reached through schema record attributes). Drives the identifier
-/// prefix sums, so it must mirror FactsEmitter::Emit's traversal exactly;
-/// an unknown type counts as the one identifier the emitter would have
-/// consumed before erroring (the error itself surfaces in the emission
-/// pass, and identifiers past the first error are never observable).
-size_t CountEmitted(const RecordNode& node, const TypeInfoMap& types) {
-  auto it = types.find(node.type);
-  if (it == types.end()) return 1;
-  const TypeInfo& info = it->second;
+/// The number of fact rows TreeEmitter would produce for this subtree (one
+/// per record reached through schema record attributes). Drives the
+/// identifier prefix sums, so it must mirror TreeEmitter::Emit's traversal
+/// exactly on valid roots. A malformed root is never emitted and its chunk
+/// fails, so whatever it counts never reaches an observable identifier.
+size_t CountEmitted(const RecordNode& node, const RecordTypeTable& table,
+                    const RecordTypeTable::Type& type) {
   size_t n = 1;
-  const std::vector<std::string>& attrs = *info.attrs;
-  for (size_t ai : info.record_attrs) {
-    for (const RecordNode& child : node.Children(attrs[ai])) {
-      n += CountEmitted(child, types);
+  const std::vector<std::string>& attrs = *type.attrs;
+  for (size_t k = 0; k < type.record_attrs.size(); ++k) {
+    const RecordTypeTable::Type& child_type = table.types()[type.record_types[k]];
+    for (const RecordNode& child : node.Children(attrs[type.record_attrs[k]])) {
+      n += CountEmitted(child, table, child_type);
     }
   }
   return n;
 }
 
-/// Per-chunk emitter: identical traversal to FactsEmitter, but identifiers
-/// come from the chunk's preassigned block and rows land in per-relation
-/// buffers instead of the shared FactDatabase.
-struct ChunkEmitter {
-  const TypeInfoMap& types;
-  uint64_t next_id;               // seeded from the chunk's prefix sum
-  std::vector<ShardBuffer>* bufs;  // indexed by TypeInfo::type_index
-  std::vector<Value> row_buf;
-
-  Status Emit(const RecordNode& node, const Value* parent_id) {
-    Value my_id = Value::Id(next_id++);
-    DYNAMITE_ASSIGN_OR_RETURN(const TypeInfo* info,
-                              FillRow(types, node, parent_id, my_id, &row_buf));
-    ShardBuffer& sb = (*bufs)[info->type_index];
-    MemoryBudget::ChargeCurrent(row_buf.size() * sizeof(Value) + sizeof(size_t));
-    sb.values.insert(sb.values.end(), row_buf.begin(), row_buf.end());
-    sb.hashes.push_back(HashValueRange(row_buf.data(), row_buf.size()));
-    const std::vector<std::string>& attrs = *info->attrs;
-    for (size_t ai : info->record_attrs) {
-      for (const RecordNode& child : node.Children(attrs[ai])) {
-        DYNAMITE_RETURN_NOT_OK(Emit(child, &my_id));
-      }
-    }
-    return Status::OK();
-  }
-};
+size_t CountEmittedRoot(const RecordNode& root, const RecordTypeTable& table) {
+  const RecordTypeTable::Type* type = table.Find(root.type);
+  return type == nullptr ? 1 : CountEmitted(root, table, *type);
+}
 
 /// Forests below this many roots ingest sequentially even with a pool:
 /// chunk dispatch plus the extra counting pass would cost more than the
@@ -200,8 +159,8 @@ constexpr size_t kMinRootsForParallelIngest = 128;
 /// `*degraded` is set instead when the attempt must be abandoned with the
 /// database untouched (ingest.shard fault or pool-level worker failure) —
 /// the caller then reruns EmitSequential for an identical result.
-Status EmitSharded(const RecordForest& forest, const TypeInfoMap& types,
-                   uint64_t* next_id, const RunContext* ctx, ThreadPool* pool,
+Status EmitSharded(const RecordForest& forest, const EmitPlan& plan, uint64_t* next_id,
+                   const RunContext* ctx, ThreadPool* pool,
                    IngestStats* stats, bool* degraded) {
   const size_t num_roots = forest.roots.size();
   const size_t workers = pool->num_workers();
@@ -223,7 +182,7 @@ Status EmitSharded(const RecordForest& forest, const TypeInfoMap& types,
       DYNAMITE_TRACE_SPAN("ingest.count");
       uint64_t n = 0;
       for (size_t r = chunk_lo(c); r < chunk_lo(c + 1); ++r) {
-        n += CountEmitted(forest.roots[r], types);
+        n += CountEmittedRoot(forest.roots[r], plan.table);
       }
       chunk_records[c] = n;
     }
@@ -246,8 +205,10 @@ Status EmitSharded(const RecordForest& forest, const TypeInfoMap& types,
   // Pass 2: emit each chunk into its own buffers. Chunk-level failures
   // split two ways: an `ingest.shard` fault (or anything a worker throws,
   // caught by the pool's trampoline) marks the attempt degraded; errors
-  // from the emission itself — content errors, ctx interruption, the
-  // `facts.emit` failpoint — are typed per chunk and propagate below.
+  // from the emission itself — a root failing validation, ctx
+  // interruption, the `facts.emit` failpoint — are typed per chunk and
+  // propagate below. Each chunk validates its own roots just before
+  // emitting them, so no serial validation pass precedes the shards.
   std::vector<std::vector<ShardBuffer>> chunk_bufs(num_chunks);
   std::vector<Status> chunk_status(num_chunks, Status::OK());
   std::atomic<bool> shard_fault{false};
@@ -265,8 +226,16 @@ Status EmitSharded(const RecordForest& forest, const TypeInfoMap& types,
       }
       chunk_status[c] = failpoint::GuardExceptions("sharded ingest", [&]() -> Status {
         std::vector<ShardBuffer>& bufs = chunk_bufs[c];
-        bufs.resize(types.size());
-        ChunkEmitter emitter{types, chunk_base[c], &bufs, {}};
+        bufs.resize(plan.rels.size());
+        auto buffer = [&bufs](const RecordTypeTable::Type& type,
+                              const std::vector<Value>& row) {
+          ShardBuffer& sb = bufs[type.index];
+          MemoryBudget::ChargeCurrent(row.size() * sizeof(Value) + sizeof(size_t));
+          sb.values.insert(sb.values.end(), row.begin(), row.end());
+          sb.hashes.push_back(HashValueRange(row.data(), row.size()));
+        };
+        uint64_t chunk_next_id = chunk_base[c];
+        TreeEmitter<decltype(buffer)> emitter{plan, &chunk_next_id, buffer, {}};
         size_t ticks = 0;
         for (size_t r = chunk_lo(c); r < chunk_lo(c + 1); ++r) {
           Status fp = DYNAMITE_FAILPOINT_STATUS("facts.emit");
@@ -274,11 +243,11 @@ Status EmitSharded(const RecordForest& forest, const TypeInfoMap& types,
           if (ctx != nullptr && (++ticks & 0xff) == 0) {
             DYNAMITE_RETURN_NOT_OK(ctx->Check("facts conversion"));
           }
-          DYNAMITE_RETURN_NOT_OK(emitter.Emit(forest.roots[r], nullptr));
+          DYNAMITE_RETURN_NOT_OK(emitter.EmitRoot(forest.roots[r]));
         }
         // The counting pass must agree with emission or identifiers would
         // collide across chunks.
-        DYNAMITE_CHECK(emitter.next_id == chunk_base[c] + chunk_records[c],
+        DYNAMITE_CHECK(chunk_next_id == chunk_base[c] + chunk_records[c],
                        "sharded ingest count/emission mismatch");
         return Status::OK();
       });
@@ -288,9 +257,9 @@ Status EmitSharded(const RecordForest& forest, const TypeInfoMap& types,
     *degraded = true;
     return Status::OK();
   }
-  // Lowest-chunk error == the first error of the sequential depth-first
-  // walk (each chunk emits sequentially, so its recorded error is the
-  // chunk's first): deterministic error codes at any worker count.
+  // Lowest-chunk error == the first error of the sequential walk (each
+  // chunk validates and emits its roots in order, so its recorded error is
+  // the chunk's first): the same Status at any worker count.
   for (size_t c = 0; c < num_chunks; ++c) {
     if (!chunk_status[c].ok()) return chunk_status[c];
   }
@@ -303,14 +272,14 @@ Status EmitSharded(const RecordForest& forest, const TypeInfoMap& types,
   // the depth-first walk does; per-relation order is what dedup and row
   // order depend on, and that is preserved.)
   DYNAMITE_TRACE_SPAN("ingest.merge");
-  for (const auto& [rec, info] : types) {
-    (void)rec;
+  for (size_t t = 0; t < plan.rels.size(); ++t) {
+    Relation* rel = plan.rels[t];
+    const size_t arity = rel->arity();
     for (size_t c = 0; c < num_chunks; ++c) {
       if (chunk_bufs[c].empty()) continue;  // chunk emitted nothing
-      const ShardBuffer& sb = chunk_bufs[c][info.type_index];
+      const ShardBuffer& sb = chunk_bufs[c][t];
       for (size_t r = 0; r < sb.hashes.size(); ++r) {
-        info.rel->InsertRowPrehashed(sb.values.data() + r * info.arity,
-                                     info.arity, sb.hashes[r]);
+        rel->InsertRowPrehashed(sb.values.data() + r * arity, arity, sb.hashes[r]);
       }
     }
   }
@@ -331,15 +300,15 @@ Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
                              uint64_t* next_id, const RunContext* ctx,
                              const IngestOptions& options) {
   DYNAMITE_TRACE_SPAN("ingest.to_facts");
-  DYNAMITE_RETURN_NOT_OK(ValidateForest(forest, schema));
   FactDatabase db;
-  DYNAMITE_ASSIGN_OR_RETURN(TypeInfoMap types, DeclareRelations(schema, &db));
+  EmitPlan plan{RecordTypeTable(schema), {}};
+  DYNAMITE_RETURN_NOT_OK(DeclareRelations(schema, &db, &plan));
 
   if (options.pool_provider && forest.roots.size() >= kMinRootsForParallelIngest) {
     ThreadPool* pool = options.pool_provider();
     if (pool != nullptr && pool->num_workers() > 1) {
       bool degraded = false;
-      DYNAMITE_RETURN_NOT_OK(EmitSharded(forest, types, next_id, ctx, pool,
+      DYNAMITE_RETURN_NOT_OK(EmitSharded(forest, plan, next_id, ctx, pool,
                                          options.stats, &degraded));
       if (!degraded) return db;
       // Degradation: nothing reached the relations (buffers were the only
@@ -350,7 +319,7 @@ Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
     }
   }
 
-  DYNAMITE_RETURN_NOT_OK(EmitSequential(forest, types, next_id, ctx));
+  DYNAMITE_RETURN_NOT_OK(EmitSequential(forest, plan, next_id, ctx));
   return db;
 }
 
@@ -382,43 +351,52 @@ class ChildIndex {
   JoinIndex index_;
 };
 
+/// BuildRecord over the schema's RecordTypeTable, resolved once per call:
+/// each type's primitive attributes and child types come from the table,
+/// and each child relation's index lives in a slot indexed by the child's
+/// type (a child type has exactly one parent attribute), built on first
+/// use. Build then makes no Schema or by-name lookup per cell.
 struct Rebuilder {
   const FactDatabase& db;
-  const Schema& schema;
+  const RecordTypeTable& table;
   IngestStats* stats;  // may be null
-  std::map<std::string, ChildIndex> child_indexes;
+  std::vector<std::optional<ChildIndex>> child_indexes;  // by Type::index
 
-  const ChildIndex& IndexFor(const std::string& record) {
-    auto it = child_indexes.find(record);
-    if (it == child_indexes.end()) {
+  const ChildIndex& IndexFor(const RecordTypeTable::Type& child) {
+    std::optional<ChildIndex>& index = child_indexes[child.index];
+    if (!index.has_value()) {
       const Relation* rel = nullptr;
-      auto found = db.Find(record);
+      auto found = db.Find(*child.name);
       if (found.ok()) rel = found.ValueOrDie();
-      it = child_indexes.emplace(record, ChildIndex(rel)).first;
+      index.emplace(rel);
       if (stats != nullptr) ++stats->child_index_builds;
     }
-    return it->second;
+    return *index;
   }
 
   /// BuildRecord (§3.3): reconstructs one record from its fact row.
   /// `offset` = 1 when the relation has a parent column.
-  RecordNode Build(const std::string& record, RowRef fact, size_t offset) {
+  RecordNode Build(const RecordTypeTable::Type& type, RowRef fact, size_t offset) {
+    const std::vector<std::string>& attrs = *type.attrs;
     RecordNode node;
-    node.type = record;
-    const auto& attrs = schema.AttrsOf(record);
+    node.type = *type.name;
+    node.prims.reserve(attrs.size() - type.record_attrs.size());
     for (size_t i = 0; i < attrs.size(); ++i) {
-      const Value& cell = fact[offset + i];
-      if (schema.IsPrimitive(attrs[i])) {
-        node.prims.push_back({attrs[i], cell});
-      } else {
-        std::vector<RecordNode> kids;
-        const ChildIndex& index = IndexFor(attrs[i]);
-        if (stats != nullptr) ++stats->child_index_lookups;
-        for (uint32_t child_row : index.Lookup(cell)) {
-          kids.push_back(Build(attrs[i], index.relation()->row(child_row), 1));
-        }
-        node.children.push_back({attrs[i], std::move(kids)});
+      if (type.is_prim[i]) node.prims.push_back({attrs[i], fact[offset + i]});
+    }
+    node.children.reserve(type.record_attrs.size());
+    for (size_t k = 0; k < type.record_attrs.size(); ++k) {
+      const size_t i = type.record_attrs[k];
+      const RecordTypeTable::Type& child = table.types()[type.record_types[k]];
+      const ChildIndex& index = IndexFor(child);
+      if (stats != nullptr) ++stats->child_index_lookups;
+      const std::vector<uint32_t>& rows = index.Lookup(fact[offset + i]);
+      std::vector<RecordNode> kids;
+      kids.reserve(rows.size());
+      for (uint32_t child_row : rows) {
+        kids.push_back(Build(child, index.relation()->row(child_row), 1));
       }
+      node.children.push_back({attrs[i], std::move(kids)});
     }
     return node;
   }
@@ -433,7 +411,8 @@ Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
   // by one; the registry gets the run's delta in bulk on success.
   const size_t builds_before = stats != nullptr ? stats->child_index_builds : 0;
   const size_t lookups_before = stats != nullptr ? stats->child_index_lookups : 0;
-  Rebuilder rb{db, schema, stats, {}};
+  const RecordTypeTable table(schema);
+  Rebuilder rb{db, table, stats, std::vector<std::optional<ChildIndex>>(table.types().size())};
   RecordForest forest;
   size_t ticks = 0;
   for (const std::string& rec : schema.TopLevelRecords()) {
@@ -446,12 +425,13 @@ Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
                                      std::to_string(rel->arity()) + ", schema expects " +
                                      std::to_string(expected_arity));
     }
+    const RecordTypeTable::Type& type = *table.Find(rec);
     for (size_t r = 0; r < rel->size(); ++r) {
       DYNAMITE_FAILPOINT("facts.build");
       if (ctx != nullptr && (++ticks & 0xff) == 0) {
         DYNAMITE_RETURN_NOT_OK(ctx->Check("forest reconstruction"));
       }
-      forest.roots.push_back(rb.Build(rec, rel->row(r), 0));
+      forest.roots.push_back(rb.Build(type, rel->row(r), 0));
     }
   }
   if (stats != nullptr) {

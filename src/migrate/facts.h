@@ -72,8 +72,12 @@ std::map<std::string, std::vector<std::string>> FactSignatures(const Schema& sch
 
 /// Converts a record forest into Datalog facts. Fresh identifiers are drawn
 /// from `*next_id` (incremented); relations are declared for every record
-/// type of the schema (even if empty). `ctx` (optional) is polled between
-/// top-level records: cancellation/deadline aborts the conversion.
+/// type of the schema (even if empty). Each root is validated just before it
+/// is emitted, in the same walk; a malformed forest fails with exactly the
+/// Status ValidateForest returns (the first error in root order). `ctx`
+/// (optional) is polled between top-level records: cancellation/deadline
+/// aborts the conversion, and may do so before a later root's validation
+/// error is reached.
 Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
                              uint64_t* next_id, const RunContext* ctx = nullptr);
 
@@ -82,12 +86,14 @@ Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
 /// counting pass sizes each chunk's identifier block (prefix sums seed each
 /// chunk at exactly the value the sequential depth-first walk would have
 /// reached), workers emit into per-chunk, per-relation buffers (rows
-/// pre-hashed, memory budget charged per shard), and a single-threaded
+/// pre-hashed, memory budget charged per shard; each chunk validates its
+/// roots as it emits them), and a single-threaded
 /// merge replays the buffers in ascending chunk order through the
 /// relations' dedup tables. The concatenation of per-chunk emissions in
 /// chunk order IS the sequential depth-first emission sequence, so the
 /// resulting FactDatabase — relation contents, row insertion order,
-/// identifiers, and deterministic error codes — is bit-identical at any
+/// identifiers, and the returned error (the lowest failing chunk's) — is
+/// bit-identical at any
 /// worker count, including the sequential path. An `ingest.shard` fault or
 /// a pool failure degrades to the sequential path with identical output
 /// (IngestStats::ingest_fallbacks). On error, `*next_id` is unchanged by

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "api/session.h"
 #include "datalog/engine.h"
 #include "migrate/facts.h"
 #include "migrate/migrator.h"
@@ -155,6 +156,72 @@ TEST(ShardedIngest, ShardFaultDegradesToIdenticalSequentialOutput) {
   EXPECT_EQ(stats.parallel_chunks, 0u);
   EXPECT_EQ(seq_next_id, par_next_id);
   ExpectDbBitIdentical(seq.ValueOrDie(), par.ValueOrDie());
+}
+
+// --------------------------------------------- error contract ------------
+
+/// Breaks `forest` in several places, far apart, so at 8 workers the
+/// violations land in different chunks: a type error inside a nested child
+/// (or a root prim on flat instances) near the end, a missing attribute in
+/// the middle, an unknown root type and children under a primitive
+/// attribute earlier. Returns the positions of the broken roots, ascending.
+std::vector<size_t> BreakForest(RecordForest* forest) {
+  const size_t n = forest->roots.size();
+  std::vector<size_t> broken = {n / 7, n / 3, n / 2, n - 5};
+  forest->roots[broken[0]].type = "Ghost";
+  RecordNode& under_prim = forest->roots[broken[1]];
+  under_prim.children.push_back({under_prim.prims[0].first, {}});
+  forest->roots[broken[2]].prims.pop_back();
+  RecordNode* deep = &forest->roots[broken[3]];
+  while (!deep->children.empty() && !deep->children[0].second.empty()) {
+    deep = &deep->children[0].second[0];
+  }
+  deep->prims[0].second = Value::Id(7);
+  return broken;
+}
+
+TEST(ShardedIngest, FirstValidationErrorIsTheSameOnEveryPath) {
+  for (const char* name : kShapeBenchmarks) {
+    const workload::Benchmark* bench = workload::FindBenchmark(name);
+    ASSERT_NE(bench, nullptr);
+    RecordForest instance = BigInstance(*bench);
+    ASSERT_GE(instance.roots.size(), 128u) << name;
+    std::vector<size_t> broken = BreakForest(&instance);
+    // Repair the violations front to back, so each kind is the first error
+    // once; the error must be the same whichever path finds it.
+    RecordForest pristine = BigInstance(*bench);
+    for (size_t fixed = 0; fixed < broken.size(); ++fixed) {
+      if (fixed > 0) instance.roots[broken[fixed - 1]] = pristine.roots[broken[fixed - 1]];
+      Status expected = ValidateForest(instance, bench->source);
+      ASSERT_FALSE(expected.ok()) << name;
+      SCOPED_TRACE(name);
+
+      uint64_t seq_next_id = 1;
+      auto seq = ToFacts(instance, bench->source, &seq_next_id, nullptr);
+      EXPECT_EQ(seq.status().ToString(), expected.ToString());
+      for (size_t workers : {2u, 8u}) {
+        ThreadPool pool(workers - 1);
+        IngestStats stats;
+        uint64_t par_next_id = 1;
+        auto par = ToFacts(instance, bench->source, &par_next_id, nullptr,
+                           WithPool(&pool, &stats));
+        EXPECT_EQ(par.status().ToString(), expected.ToString()) << "workers=" << workers;
+        EXPECT_EQ(stats.ingest_fallbacks, 0u);
+      }
+      for (size_t threads : {1u, 2u, 8u}) {
+        SessionOptions options;
+        options.num_threads = threads;
+        auto session = Session::Create(bench->source, bench->target, options);
+        ASSERT_TRUE(session.ok()) << session.status().ToString();
+        auto migrated = session.ValueOrDie().Migrate(bench->golden, instance);
+        EXPECT_EQ(migrated.status().ToString(),
+                  Status::SchemaMismatch("source instance vs source schema: " +
+                                         expected.message())
+                      .ToString())
+            << "threads=" << threads;
+      }
+    }
+  }
 }
 
 // ------------------------------------- end-to-end migration parity --------

@@ -32,27 +32,41 @@ TEST(ValidateForest, AcceptsMotivatingInstance) {
 
 TEST(ValidateForest, RejectsBadShapes) {
   Schema s = testing::UnivSchema();
-  {  // unknown type
+  auto expect_error = [&s](RecordNode root, StatusCode code, const std::string& message) {
     RecordForest f;
-    f.roots.push_back(testing::FlatRecord("Ghost", {}));
-    EXPECT_FALSE(ValidateForest(f, s).ok());
+    f.roots.push_back(std::move(root));
+    Status st = ValidateForest(f, s);
+    EXPECT_EQ(st.code(), code) << st.ToString();
+    EXPECT_EQ(st.message(), message);
+  };
+  expect_error(testing::FlatRecord("Ghost", {}), StatusCode::kInvalidArgument,
+               "unknown record type in instance: Ghost");
+  expect_error(testing::FlatRecord("Univ", {{"id", Value::Int(1)}}),
+               StatusCode::kInvalidArgument, "record Univ missing attribute name");
+  expect_error(testing::FlatRecord(
+                   "Univ", {{"id", Value::String("one")}, {"name", Value::String("U")}}),
+               StatusCode::kTypeError,
+               "record Univ attribute id has value \"one\" incompatible with Int");
+  expect_error(
+      testing::FlatRecord("Admit", {{"uid", Value::Int(1)}, {"count", Value::Int(2)}}),
+      StatusCode::kInvalidArgument, "nested record type Admit cannot appear at the top level");
+  {  // children under a primitive attribute
+    RecordNode univ = testing::UnivRecord(1, "U1", {});
+    univ.children.push_back({"name", {testing::FlatRecord("name", {})}});
+    expect_error(std::move(univ), StatusCode::kInvalidArgument,
+                 "record Univ has children under name which is not a record type");
   }
-  {  // missing attribute
-    RecordForest f;
-    f.roots.push_back(testing::FlatRecord("Univ", {{"id", Value::Int(1)}}));
-    EXPECT_FALSE(ValidateForest(f, s).ok());
+  {  // child type differs from its attribute
+    RecordNode univ = testing::UnivRecord(1, "U1", {});
+    univ.children[0].second.push_back(testing::UnivRecord(2, "U2", {}));
+    expect_error(std::move(univ), StatusCode::kInvalidArgument,
+                 "child of type Univ stored under attribute Admit");
   }
-  {  // type error
-    RecordForest f;
-    f.roots.push_back(testing::FlatRecord(
-        "Univ", {{"id", Value::String("one")}, {"name", Value::String("U")}}));
-    EXPECT_FALSE(ValidateForest(f, s).ok());
-  }
-  {  // nested record at top level
-    RecordForest f;
-    f.roots.push_back(
-        testing::FlatRecord("Admit", {{"uid", Value::Int(1)}, {"count", Value::Int(2)}}));
-    EXPECT_FALSE(ValidateForest(f, s).ok());
+  {  // an error in a nested child
+    RecordNode univ = testing::UnivRecord(1, "U1", {{1, 10}});
+    univ.children[0].second[0].prims[1].second = Value::Bool(true);
+    expect_error(std::move(univ), StatusCode::kTypeError,
+                 "record Admit attribute count has value true incompatible with Int");
   }
 }
 

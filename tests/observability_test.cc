@@ -143,9 +143,9 @@ TEST_F(ObservabilityTest, SessionPipelineEmitsRootAndStageSpans) {
 
   std::vector<trace::Event> events = trace::CollectEvents();
   ExpectWellNested(events);
-  for (const char* span : {"session.synthesize_and_migrate", "synth.synthesize",
-                           "migrate.run", "migrate.facts", "migrate.eval",
-                           "migrate.build", "engine.eval", "solver.solve"}) {
+  for (const char* span : {"session.synthesize_and_migrate", "instance.validate",
+                           "synth.synthesize", "migrate.run", "migrate.facts",
+                           "migrate.eval", "migrate.build", "engine.eval", "solver.solve"}) {
     EXPECT_TRUE(HasSpan(events, span)) << "missing span " << span;
   }
 
