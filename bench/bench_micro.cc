@@ -331,6 +331,43 @@ void BM_ProbeVectorized(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeVectorized)->Arg(1)->Arg(1024);
 
+void BM_GuardedJoin(benchmark::State& state) {
+  // Existence-only joins: the CaseNode and LitigatesE rules the synthesizer
+  // finds for Patent-2 (Table 3), over a fixed generated Patent instance
+  // of state.range(0) patents. `parties(_, _, _, _)` and `patents(_, _, _)`
+  // share no variable with the head (guards: checked once for a match),
+  // and `attorneys(_, at_case1, _)` binds no head variable (a semi-join
+  // that stops at its first match). Enumerating them for every outer row
+  // instead multiplies the join by their cardinalities.
+  const auto* bench = workload::FindBenchmark("Patent-2");
+  RecordForest source =
+      workload::GenerateSource(*bench, 13, static_cast<size_t>(state.range(0)))
+          .ValueOrDie();
+  uint64_t next_id = 1;
+  FactDatabase edb = ToFacts(source, bench->source, &next_id).ValueOrDie();
+  Program p = Program::Parse(R"(
+    CaseNode(can_id, can_court) :- attorneys(_, at_case1, _),
+        cases(can_id, ca_patent1, _, _), cases(at_case1, ca_patent1, can_court, _),
+        parties(_, _, _, _).
+    LitigatesE(lte_source, lte_target, lte_filed) :- attorneys(_, at_case1, _),
+        cases(lte_source, lte_target, _, _), cases(at_case1, lte_target, _, lte_filed),
+        patents(_, _, _), parties(_, _, _, _).
+  )")
+                  .ValueOrDie();
+  const auto signatures = FactSignatures(bench->target);
+  DatalogEngine::Options opts;
+  opts.num_threads = 1;
+  DatalogEngine engine(opts);
+  size_t derived = 0;
+  for (auto _ : state) {
+    auto out = engine.Eval(p, edb, signatures);
+    derived = out.ValueOrDie().TotalFacts();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(derived));
+}
+BENCHMARK(BM_GuardedJoin)->Arg(250)->Unit(benchmark::kMillisecond);
+
 void BM_FactsRoundTrip(benchmark::State& state) {
   const auto& family = workload::GetFamily("Yelp");
   RecordForest forest = family.generate(1, static_cast<size_t>(state.range(0)));

@@ -6,9 +6,11 @@
 // at that point, and exposes every pipeline stage as composable calls that
 // share state:
 //
-//   * one DatalogEngine for all migrations — its persistent EDB join
-//     indexes and compiled-rule cache survive across Migrate calls and the
-//     distinguishing-input probes of interactive mode;
+//   * one DatalogEngine for all migrations — its compiled-rule cache
+//     survives across Migrate calls and the distinguishing-input probes of
+//     interactive mode (the join indexes over each call's converted
+//     instance are released when the call ends: that instance dies with
+//     it);
 //   * the process-wide interned-string pool (values interned while reading
 //     the example are reused when migrating the full instance);
 //   * schemas validated once, instead of re-copied and re-trusted by three
@@ -139,7 +141,7 @@ class Session {
       const RunContext& ctx = RunContext()) const;
 
   /// Executes `program` on a full source instance using the session's
-  /// shared engine (join indexes and compiled rules persist across calls).
+  /// shared engine (compiled rules persist across calls).
   /// Fills `*stats` if non-null.
   Result<RecordForest> Migrate(const Program& program, const RecordForest& source,
                                MigrationStats* stats = nullptr,

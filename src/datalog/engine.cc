@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -53,11 +54,18 @@ struct PlanAtom {
   std::vector<size_t> check_partners;
   // Positions that bind a fresh variable.
   std::vector<size_t> bind_positions;
+  // Set on every atom after the last one that binds a head variable: the
+  // head tuple is fixed by then, so the matcher stops this atom's scan at
+  // the first row whose subtree reaches the end of the plan.
+  bool existential = false;
 };
 
-/// An ordered sequence of body atoms to match left to right.
+/// An ordered sequence of body atoms to match left to right, plus the
+/// rule's guards: its head-disconnected body components, each compiled to
+/// its own plan that only has to have one match (see CompileRule).
 struct JoinPlan {
   std::vector<PlanAtom> atoms;
+  std::vector<JoinPlan> guards;
 };
 
 /// A rule compiled to one full plan (every atom reads its full relation)
@@ -125,11 +133,14 @@ struct EdbView {
 
 /// Builds the PlanAtom sequence for the given atom order. Key, check, and
 /// bind positions depend on which variables earlier atoms bound, so they are
-/// recomputed per order; slot numbering is shared across plans.
+/// recomputed per order; slot numbering is shared across plans. Atoms after
+/// the last one binding a slot marked in `head_vars` (one flag per slot) are
+/// flagged existential (all of them when none is marked, as for a guard).
 JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& order,
-                  int delta_atom) {
+                  int delta_atom, const std::vector<bool>& head_vars) {
   JoinPlan plan;
-  std::set<int> bound;
+  size_t existential_from = 0;
+  std::vector<bool> bound(head_vars.size(), false);
   for (size_t ai : order) {
     const RawAtom& raw = raws[ai];
     PlanAtom pa;
@@ -137,52 +148,62 @@ JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& o
     pa.is_idb = raw.is_idb;
     pa.is_delta = static_cast<int>(ai) == delta_atom;
     pa.slots = raw.slots;
-    std::map<int, size_t> bound_here;  // var -> the position that bound it
     for (size_t i = 0; i < pa.slots.size(); ++i) {
       const Slot& s = pa.slots[i];
       if (s.is_wildcard) continue;
-      if (s.is_const || bound.count(s.var) > 0) {
+      if (s.is_const || bound[static_cast<size_t>(s.var)]) {
         pa.key_positions.push_back(i);
-      } else if (auto it = bound_here.find(s.var); it != bound_here.end()) {
+        continue;
+      }
+      // The position in this atom that bound the variable, if any.
+      auto partner = std::find_if(pa.bind_positions.begin(), pa.bind_positions.end(),
+                                  [&](size_t p) { return pa.slots[p].var == s.var; });
+      if (partner != pa.bind_positions.end()) {
         pa.check_positions.push_back(i);
-        pa.check_partners.push_back(it->second);
+        pa.check_partners.push_back(*partner);
       } else {
         pa.bind_positions.push_back(i);
-        bound_here.emplace(s.var, i);
+        if (head_vars[static_cast<size_t>(s.var)]) existential_from = plan.atoms.size() + 1;
       }
     }
-    for (const auto& [var, pos] : bound_here) bound.insert(var);
+    for (size_t p : pa.bind_positions) bound[static_cast<size_t>(pa.slots[p].var)] = true;
     plan.atoms.push_back(std::move(pa));
+  }
+  for (size_t i = existential_from; i < plan.atoms.size(); ++i) {
+    plan.atoms[i].existential = true;
   }
   return plan;
 }
 
-/// Greedy selectivity order: repeatedly pick the atom with the most bound
-/// positions (constants + variables bound by already-picked atoms), breaking
-/// ties by smaller estimated cardinality, then by original position.
-/// `forced_first` (an index into raws, or -1) pins the delta atom up front —
-/// deltas are the smallest view by construction.
-std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, int forced_first) {
+/// Greedy selectivity order over `members` (indexes into raws, ascending):
+/// repeatedly pick the atom with the most bound positions (constants +
+/// variables bound by already-picked atoms), breaking ties by smaller
+/// estimated cardinality, then by original position. `forced_first` (a
+/// member, or -1) pins the delta atom up front — deltas are the smallest
+/// view by construction.
+std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws,
+                                     const std::vector<size_t>& members, int forced_first,
+                                     size_t num_slots) {
   std::vector<size_t> order;
-  std::set<int> bound;
+  std::vector<bool> bound(num_slots, false);
   std::vector<bool> used(raws.size(), false);
   auto take = [&](size_t ai) {
     used[ai] = true;
     order.push_back(ai);
     for (const Slot& s : raws[ai].slots) {
-      if (!s.is_const && !s.is_wildcard) bound.insert(s.var);
+      if (!s.is_const && !s.is_wildcard) bound[static_cast<size_t>(s.var)] = true;
     }
   };
   if (forced_first >= 0) take(static_cast<size_t>(forced_first));
-  while (order.size() < raws.size()) {
+  while (order.size() < members.size()) {
     size_t best = raws.size();
     size_t best_score = 0;
     size_t best_card = 0;
-    for (size_t ai = 0; ai < raws.size(); ++ai) {
+    for (size_t ai : members) {
       if (used[ai]) continue;
       size_t score = 0;
       for (const Slot& s : raws[ai].slots) {
-        if (s.is_const || (!s.is_wildcard && bound.count(s.var) > 0)) ++score;
+        if (s.is_const || (!s.is_wildcard && bound[static_cast<size_t>(s.var)])) ++score;
       }
       if (best == raws.size() || score > best_score ||
           (score == best_score && raws[ai].cardinality < best_card)) {
@@ -196,16 +217,84 @@ std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, int force
   return order;
 }
 
-std::vector<size_t> IdentityOrder(size_t n) {
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  return order;
+/// Splits the body into variable-connected components (constants and
+/// wildcards connect nothing): per component, its atom indexes ascending;
+/// components ordered by their first atom.
+std::vector<std::vector<size_t>> BodyComponents(const std::vector<RawAtom>& raws,
+                                                size_t num_slots) {
+  std::vector<size_t> parent(raws.size());
+  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  auto find = [&](size_t a) {
+    while (parent[a] != a) a = parent[a] = parent[parent[a]];
+    return a;
+  };
+  std::vector<size_t> first_atom(num_slots, SIZE_MAX);  // var -> first atom mentioning it
+  for (size_t ai = 0; ai < raws.size(); ++ai) {
+    for (const Slot& s : raws[ai].slots) {
+      if (s.is_const || s.is_wildcard) continue;
+      size_t& first = first_atom[static_cast<size_t>(s.var)];
+      if (first == SIZE_MAX) {
+        first = ai;
+      } else {
+        parent[find(ai)] = find(first);
+      }
+    }
+  }
+  std::vector<std::vector<size_t>> components;
+  std::vector<size_t> component_of_root(raws.size(), SIZE_MAX);
+  for (size_t ai = 0; ai < raws.size(); ++ai) {
+    size_t& c = component_of_root[find(ai)];
+    if (c == SIZE_MAX) {
+      c = components.size();
+      components.emplace_back();
+    }
+    components[c].push_back(ai);
+  }
+  return components;
 }
 
 /// Compiles `rule` into join plans. `idb_sizes`, when non-null, supplies
 /// observed IDB relation cardinalities (round-0 sizes from a running
 /// fixpoint) to replace the kIdbCardinality guess when ordering joins; the
 /// sizes used are recorded in the result's idb_stats for later drift checks.
+///
+/// Existence-only atoms. A body atom whose bindings never reach the head
+/// only has to be satisfied, not enumerated:
+///
+///   * Guards. A variable-connected body component with no head variable
+///     (e.g. `Org(_, _, _)`, or `Business(_, v1), Review(v1, _)` under a
+///     head over other variables) is compiled to its own plan in
+///     JoinPlan::guards, ordered by the same greedy SelectivityOrder, and
+///     removed from the main plan. EvalPlan runs each guard once per plan
+///     evaluation up to its first match: unsatisfied, the plan emits
+///     nothing; satisfied, it costs nothing more. A delta atom inside a
+///     guard makes that guard read the delta range. A head without
+///     variables makes the whole body guards; the empty main plan then
+///     emits once.
+///   * Existential suffix. Main-plan atoms after the last atom binding a
+///     head variable stop at their first row whose subtree reaches the end
+///     of the plan (MakePlan, MatchPlan).
+///
+/// Both keep derived relations, their row insertion order and error codes
+/// bit-identical to enumerating every atom, at every num_threads and
+/// probe_block_rows:
+///
+///   * Guards share no variable with the main atoms, so no main atom's
+///     score in SelectivityOrder (constants plus variables bound by main
+///     atoms) depends on where the guard atoms fall; the main atoms' order,
+///     and hence their key/check/bind positions, is the same subsequence of
+///     the full greedy (or identity) order as before.
+///   * Nor does a guard's match set depend on main bindings. Enumerating
+///     the interleaved order visits (main match, guard match) pairs
+///     lexicographically, so the first time each main match appears is
+///     under the first guard match, in main-only order; every later
+///     appearance re-emits a head tuple that is already inserted.
+///   * Below the last head-binding atom every path emits the same head
+///     tuple(s), so the existential suffix skips only duplicates.
+///   * A re-emitted duplicate is an unsuccessful insert (or a dropped
+///     buffer duplicate on the parallel path): it changes no relation and
+///     does not count against max_derived_tuples. Only the interruption
+///     tick count changes, i.e. how soon a cancel or deadline is noticed.
 Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& idb,
                                  const EdbView& edb, bool reorder,
                                  const std::map<std::string, size_t>* idb_sizes = nullptr) {
@@ -284,13 +373,54 @@ Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& 
   out.num_slots = static_cast<int>(var_slot.size());
   out.has_idb_body = !idb_atom_indices.empty();
 
-  out.full = MakePlan(raws, reorder ? SelectivityOrder(raws, -1) : IdentityOrder(raws.size()),
-                      -1);
+  const size_t num_slots = var_slot.size();
+  std::vector<bool> head_vars(num_slots, false);
+  for (const CompiledRule::Head& head : out.heads) {
+    for (const Slot& s : head.slots) {
+      if (!s.is_const) head_vars[static_cast<size_t>(s.var)] = true;
+    }
+  }
+  std::vector<size_t> main_atoms;
+  std::vector<std::vector<size_t>> guards;
+  for (std::vector<size_t>& component : BodyComponents(raws, num_slots)) {
+    bool reaches_head = false;
+    for (size_t ai : component) {
+      for (const Slot& s : raws[ai].slots) {
+        reaches_head = reaches_head || (s.var >= 0 && head_vars[static_cast<size_t>(s.var)]);
+      }
+    }
+    if (reaches_head) {
+      main_atoms.insert(main_atoms.end(), component.begin(), component.end());
+    } else {
+      guards.push_back(std::move(component));
+    }
+  }
+  std::sort(main_atoms.begin(), main_atoms.end());
+
+  // One plan over `members`; `delta_atom` (or -1) is pinned first when it
+  // is a member.
+  auto plan_over = [&](const std::vector<size_t>& members, int delta_atom,
+                       const std::vector<bool>& plan_head_vars) {
+    int forced = delta_atom >= 0 && std::binary_search(members.begin(), members.end(),
+                                                       static_cast<size_t>(delta_atom))
+                     ? delta_atom
+                     : -1;
+    return MakePlan(raws,
+                    reorder ? SelectivityOrder(raws, members, forced, num_slots) : members,
+                    forced, plan_head_vars);
+  };
+  const std::vector<bool> no_head_vars(num_slots, false);
+  auto rule_plan = [&](int delta_atom) {
+    JoinPlan plan = plan_over(main_atoms, delta_atom, head_vars);
+    for (const std::vector<size_t>& guard : guards) {
+      plan.guards.push_back(plan_over(guard, delta_atom, no_head_vars));
+    }
+    return plan;
+  };
+  out.full = rule_plan(-1);
   for (size_t ai : idb_atom_indices) {
     out.idb_body_relations.push_back(raws[ai].relation);
-    std::vector<size_t> order = reorder ? SelectivityOrder(raws, static_cast<int>(ai))
-                                        : IdentityOrder(raws.size());
-    out.delta_plans.push_back(MakePlan(raws, order, static_cast<int>(ai)));
+    out.delta_plans.push_back(rule_plan(static_cast<int>(ai)));
   }
   return out;
 }
@@ -670,7 +800,7 @@ class Evaluator {
     std::vector<uint32_t> sel;
     std::vector<Value> probe_keys;
     std::vector<size_t> probe_hashes;
-    std::vector<const std::vector<uint32_t>*> postings;
+    std::vector<const PostingList*> postings;
   };
 
   /// Per-worker scratch reused across chunks and plan evaluations: variable
@@ -779,6 +909,19 @@ class Evaluator {
     }
   };
 
+  /// Guard sink: records that the guard plan has a match and stops there.
+  /// Runs on the calling thread and polls on the sequential stride.
+  struct GuardSink {
+    Evaluator* ev;
+    Status status;
+    bool satisfied = false;
+
+    bool Stopped() const { return satisfied || !status.ok(); }
+    bool OnCandidate() { return ev->Interrupted(&status); }
+    bool OnCandidates(size_t n) { return ev->InterruptedN(n, &status); }
+    void OnMatch(const std::vector<Value>&) { satisfied = true; }
+  };
+
   /// Recursive left-to-right matcher over the plan's atom order, with the
   /// first atom's scan restricted to [lo0, hi0) — the unit of parallel
   /// partitioning. Shared verbatim by the sequential and parallel paths via
@@ -794,6 +937,11 @@ class Evaluator {
   /// ascending row order, so the emission sequence (and therefore every
   /// output, at any thread count) is bit-identical to block_rows == 1; only
   /// the memory-access pattern changes.
+  ///
+  /// Each step returns whether its subtree reached the end of the plan; an
+  /// existential atom (PlanAtom::existential) stops at its first row that
+  /// did — in the scalar loops, at atom 1 of the multi-probe descent, and
+  /// at atom 0 of the blocked driver.
   template <typename Sink>
   static void MatchPlan(const JoinPlan& plan, const std::vector<AtomView>& views,
                         size_t lo0, size_t hi0, std::vector<Value>& env,
@@ -809,34 +957,36 @@ class Evaluator {
     // — which is what makes concurrent chunk evaluation safe.
     // `self` is the `match` recursion below (passed in so the blocked
     // driver can enter the scalar path at atom 1).
-    auto try_row_at = [&](auto&& self, size_t atom_idx, size_t ti) -> void {
+    auto try_row_at = [&](auto&& self, size_t atom_idx, size_t ti) -> bool {
       const PlanAtom& pa = plan.atoms[atom_idx];
       const AtomView& v = views[atom_idx];
-      if (sink.Stopped()) return;
-      if (sink.OnCandidate()) return;
+      if (sink.Stopped()) return false;
+      if (sink.OnCandidate()) return false;
       for (size_t p : pa.bind_positions) {
         env[static_cast<size_t>(pa.slots[p].var)] = v.rel->cell(ti, p);
       }
       for (size_t p : pa.check_positions) {
-        if (v.rel->cell(ti, p) != env[static_cast<size_t>(pa.slots[p].var)]) return;
+        if (v.rel->cell(ti, p) != env[static_cast<size_t>(pa.slots[p].var)]) return false;
       }
-      self(self, atom_idx + 1);
+      return self(self, atom_idx + 1);
     };
 
-    auto match = [&](auto&& self, size_t atom_idx) -> void {
-      if (sink.Stopped()) return;
+    auto match = [&](auto&& self, size_t atom_idx) -> bool {
+      if (sink.Stopped()) return false;
       if (atom_idx == plan.atoms.size()) {
         sink.OnMatch(env);
-        return;
+        return true;
       }
       const PlanAtom& pa = plan.atoms[atom_idx];
       const AtomView& v = views[atom_idx];
       size_t lo = atom_idx == 0 ? lo0 : v.lo;
       size_t hi = atom_idx == 0 ? hi0 : v.hi;
 
+      bool reached = false;
       if (v.index == nullptr) {
         for (size_t ti = lo; ti < hi && !sink.Stopped(); ++ti) {
-          try_row_at(self, atom_idx, ti);
+          reached |= try_row_at(self, atom_idx, ti);
+          if (reached && pa.existential) break;
         }
       } else {
         std::vector<Value>& key_vals = key_bufs[atom_idx];
@@ -845,16 +995,18 @@ class Evaluator {
           const Slot& s = pa.slots[p];
           key_vals.push_back(s.is_const ? s.constant : env[static_cast<size_t>(s.var)]);
         }
-        const std::vector<uint32_t>* matches =
+        const PostingList* matches =
             v.index->Lookup(*v.rel, key_vals.data(), key_vals.size());
-        if (matches == nullptr) return;
+        if (matches == nullptr) return false;
         // Posting lists are sorted ascending; restrict to [lo, hi).
         auto it = std::lower_bound(matches->begin(), matches->end(),
                                    static_cast<uint32_t>(lo));
         for (; it != matches->end() && *it < hi && !sink.Stopped(); ++it) {
-          try_row_at(self, atom_idx, *it);
+          reached |= try_row_at(self, atom_idx, *it);
+          if (reached && pa.existential) break;
         }
       }
+      return reached;
     };
 
     if (block_rows <= 1 || plan.atoms.empty()) {
@@ -915,31 +1067,34 @@ class Evaluator {
 
     // Binds one surviving atom-0 row's fresh variables (its checks already
     // passed the columnar filter) and recurses into the rest of the plan.
-    auto descend = [&](size_t r0) {
+    auto descend = [&](size_t r0) -> bool {
       for (size_t p : pa0.bind_positions) {
         env[static_cast<size_t>(pa0.slots[p].var)] = v0.rel->cell(r0, p);
       }
-      match(match, 1);
+      return match(match, 1);
     };
 
     // Multi-probe descent: atom 1's posting list is already in hand, so the
     // scalar key gather + Lookup at depth 1 is skipped; each posting row
     // goes through the identical per-row tick/bind/check/recurse.
-    auto descend_with_postings = [&](size_t r0, const std::vector<uint32_t>* rows) {
+    auto descend_with_postings = [&](size_t r0, const PostingList* rows) -> bool {
       for (size_t p : pa0.bind_positions) {
         env[static_cast<size_t>(pa0.slots[p].var)] = v0.rel->cell(r0, p);
       }
+      bool reached = false;
       auto it = std::lower_bound(rows->begin(), rows->end(),
                                  static_cast<uint32_t>(views[1].lo));
       for (; it != rows->end() && *it < views[1].hi && !sink.Stopped(); ++it) {
-        try_row_at(match, 1, *it);
+        reached |= try_row_at(match, 1, *it);
+        if (reached && plan.atoms[1].existential) break;
       }
+      return reached;
     };
 
     // Atom-0 candidate source: a posting list when atom 0 is indexed (its
     // keys are constants — nothing is bound before the first atom), else
     // the positional range [lo0, hi0).
-    const std::vector<uint32_t>* postings0 = nullptr;
+    const PostingList* postings0 = nullptr;
     size_t pos0 = 0, pos0_end = 0;
     size_t next_row = lo0;
     if (v0.index != nullptr) {
@@ -1014,10 +1169,12 @@ class Evaluator {
                                     block.postings.data());
         for (size_t i = 0; i < sel.size() && !sink.Stopped(); ++i) {
           if (block.postings[i] == nullptr) continue;
-          descend_with_postings(sel[i], block.postings[i]);
+          if (descend_with_postings(sel[i], block.postings[i]) && pa0.existential) return;
         }
       } else {
-        for (size_t i = 0; i < sel.size() && !sink.Stopped(); ++i) descend(sel[i]);
+        for (size_t i = 0; i < sel.size() && !sink.Stopped(); ++i) {
+          if (descend(sel[i]) && pa0.existential) return;
+        }
       }
     }
   }
@@ -1038,13 +1195,52 @@ class Evaluator {
                   const EdbView& edb, FactDatabase* out) {
     DYNAMITE_FAILPOINT("engine.plan.entry");
     DYNAMITE_TRACE_SPAN("engine.plan");
-    // Resolve views and refresh indexes up front: no index is ever built
-    // inside the match loop, and IDB indexes only extend over the suffix
-    // added since the previous round.
-    std::vector<AtomView> views(plan.atoms.size());
+    std::vector<AtomView> views;
+    DYNAMITE_ASSIGN_OR_RETURN(bool matchable, ResolveViews(plan, delta, edb, out, &views));
+    if (!matchable) return Status::OK();
+    // Guards: each runs once, here on the calling thread, up to its first
+    // match — before the sequential/parallel dispatch, and before any head
+    // row of this plan is emitted (the same snapshot its atoms had when
+    // they were interleaved with the main atoms).
+    for (const JoinPlan& guard : plan.guards) {
+      std::vector<AtomView> guard_views;
+      DYNAMITE_ASSIGN_OR_RETURN(matchable, ResolveViews(guard, delta, edb, out, &guard_views));
+      if (!matchable) return Status::OK();
+      std::vector<Value> env(static_cast<size_t>(rule.num_slots));
+      std::vector<std::vector<Value>> key_bufs(guard.atoms.size());
+      GuardSink sink{this, Status::OK()};
+      MatchPlan(guard, guard_views, guard_views[0].lo, guard_views[0].hi, env, key_bufs,
+                block_rows_, seq_block_, sink);
+      DYNAMITE_RETURN_NOT_OK(sink.status);
+      if (!sink.satisfied) return Status::OK();
+    }
+
+    // Head relations are fixed for the plan; resolve them once, not per
+    // emitted tuple (FactDatabase map nodes are stable under insertion).
+    std::vector<Relation*> head_rels(rule.heads.size());
+    for (size_t i = 0; i < rule.heads.size(); ++i) {
+      DYNAMITE_ASSIGN_OR_RETURN(head_rels[i], out->FindMutable(rule.heads[i].relation));
+    }
+
+    if (!plan.atoms.empty() && views[0].hi - views[0].lo >= kParallelMinRows &&
+        AcquirePool() != nullptr) {
+      return EvalPlanParallel(rule, plan, views, head_rels);
+    }
+    return EvalPlanSequential(rule, plan, views, head_rels);
+  }
+
+  /// Resolves `plan`'s atoms against storage into `*views` and refreshes
+  /// their indexes up front: no index is ever built inside the match loop,
+  /// and IDB indexes only extend over the suffix added since the previous
+  /// round. False when some atom's view is empty (no match possible).
+  Result<bool> ResolveViews(const JoinPlan& plan,
+                            const std::map<std::string, std::pair<size_t, size_t>>& delta,
+                            const EdbView& edb, FactDatabase* out,
+                            std::vector<AtomView>* views) {
+    views->resize(plan.atoms.size());
     for (size_t i = 0; i < plan.atoms.size(); ++i) {
       const PlanAtom& pa = plan.atoms[i];
-      AtomView& v = views[i];
+      AtomView& v = (*views)[i];
       if (pa.is_idb) {
         v.rel = out->Find(pa.relation).ValueOrDie();
       } else {
@@ -1058,7 +1254,7 @@ class Evaluator {
         v.lo = 0;
         v.hi = v.rel->size();
       }
-      if (v.lo >= v.hi) return Status::OK();  // no matches possible
+      if (v.lo >= v.hi) return false;  // no matches possible
       if (!pa.key_positions.empty()) {
         // Refreshes over a large unindexed suffix hash their keys on the
         // worker pool (JoinIndex::Refresh gates on the suffix size and the
@@ -1082,19 +1278,7 @@ class Evaluator {
         }
       }
     }
-
-    // Head relations are fixed for the plan; resolve them once, not per
-    // emitted tuple (FactDatabase map nodes are stable under insertion).
-    std::vector<Relation*> head_rels(rule.heads.size());
-    for (size_t i = 0; i < rule.heads.size(); ++i) {
-      DYNAMITE_ASSIGN_OR_RETURN(head_rels[i], out->FindMutable(rule.heads[i].relation));
-    }
-
-    if (!plan.atoms.empty() && views[0].hi - views[0].lo >= kParallelMinRows &&
-        AcquirePool() != nullptr) {
-      return EvalPlanParallel(rule, plan, views, head_rels);
-    }
-    return EvalPlanSequential(rule, plan, views, head_rels);
+    return true;
   }
 
   /// Sequential path: num_threads=1, a range too small to split, or the
@@ -1278,7 +1462,14 @@ DatalogEngine::Stats DatalogEngine::stats() const {
   Stats s;
   s.plan_refreshes = caches_->plan_refreshes;
   s.parallel_fallbacks = caches_->parallel_fallbacks;
+  s.cached_edb_indexes = caches_->edb_indexes.size();
   return s;
+}
+
+void DatalogEngine::ReleaseEdbIndexes(const FactDatabase& edb) const {
+  for (const std::string& name : edb.RelationNames()) {
+    caches_->edb_indexes.Erase(edb.Find(name).ValueOrDie()->uid());
+  }
 }
 
 namespace {

@@ -12,6 +12,11 @@
 //     estimated selectivity (bound-position count, then relation
 //     cardinality); each plan step is a hash-index lookup on the positions
 //     bound by constants or earlier atoms.
+//   * Body atoms whose bindings never reach the head are only checked for
+//     a match, not enumerated: head-disconnected components (guards) run
+//     once per plan up to their first match, and atoms after the last
+//     head-binding atom stop at their first row that completes the plan.
+//     Derived rows and their order are unchanged.
 //   * Join indexes are persistent and incremental (src/datalog/index.h).
 //     EDB indexes survive across Eval calls on the same engine — the
 //     synthesizer evaluates thousands of candidate programs against one
@@ -121,6 +126,12 @@ class DatalogEngine {
     /// the exact sequential path. Graceful degradation, not an error: the
     /// Eval's results are unaffected.
     size_t parallel_fallbacks = 0;
+    /// Join indexes currently held in this engine's private EDB index
+    /// cache — a level, not a running total. Indexes over an EDB that
+    /// outlives many Evals (the synthesizer's example) are meant to stay;
+    /// indexes over a short-lived EDB stay too unless its owner calls
+    /// ReleaseEdbIndexes.
+    size_t cached_edb_indexes = 0;
   };
 
   DatalogEngine();
@@ -172,6 +183,14 @@ class DatalogEngine {
   /// relation evaluated against through this engine may grow while the
   /// cache is attached. Pass nullptr to detach.
   void ShareEdbIndexes(std::shared_ptr<SharedIndexCache> cache);
+
+  /// Drops the join indexes this engine's private cache holds over
+  /// `edb`'s relations. For callers whose EDB dies after the Eval (the
+  /// migrator's per-call ToFacts relations): the cache is keyed by
+  /// relation uid, so those indexes can never be hit again and would
+  /// otherwise stay until the cache's size-triggered clear. Call between
+  /// Evals only; a shared cache (ShareEdbIndexes) is not touched.
+  void ReleaseEdbIndexes(const FactDatabase& edb) const;
 
   /// Snapshot of the engine's cumulative counters (see Stats).
   Stats stats() const;

@@ -23,6 +23,12 @@
 // indexed in insertion order), which is what makes range-restricted lookups
 // (the delta views) a lower_bound away.
 //
+// Posting lists live in one monotonic arena per index: a key group costs a
+// bump allocation per growth step rather than a heap block of its own, and
+// dropping an index frees a handful of arena blocks rather than one block
+// per distinct key. The buffers a list outgrows stay in the arena until
+// the index dies (at most about as much again as the lists' final size).
+//
 // Thread-safety contract (ISSUE 4, parallel fixpoint): Refresh and
 // IndexCache::Get mutate and require exclusive access; Lookup is const and
 // safe to call concurrently from any number of threads provided no Refresh
@@ -35,7 +41,9 @@
 #define DYNAMITE_DATALOG_INDEX_H_
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <memory_resource>
 #include <unordered_map>
 #include <vector>
 
@@ -46,6 +54,9 @@
 #include "value/relation.h"
 
 namespace dynamite {
+
+/// A posting list: the ascending row indexes of one key group.
+using PostingList = std::pmr::vector<uint32_t>;
 
 /// Hash index of one relation on a fixed set of key positions, extended
 /// incrementally as the relation grows.
@@ -103,7 +114,7 @@ class JoinIndex {
       if (group_slots_[s] == kEmptySlot) {
         group_slots_[s] = static_cast<uint32_t>(groups_.size());
         MemoryBudget::ChargeCurrent(sizeof(Group));
-        groups_.push_back(Group{h, static_cast<uint32_t>(i), {}});
+        groups_.push_back(Group{h, static_cast<uint32_t>(i), PostingList(&postings_arena_)});
       }
       groups_[group_slots_[s]].rows.push_back(static_cast<uint32_t>(i));
     }
@@ -114,8 +125,7 @@ class JoinIndex {
   /// nullptr if none. `rel` must be the relation this index was built over
   /// (key verification reads its columns). The returned pointer is stable
   /// until the next Refresh.
-  const std::vector<uint32_t>* Lookup(const Relation& rel, const Value* key,
-                                      size_t count) const {
+  const PostingList* Lookup(const Relation& rel, const Value* key, size_t count) const {
     if (group_slots_.empty()) return nullptr;
     size_t seed = HashValueRange(key, count);
     size_t mask = group_slots_.size() - 1;
@@ -141,7 +151,7 @@ class JoinIndex {
   /// overlap instead of serializing. Const and concurrent-safe like Lookup.
   void LookupBatch(const Relation& rel, const Value* keys, size_t key_arity,
                    size_t count, size_t* hash_scratch,
-                   const std::vector<uint32_t>** out) const {
+                   const PostingList** out) const {
     if (group_slots_.empty()) {
       for (size_t i = 0; i < count; ++i) out[i] = nullptr;
       return;
@@ -185,7 +195,7 @@ class JoinIndex {
   struct Group {
     size_t hash;
     uint32_t head_row;
-    std::vector<uint32_t> rows;
+    PostingList rows;
   };
 
   size_t HashRowKey(const Relation& rel, size_t row) const {
@@ -220,6 +230,9 @@ class JoinIndex {
 
   std::vector<size_t> key_positions_;
   size_t indexed_upto_ = 0;
+  /// Backs every posting list (see the file comment). Declared before
+  /// groups_ so it outlives the lists it backs.
+  std::pmr::monotonic_buffer_resource postings_arena_;
   std::vector<Group> groups_;
   /// Open-addressing (linear probing) table of indices into groups_.
   std::vector<uint32_t> group_slots_;
@@ -266,6 +279,15 @@ class IndexCache {
   }
 
   void Clear() { entries_.clear(); }
+
+  /// Drops every index over the relation with `uid`. Like Clear, only
+  /// between evaluations.
+  void Erase(uint64_t uid) {
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      it = it->first.uid == uid ? entries_.erase(it) : std::next(it);
+    }
+  }
+
   size_t size() const { return entries_.size(); }
 
  private:

@@ -337,10 +337,10 @@ class ChildIndex {
     if (rel_ != nullptr) index_.Refresh(*rel_);
   }
 
-  const std::vector<uint32_t>& Lookup(const Value& parent) const {
-    static const std::vector<uint32_t> kEmpty;
+  const PostingList& Lookup(const Value& parent) const {
+    static const PostingList kEmpty;
     if (rel_ == nullptr) return kEmpty;
-    const std::vector<uint32_t>* rows = index_.Lookup(*rel_, &parent, 1);
+    const PostingList* rows = index_.Lookup(*rel_, &parent, 1);
     return rows == nullptr ? kEmpty : *rows;
   }
 
@@ -390,7 +390,7 @@ struct Rebuilder {
       const RecordTypeTable::Type& child = table.types()[type.record_types[k]];
       const ChildIndex& index = IndexFor(child);
       if (stats != nullptr) ++stats->child_index_lookups;
-      const std::vector<uint32_t>& rows = index.Lookup(fact[offset + i]);
+      const PostingList& rows = index.Lookup(fact[offset + i]);
       std::vector<RecordNode> kids;
       kids.reserve(rows.size());
       for (uint32_t child_row : rows) {

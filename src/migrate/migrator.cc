@@ -78,8 +78,12 @@ Result<RecordForest> Migrator::MigrateImpl(const Program& program,
 
   timer.Reset();
   trace::Span eval_span("migrate.eval");
-  DYNAMITE_ASSIGN_OR_RETURN(
-      FactDatabase idb, engine_.Eval(program, edb, FactSignatures(target_schema_), &ctx));
+  Result<FactDatabase> evaluated =
+      engine_.Eval(program, edb, FactSignatures(target_schema_), &ctx);
+  // The ToFacts relations die with this call, and the engine's cache is
+  // keyed by relation uid: their indexes could never be hit again.
+  engine_.ReleaseEdbIndexes(edb);
+  DYNAMITE_ASSIGN_OR_RETURN(FactDatabase idb, std::move(evaluated));
   DYNAMITE_RETURN_NOT_OK(ctx.Check("fixpoint evaluation"));
   local.target_facts = idb.TotalFacts();
   local.eval_seconds = timer.ElapsedSeconds();

@@ -38,9 +38,11 @@ struct MigrationStats {
 /// executing `program`; returns the target instance as a record forest.
 ///
 /// Deprecated as a user-facing entry point: prefer dynamite::Session
-/// (src/api/session.h), which shares one engine (and its join indexes /
-/// compiled-rule caches) across synthesis and repeated migrations. This
-/// class remains as the migration-stage implementation.
+/// (src/api/session.h), which shares one engine (and its compiled-rule
+/// cache) across repeated migrations. This class remains as the
+/// migration-stage implementation. Each call releases the engine's join
+/// indexes over the call's converted source (DatalogEngine::
+/// ReleaseEdbIndexes): those relations die when the call returns.
 class Migrator {
  public:
   Migrator(Schema source_schema, Schema target_schema,

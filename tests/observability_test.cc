@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -238,12 +239,15 @@ TEST_F(ObservabilityTest, EngineFallbackMetricMatchesStats) {
 }
 
 TEST_F(ObservabilityTest, FixpointRoundsHistogramObservesEvals) {
+  // Snapshots held by value: histogram() points into the snapshot.
+  const metrics::MetricsSnapshot before_metrics = metrics::Snapshot();
   const metrics::HistogramSnapshot* before_snap =
-      metrics::Snapshot().histogram("engine.fixpoint.rounds_per_eval");
+      before_metrics.histogram("engine.fixpoint.rounds_per_eval");
   const uint64_t before = before_snap != nullptr ? before_snap->count : 0;
   ASSERT_OK(MakeEngine(1).EvalAutoSignatures(TcProgram(), IntEdges(60)).status());
+  const metrics::MetricsSnapshot after_metrics = metrics::Snapshot();
   const metrics::HistogramSnapshot* after =
-      metrics::Snapshot().histogram("engine.fixpoint.rounds_per_eval");
+      after_metrics.histogram("engine.fixpoint.rounds_per_eval");
   ASSERT_NE(after, nullptr);
   EXPECT_GT(after->count, before);
   EXPECT_GT(after->sum, 0u);
@@ -329,11 +333,11 @@ TEST_F(ObservabilityTest, DisarmedSpanCostIsNanoseconds) {
   // path would blow through it anyway.
   ASSERT_FALSE(trace::Enabled());
   constexpr int kIterations = 200000;
-  volatile int sink = 0;
+  volatile uint64_t sink = 0;  // unsigned: the running sum wraps, never overflows
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < kIterations; ++i) {
     DYNAMITE_TRACE_SPAN("test.disarmed");
-    sink = sink + i;
+    sink = sink + static_cast<uint64_t>(i);
   }
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

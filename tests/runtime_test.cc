@@ -181,8 +181,8 @@ TEST(JoinIndex, IncrementalRefreshMatchesFromScratch) {
   scratch.Refresh(r);
   for (int round = 0; round < 5; ++round) {
     Value key = Value::Int(round);
-    const std::vector<uint32_t>* a = incremental.Lookup(r, &key, 1);
-    const std::vector<uint32_t>* b = scratch.Lookup(r, &key, 1);
+    const PostingList* a = incremental.Lookup(r, &key, 1);
+    const PostingList* b = scratch.Lookup(r, &key, 1);
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(*a, *b);
@@ -210,6 +210,31 @@ TEST(IndexCache, ReusesByUidAndExtends) {
   Relation copy = r;
   JoinIndex* copy_idx = cache.Get(copy, {0});
   EXPECT_NE(copy_idx, idx);
+}
+
+TEST(IndexCache, ReleaseDropsOnlyTheGivenEdbsIndexes) {
+  auto edges = [](int n) {
+    FactDatabase db;
+    db.DeclareRelation("edge", {"s", "t"}).ValueOrDie();
+    for (int i = 0; i < n; ++i) {
+      db.AddFact("edge", Tuple({Value::Int(i), Value::Int((i + 1) % n)}));
+    }
+    return db;
+  };
+  FactDatabase live = edges(10);
+  FactDatabase transient = edges(12);
+  Program p = Program::Parse("j(x, z) :- edge(x, y), edge(y, z).").ValueOrDie();
+  DatalogEngine engine;
+  ASSERT_TRUE(engine.EvalAutoSignatures(p, live).ok());
+  const size_t live_indexes = engine.stats().cached_edb_indexes;
+  ASSERT_GT(live_indexes, 0u);
+  ASSERT_TRUE(engine.EvalAutoSignatures(p, transient).ok());
+  EXPECT_EQ(engine.stats().cached_edb_indexes, 2 * live_indexes);
+  engine.ReleaseEdbIndexes(transient);
+  EXPECT_EQ(engine.stats().cached_edb_indexes, live_indexes);
+  // The live EDB's indexes survive and are reused, not rebuilt.
+  ASSERT_TRUE(engine.EvalAutoSignatures(p, live).ok());
+  EXPECT_EQ(engine.stats().cached_edb_indexes, live_indexes);
 }
 
 // ------------------------------------------- semi-naive vs. reference TC ---

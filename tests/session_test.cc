@@ -359,6 +359,29 @@ TEST(Session, PreCancelledContextShortCircuitsMigration) {
   EXPECT_EQ(result.status().code(), ErrorCode::kCancelled);
 }
 
+TEST(Session, RepeatedMigrationsDoNotAccumulateJoinIndexes) {
+  // Each Migrate call converts the source into fresh relations that die
+  // with the call; the migration engine must not keep their join indexes.
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(testing::UnivSchema(),
+                                                        testing::AdmissionSchema()));
+  Program program = Program::Parse(
+                        "Admission(g, u, n) :- Univ(id1, g, v1), Admit(v1, id2, n), "
+                        "Univ(id2, u, _).")
+                        .ValueOrDie();
+  RecordForest source;
+  for (int i = 0; i < 50; ++i) {
+    source.roots.push_back(testing::UnivRecord(i, "U" + std::to_string(i),
+                                               {{(i + 1) % 50, 10 * i}}));
+  }
+  ASSERT_OK_AND_ASSIGN(RecordForest first, session.Migrate(program, source));
+  ASSERT_EQ(first.TotalRecords(), 50u);
+  const size_t after_one = session.engine_stats().cached_edb_indexes;
+  for (int call = 1; call < 20; ++call) {
+    ASSERT_OK(session.Migrate(program, source).status());
+  }
+  EXPECT_EQ(session.engine_stats().cached_edb_indexes, after_one);
+}
+
 TEST(Engine, CancellationInterruptsEval) {
   // Engine-level: a cancel request set before Eval aborts within one
   // 1024-tick poll even on a fixpoint workload.
