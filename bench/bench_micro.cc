@@ -534,6 +534,28 @@ void BM_SynthesizeEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesizeEndToEnd)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
+void BM_SynthesizeBlocking(benchmark::State& state) {
+  // Solver-bound synthesis: Retina-2 from its curated example, sequential,
+  // with analysis and MDPs on (the Session defaults). Each of its 2,035
+  // iterations solves, evaluates a small candidate and asserts one Analyze
+  // blocking clause per MDP, so the growing clause database and its
+  // propagation are the cost. Items are solver calls.
+  const auto* bench = workload::FindBenchmark("Retina-2");
+  Example example =
+      workload::MakeExample(*bench, bench->example_seed, bench->example_scale).ValueOrDie();
+  SessionOptions options;
+  options.num_threads = 1;
+  Session session = Session::Create(bench->source, bench->target, options).ValueOrDie();
+  size_t iterations = 0;
+  for (auto _ : state) {
+    auto result = session.Synthesize(example);
+    iterations = result.ValueOrDie().iterations;
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(iterations));
+}
+BENCHMARK(BM_SynthesizeBlocking)->Unit(benchmark::kMillisecond);
+
 /// Console reporter that additionally records every run into a JsonWriter,
 /// so the perf trajectory lands in BENCH_micro.json (satellite of ISSUE 1).
 class JsonTeeReporter : public benchmark::ConsoleReporter {

@@ -89,6 +89,11 @@ std::string FdExpr::ToString() const {
   return "?";
 }
 
+FdClause BlockingClause(std::vector<FdLit> conjunction) {
+  for (FdLit& l : conjunction) l.negated = !l.negated;
+  return conjunction;
+}
+
 FdVar FdSolver::NewVar(std::string name, std::vector<int64_t> domain) {
   DYNAMITE_CHECK(!domain.empty());
   VarInfo info;
@@ -229,6 +234,13 @@ Result<sat::Lit> FdSolver::Lower(const FdExpr& e) {
   return Status::Internal("unreachable FdExpr kind");
 }
 
+Result<sat::Lit> FdSolver::LowerLit(const FdLit& l) {
+  DYNAMITE_ASSIGN_OR_RETURN(sat::Lit atom, l.rhs_var.index >= 0
+                                                ? EqVarLit(l.lhs, l.rhs_var)
+                                                : EqConstLit(l.lhs, l.rhs_const));
+  return l.negated ? sat::Negate(atom) : atom;
+}
+
 void FdSolver::Suggest(FdVar v, int64_t value) {
   const VarInfo& info = vars_[static_cast<size_t>(v.index)];
   auto it = info.value_index.find(value);
@@ -238,16 +250,88 @@ void FdSolver::Suggest(FdVar v, int64_t value) {
   }
 }
 
+void FdSolver::ReserveDefinitionVar() {
+  sat_.AddClause({sat::MkLit(sat_.NewVar(), /*negated=*/true)});
+}
+
+void FdSolver::AddRootClause(std::vector<sat::Lit> lits) {
+  if (lits.size() >= 2) ReserveDefinitionVar();
+  sat_.AddClause(std::move(lits));
+}
+
 Status FdSolver::AddConstraint(const FdExpr& e) {
+  using Kind = FdExpr::Kind;
+  std::vector<sat::Lit> lits;
+  switch (e.kind()) {
+    case Kind::kAnd:
+      for (const FdExpr& child : e.children()) {
+        DYNAMITE_RETURN_NOT_OK(AddConstraint(child));
+      }
+      ReserveDefinitionVar();
+      return Status::OK();
+    case Kind::kOr:
+      for (const FdExpr& child : e.children()) {
+        DYNAMITE_ASSIGN_OR_RETURN(sat::Lit l, Lower(child));
+        lits.push_back(l);
+      }
+      AddRootClause(std::move(lits));
+      return Status::OK();
+    case Kind::kNot: {
+      const FdExpr& inner = e.children()[0];
+      switch (inner.kind()) {
+        case Kind::kNot:
+          return AddConstraint(inner.children()[0]);
+        case Kind::kAnd:
+          for (const FdExpr& child : inner.children()) {
+            DYNAMITE_ASSIGN_OR_RETURN(sat::Lit l, Lower(child));
+            lits.push_back(sat::Negate(l));
+          }
+          AddRootClause(std::move(lits));
+          return Status::OK();
+        case Kind::kOr:
+          for (const FdExpr& child : inner.children()) {
+            DYNAMITE_ASSIGN_OR_RETURN(sat::Lit l, Lower(child));
+            sat_.AddClause({sat::Negate(l)});
+          }
+          ReserveDefinitionVar();
+          return Status::OK();
+        default:
+          break;
+      }
+      break;
+    }
+    default:
+      break;
+  }
   DYNAMITE_ASSIGN_OR_RETURN(sat::Lit l, Lower(e));
   sat_.AddClause({l});
+  return Status::OK();
+}
+
+Status FdSolver::AddClause(const FdClause& clause) {
+  std::vector<sat::Lit> lits;
+  lits.reserve(clause.size());
+  for (const FdLit& l : clause) {
+    DYNAMITE_ASSIGN_OR_RETURN(sat::Lit lit, LowerLit(l));
+    lits.push_back(lit);
+  }
+  AddRootClause(std::move(lits));
+  return Status::OK();
+}
+
+Status FdSolver::AddClauses(const std::vector<FdClause>& clauses) {
+  for (const FdClause& clause : clauses) DYNAMITE_RETURN_NOT_OK(AddClause(clause));
+  if (clauses.size() >= 2) ReserveDefinitionVar();
   return Status::OK();
 }
 
 Result<bool> FdSolver::Solve() {
   DYNAMITE_TRACE_SPAN("solver.solve");
   DYNAMITE_METRIC_INC("solver.solves");
+  const int64_t conflicts_before = sat_.num_conflicts();
   sat::SatSolver::Outcome outcome = sat_.Solve();
+  DYNAMITE_METRIC_ADD("solver.conflicts",
+                      static_cast<uint64_t>(sat_.num_conflicts() - conflicts_before));
   switch (outcome) {
     case sat::SatSolver::Outcome::kSat:
       return true;

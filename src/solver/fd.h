@@ -4,8 +4,26 @@
 // variables over explicit finite domains with boolean combinations of
 // `x = c` (variable equals domain constant) and `x = y` (two variables
 // equal). Variables are one-hot encoded (one boolean per domain value with
-// an exactly-one constraint); formulas are lowered to CNF via Tseitin
-// transformation; `x = y` literals are cached per variable pair.
+// an exactly-one constraint); `x = y` literals are cached per variable pair.
+//
+// Formulas become CNF in two ways. The connectives at the root of an
+// asserted formula are clausified directly: an `And` asserts each child, an
+// `Or` (or a negated `And`) is one clause over its children's literals, a
+// negated `Or` is one unit clause per child. Only subformulas nested below
+// those are Tseitin-lowered, to a literal with defining clauses. Blocking
+// clauses (one per failed candidate in sketch completion) skip formula
+// trees altogether: they are built as `FdClause`s of atom literals and
+// handed to AddClause.
+//
+// The reserved-variable rule: wherever Tseitin lowering of a root
+// connective would define a fresh variable, root clausification allocates
+// one at the same point and fixes it false. No clause mentions it, but it
+// still enters the SAT core's VSIDS heap, which breaks activity ties by
+// heap position. The search, and so every synthesized program (pinned in
+// tests/benchmarks_test.cc), depends on the variable numbering; the rule
+// keeps the numbering of plain Tseitin lowering, while the definition
+// clauses, which can no longer propagate once the root is asserted, are
+// never stored.
 
 #ifndef DYNAMITE_SOLVER_FD_H_
 #define DYNAMITE_SOLVER_FD_H_
@@ -66,6 +84,27 @@ class FdExpr {
   std::vector<FdExpr> children_;
 };
 
+/// An atom `x = c` or `x = y`, or its negation: the literal type of the
+/// clauses handed to FdSolver::AddClause.
+struct FdLit {
+  FdVar lhs;
+  FdVar rhs_var;  ///< index < 0: the atom is `lhs = rhs_const`
+  int64_t rhs_const = 0;
+  bool negated = false;
+
+  static FdLit Eq(FdVar x, int64_t c) { return FdLit{x, FdVar{}, c, false}; }
+  static FdLit EqVar(FdVar x, FdVar y) { return FdLit{x, y, 0, false}; }
+  FdLit operator!() const { return FdLit{lhs, rhs_var, rhs_const, !negated}; }
+};
+
+/// A disjunction of literals.
+using FdClause = std::vector<FdLit>;
+
+/// The clause ¬(l1 ∧ … ∧ ln) = (¬l1 ∨ … ∨ ¬ln), which blocks every model of
+/// the conjunction `conjunction`. Negates in place; no per-literal
+/// allocation.
+FdClause BlockingClause(std::vector<FdLit> conjunction);
+
 /// Incremental finite-domain solver.
 ///
 /// Usage:
@@ -100,8 +139,19 @@ class FdSolver {
     return vars_[static_cast<size_t>(v.index)].domain;
   }
 
-  /// Asserts a formula (conjoined with everything added so far).
+  /// Asserts a formula (conjoined with everything added so far). Root
+  /// connectives become clauses directly; nested ones are Tseitin-lowered
+  /// (see the file comment, including the reserved-variable rule).
   Status AddConstraint(const FdExpr& e);
+
+  /// Asserts one clause: the same stored clause and variable numbering as
+  /// AddConstraint of the `Or` of its literals, without building the
+  /// formula.
+  Status AddClause(const FdClause& clause);
+
+  /// Asserts a conjunction of clauses, as AddConstraint of the equivalent
+  /// `And` of clauses would.
+  Status AddClauses(const std::vector<FdClause>& clauses);
 
   /// Suggests a preferred value for `v` (search heuristic only — does not
   /// constrain the formula). No-op if `value` is outside the domain.
@@ -116,6 +166,7 @@ class FdSolver {
   /// Statistics from the underlying SAT solver.
   int64_t num_conflicts() const { return sat_.num_conflicts(); }
   size_t num_clauses() const { return sat_.NumClauses(); }
+  int num_bool_vars() const { return sat_.NumVars(); }
 
  private:
   /// Copying is exposed only through Clone(): an accidental pass-by-value
@@ -131,8 +182,20 @@ class FdSolver {
     std::vector<sat::Var> selectors;  // one-hot booleans, one per value
   };
 
-  /// Lowers `e` to a literal, adding defining clauses (Tseitin).
+  /// Lowers `e` to a literal, adding defining clauses (Tseitin). Used only
+  /// below the root connectives of an asserted formula.
   Result<sat::Lit> Lower(const FdExpr& e);
+
+  /// The SAT literal of an atom literal.
+  Result<sat::Lit> LowerLit(const FdLit& l);
+
+  /// Allocates the variable Tseitin lowering of a root connective would
+  /// have defined at this point, fixed false (the reserved-variable rule).
+  void ReserveDefinitionVar();
+
+  /// Adds `lits` as one clause, after reserving the definition variable of
+  /// the n-ary connective (n >= 2) it replaces.
+  void AddRootClause(std::vector<sat::Lit> lits);
 
   /// Literal for `x = c`; kFalseLit when c is outside x's domain.
   Result<sat::Lit> EqConstLit(FdVar x, int64_t c);

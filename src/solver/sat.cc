@@ -117,7 +117,7 @@ bool SatSolver::AddClause(std::vector<Lit> lits) {
     return true;
   }
   int ci = static_cast<int>(clauses_.size());
-  clauses_.push_back(Clause{std::move(out), /*learnt=*/false, 0});
+  clauses_.push_back(Clause{std::move(out)});
   AttachClause(ci);
   return true;
 }
@@ -201,8 +201,7 @@ void SatSolver::Analyze(int conflict, std::vector<Lit>* learnt, int* backtrack_l
   int ci = conflict;
 
   do {
-    Clause& c = clauses_[static_cast<size_t>(ci)];
-    if (c.learnt) BumpClause(ci);
+    const Clause& c = clauses_[static_cast<size_t>(ci)];
     // Skip c.lits[0] on continuation rounds (it equals p).
     for (size_t k = (p.x == -2 ? 0 : 1); k < c.lits.size(); ++k) {
       Lit q = c.lits[k];
@@ -283,20 +282,8 @@ void SatSolver::BumpVar(Var v) {
   }
 }
 
-void SatSolver::BumpClause(int ci) {
-  Clause& c = clauses_[static_cast<size_t>(ci)];
-  c.activity += cla_inc_;
-  if (c.activity > 1e20) {
-    for (Clause& cl : clauses_) {
-      if (cl.learnt) cl.activity *= 1e-20;
-    }
-    cla_inc_ *= 1e-20;
-  }
-}
-
 void SatSolver::DecayActivities() {
   var_inc_ /= 0.95;
-  cla_inc_ /= 0.999;
 }
 
 int64_t SatSolver::Luby(int64_t i) {
@@ -340,8 +327,7 @@ SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
         Enqueue(learnt[0], -1);
       } else {
         int ci = static_cast<int>(clauses_.size());
-        clauses_.push_back(Clause{learnt, /*learnt=*/true, 0});
-        BumpClause(ci);
+        clauses_.push_back(Clause{learnt});
         AttachClause(ci);
         Enqueue(learnt[0], ci);
       }
@@ -368,12 +354,6 @@ SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
       Enqueue(next, -1);
     }
   }
-}
-
-void SatSolver::ReduceDb() {
-  // Learnt-clause garbage collection is intentionally not implemented: the
-  // sketch-completion workload adds at most a few thousand clauses, far
-  // below the point where DB reduction pays off.
 }
 
 }  // namespace sat

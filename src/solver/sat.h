@@ -5,7 +5,9 @@
 // same formulas). Features: two-watched-literal propagation, first-UIP
 // clause learning, VSIDS-style activity, phase saving, and Luby restarts.
 // The solver is incremental in the way sketch completion needs: clauses
-// (blocking clauses) may be added between Solve() calls.
+// (blocking clauses) may be added between Solve() calls. There is no
+// clause-database reduction: original and learnt clauses alike live as
+// long as the solver.
 
 #ifndef DYNAMITE_SOLVER_SAT_H_
 #define DYNAMITE_SOLVER_SAT_H_
@@ -82,8 +84,6 @@ class SatSolver {
  private:
   struct Clause {
     std::vector<Lit> lits;
-    bool learnt = false;
-    double activity = 0;
   };
 
   struct Watcher {
@@ -100,10 +100,8 @@ class SatSolver {
   void Backtrack(int level);
   Lit Decide();
   void BumpVar(Var v);
-  void BumpClause(int ci);
   void DecayActivities();
   void AttachClause(int ci);
-  void ReduceDb();
   int DecisionLevel() const { return static_cast<int>(trail_lim_.size()); }
   static int64_t Luby(int64_t i);
 
@@ -120,7 +118,6 @@ class SatSolver {
 
   std::vector<double> activity_;
   double var_inc_ = 1.0;
-  double cla_inc_ = 1.0;
 
   // VSIDS order heap: indexed binary max-heap over variable activity.
   void HeapInsert(Var v);

@@ -25,22 +25,19 @@ std::vector<Assignment> Assignments(const SketchEncoding& encoding,
 
 }  // namespace
 
-FdExpr Generalize(const RuleSketch& sketch, const SketchEncoding& encoding,
-                  const SketchModel& model, const std::set<std::string>& phi) {
+std::vector<FdLit> Generalize(const RuleSketch& sketch, const SketchEncoding& encoding,
+                              const SketchModel& model, const std::set<std::string>& phi) {
   std::vector<Assignment> sigma = Assignments(encoding, model);
-  std::vector<FdExpr> conj;
+  std::vector<FdLit> conj;
+  conj.reserve(sigma.size() * (sigma.size() + 1) / 2 + encoding.head_binding_vars.size());
 
   // Pairwise equality pattern (α's "otherwise" branch applies to every
   // unknown; pinned unknowns are additionally constrained below, which
   // keeps the formula weaker-or-equal and still sound).
   for (size_t i = 0; i < sigma.size(); ++i) {
     for (size_t j = i + 1; j < sigma.size(); ++j) {
-      FdExpr eq = FdExpr::EqVar(sigma[i].var, sigma[j].var);
-      if (sigma[i].symbol == sigma[j].symbol) {
-        conj.push_back(std::move(eq));
-      } else {
-        conj.push_back(FdExpr::Not(std::move(eq)));
-      }
+      FdLit eq = FdLit::EqVar(sigma[i].var, sigma[j].var);
+      conj.push_back(sigma[i].symbol == sigma[j].symbol ? eq : !eq);
     }
   }
 
@@ -51,7 +48,7 @@ FdExpr Generalize(const RuleSketch& sketch, const SketchEncoding& encoding,
     bool pin = false;
     if (sym.kind == SketchSymbol::Kind::kHeadVar && phi.count(sym.attr) > 0) pin = true;
     if (sym.kind == SketchSymbol::Kind::kConstant) pin = true;
-    if (pin) conj.push_back(FdExpr::Eq(a.var, a.symbol));
+    if (pin) conj.push_back(FdLit::Eq(a.var, a.symbol));
   }
   // Theorem 1 renames variables to variables: an unknown assigned a
   // *variable* by σ must not generalize to a constant (filtering mode puts
@@ -61,7 +58,7 @@ FdExpr Generalize(const RuleSketch& sketch, const SketchEncoding& encoding,
     if (sym.kind == SketchSymbol::Kind::kConstant) continue;
     for (int d : sketch.holes[h].domain) {
       if (sketch.symbols.At(d).kind == SketchSymbol::Kind::kConstant) {
-        conj.push_back(FdExpr::Not(FdExpr::Eq(encoding.hole_vars[h], d)));
+        conj.push_back(!FdLit::Eq(encoding.hole_vars[h], d));
       }
     }
   }
@@ -70,14 +67,15 @@ FdExpr Generalize(const RuleSketch& sketch, const SketchEncoding& encoding,
   // cover, so generalization never relaxes them.
   for (size_t b = 0; b < encoding.head_binding_vars.size(); ++b) {
     conj.push_back(
-        FdExpr::Eq(encoding.head_binding_vars[b], model.head_binding_choice[b]));
+        FdLit::Eq(encoding.head_binding_vars[b], model.head_binding_choice[b]));
   }
-  return FdExpr::And(std::move(conj));
+  return conj;
 }
 
-FdExpr AnalyzeBlocking(const RuleSketch& sketch, const SketchEncoding& encoding,
-                       const SketchModel& model,
-                       const std::vector<std::vector<std::string>>& mdps) {
+std::vector<FdClause> AnalyzeBlocking(const RuleSketch& sketch,
+                                      const SketchEncoding& encoding,
+                                      const SketchModel& model,
+                                      const std::vector<std::vector<std::string>>& mdps) {
   if (mdps.empty()) {
     // No MDP available: pin every head-variable assignment (plain
     // Generalize(σ) of the paper).
@@ -86,14 +84,15 @@ FdExpr AnalyzeBlocking(const RuleSketch& sketch, const SketchEncoding& encoding,
       const SketchSymbol& sym = sketch.symbols.At(static_cast<int>(i));
       if (sym.kind == SketchSymbol::Kind::kHeadVar) all_heads.insert(sym.attr);
     }
-    return FdExpr::Not(Generalize(sketch, encoding, model, all_heads));
+    return {BlockingClause(Generalize(sketch, encoding, model, all_heads))};
   }
-  std::vector<FdExpr> blocks;
+  std::vector<FdClause> blocks;
+  blocks.reserve(mdps.size());
   for (const std::vector<std::string>& mdp : mdps) {
     std::set<std::string> phi(mdp.begin(), mdp.end());
-    blocks.push_back(FdExpr::Not(Generalize(sketch, encoding, model, phi)));
+    blocks.push_back(BlockingClause(Generalize(sketch, encoding, model, phi)));
   }
-  return FdExpr::And(std::move(blocks));
+  return blocks;
 }
 
 }  // namespace dynamite

@@ -21,19 +21,23 @@
 
 namespace dynamite {
 
-/// Generalize(σ, ϕ): the formula describing all models whose instantiation
-/// is equivalent (on the projection ϕ) to σ's. `phi` is a set of target
-/// attribute names; pass all head attributes to get the paper's plain
-/// Generalize(σ).
-FdExpr Generalize(const RuleSketch& sketch, const SketchEncoding& encoding,
-                  const SketchModel& model, const std::set<std::string>& phi);
+/// Generalize(σ, ϕ): the conjunction of literals describing all models
+/// whose instantiation is equivalent (on the projection ϕ) to σ's. `phi` is
+/// a set of target attribute names; pass all head attributes to get the
+/// paper's plain Generalize(σ). The `x = y` atoms come in pair order
+/// (i < j over holes, then connectors), which fixes the order in which the
+/// solver allocates their literals.
+std::vector<FdLit> Generalize(const RuleSketch& sketch, const SketchEncoding& encoding,
+                              const SketchModel& model, const std::set<std::string>& phi);
 
-/// The Analyze procedure (Algorithm 3): conjunction of ¬Generalize(σ, ϕ)
-/// over every MDP ϕ in `mdps`. With an empty MDP set, falls back to a
-/// single blocking clause with all head-variable assignments pinned.
-FdExpr AnalyzeBlocking(const RuleSketch& sketch, const SketchEncoding& encoding,
-                       const SketchModel& model,
-                       const std::vector<std::vector<std::string>>& mdps);
+/// The Analyze procedure (Algorithm 3): one blocking clause
+/// ¬Generalize(σ, ϕ) per MDP ϕ in `mdps`, to be asserted together with
+/// FdSolver::AddClauses. With an empty MDP set, falls back to a single
+/// blocking clause with all head-variable assignments pinned.
+std::vector<FdClause> AnalyzeBlocking(const RuleSketch& sketch,
+                                      const SketchEncoding& encoding,
+                                      const SketchModel& model,
+                                      const std::vector<std::vector<std::string>>& mdps);
 
 }  // namespace dynamite
 

@@ -7,6 +7,16 @@ namespace dynamite {
 
 namespace {
 
+/// The two-child vector {a, b}, built by moves: an initializer list would
+/// deep-copy both subtrees.
+std::vector<FdExpr> Children(FdExpr a, FdExpr b) {
+  std::vector<FdExpr> out;
+  out.reserve(2);
+  out.push_back(std::move(a));
+  out.push_back(std::move(b));
+  return out;
+}
+
 /// x < y over finite domains of symbol ids: disjunction over value pairs.
 FdExpr LessThan(FdVar x, const std::vector<int>& xdom, FdVar y,
                 const std::vector<int>& ydom) {
@@ -17,7 +27,7 @@ FdExpr LessThan(FdVar x, const std::vector<int>& xdom, FdVar y,
       if (b > a) greater.push_back(FdExpr::Eq(y, b));
     }
     if (!greater.empty()) {
-      pairs.push_back(FdExpr::And({FdExpr::Eq(x, a), FdExpr::Or(std::move(greater))}));
+      pairs.push_back(FdExpr::And(Children(FdExpr::Eq(x, a), FdExpr::Or(std::move(greater)))));
     }
   }
   return FdExpr::Or(std::move(pairs));
@@ -30,8 +40,8 @@ FdExpr LexLeq(const std::vector<FdVar>& xs, const std::vector<std::vector<int>>&
   if (index == xs.size()) return FdExpr::True();
   FdExpr lt = LessThan(xs[index], xdoms[index], ys[index], ydoms[index]);
   FdExpr eq_and_rest = FdExpr::And(
-      {FdExpr::EqVar(xs[index], ys[index]), LexLeq(xs, xdoms, ys, ydoms, index + 1)});
-  return FdExpr::Or({std::move(lt), std::move(eq_and_rest)});
+      Children(FdExpr::EqVar(xs[index], ys[index]), LexLeq(xs, xdoms, ys, ydoms, index + 1)));
+  return FdExpr::Or(Children(std::move(lt), std::move(eq_and_rest)));
 }
 
 }  // namespace
@@ -119,13 +129,13 @@ Result<SketchEncoding> EncodeSketch(const RuleSketch& sketch, FdSolver* solver) 
     FdExpr sentinel = FdExpr::Eq(bvar, binding.head_var_symbol);
     FdExpr coverage = options.empty() ? FdExpr::False() : FdExpr::Or(std::move(options));
     DYNAMITE_RETURN_NOT_OK(
-        solver->AddConstraint(FdExpr::Or({FdExpr::Not(sentinel), std::move(coverage)})));
+        solver->AddConstraint(FdExpr::Or(Children(FdExpr::Not(sentinel), std::move(coverage)))));
     // Constant-bound: the head variable must vanish from the body (no hole
     // may carry a variable that no longer occurs in the head).
     if (!not_taken.empty()) {
       DYNAMITE_RETURN_NOT_OK(solver->AddConstraint(
-          FdExpr::Or({FdExpr::Eq(bvar, binding.head_var_symbol),
-                      FdExpr::And(std::move(not_taken))})));
+          FdExpr::Or(Children(FdExpr::Eq(bvar, binding.head_var_symbol),
+                              FdExpr::And(std::move(not_taken))))));
     }
   }
 
@@ -175,7 +185,7 @@ Result<SketchEncoding> EncodeSketch(const RuleSketch& sketch, FdSolver* solver) 
       FdExpr requirement = options.empty() ? FdExpr::False() : FdExpr::Or(std::move(options));
       // conn = sym -> requirement
       DYNAMITE_RETURN_NOT_OK(solver->AddConstraint(FdExpr::Or(
-          {FdExpr::Not(FdExpr::Eq(enc.connector_vars[c], sym)), std::move(requirement)})));
+          Children(FdExpr::Not(FdExpr::Eq(enc.connector_vars[c], sym)), std::move(requirement)))));
     }
   }
   return enc;
@@ -195,18 +205,20 @@ SketchModel ExtractModel(const SketchEncoding& encoding, const FdSolver& solver)
   return model;
 }
 
-FdExpr ModelEquality(const SketchEncoding& encoding, const SketchModel& model) {
-  std::vector<FdExpr> eqs;
+std::vector<FdLit> ModelEquality(const SketchEncoding& encoding, const SketchModel& model) {
+  std::vector<FdLit> eqs;
+  eqs.reserve(encoding.hole_vars.size() + encoding.connector_vars.size() +
+              encoding.head_binding_vars.size());
   for (size_t h = 0; h < encoding.hole_vars.size(); ++h) {
-    eqs.push_back(FdExpr::Eq(encoding.hole_vars[h], model.hole_choice[h]));
+    eqs.push_back(FdLit::Eq(encoding.hole_vars[h], model.hole_choice[h]));
   }
   for (size_t c = 0; c < encoding.connector_vars.size(); ++c) {
-    eqs.push_back(FdExpr::Eq(encoding.connector_vars[c], model.connector_choice[c]));
+    eqs.push_back(FdLit::Eq(encoding.connector_vars[c], model.connector_choice[c]));
   }
   for (size_t b = 0; b < encoding.head_binding_vars.size(); ++b) {
-    eqs.push_back(FdExpr::Eq(encoding.head_binding_vars[b], model.head_binding_choice[b]));
+    eqs.push_back(FdLit::Eq(encoding.head_binding_vars[b], model.head_binding_choice[b]));
   }
-  return FdExpr::And(std::move(eqs));
+  return eqs;
 }
 
 }  // namespace dynamite

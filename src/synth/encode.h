@@ -32,9 +32,10 @@ Result<SketchEncoding> EncodeSketch(const RuleSketch& sketch, FdSolver* solver);
 /// Extracts the model after a successful Solve().
 SketchModel ExtractModel(const SketchEncoding& encoding, const FdSolver& solver);
 
-/// The formula `x_i = σ(x_i) for all unknowns` — negated, this is the
-/// baseline (Dynamite-Enum) blocking clause ruling out exactly one program.
-FdExpr ModelEquality(const SketchEncoding& encoding, const SketchModel& model);
+/// The conjunction `x_i = σ(x_i) for all unknowns` — its BlockingClause is
+/// the baseline (Dynamite-Enum) blocking clause ruling out exactly one
+/// program.
+std::vector<FdLit> ModelEquality(const SketchEncoding& encoding, const SketchModel& model);
 
 }  // namespace dynamite
 

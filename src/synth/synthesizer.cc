@@ -262,8 +262,10 @@ class RuleSynthesizer {
   }
 
   Status Init() {
-    DYNAMITE_ASSIGN_OR_RETURN(SketchEncoding enc, EncodeSketch(sketch_, &solver_));
-    encoding_ = std::move(enc);
+    {
+      DYNAMITE_TRACE_SPAN("synth.encode");
+      DYNAMITE_ASSIGN_OR_RETURN(encoding_, EncodeSketch(sketch_, &solver_));
+    }
     DYNAMITE_ASSIGN_OR_RETURN(Relation expected_flat,
                               FlattenForestView(expected_, target_, sketch_.target_record));
     expected_flat_ = std::move(expected_flat);
@@ -277,7 +279,7 @@ class RuleSynthesizer {
     if (have_last_success_) {
       // Continue the enumeration past the last success.
       DYNAMITE_RETURN_NOT_OK(
-          solver_.AddConstraint(FdExpr::Not(ModelEquality(encoding_, last_success_))));
+          solver_.AddClause(BlockingClause(ModelEquality(encoding_, last_success_))));
       have_last_success_ = false;
     }
     for (;;) {
@@ -317,7 +319,7 @@ class RuleSynthesizer {
           // eval budget): block exactly this model and move on.
           DYNAMITE_RETURN_NOT_OK(ctx.Check("candidate evaluation"));
           DYNAMITE_RETURN_NOT_OK(
-              solver_.AddConstraint(FdExpr::Not(ModelEquality(encoding_, model))));
+              solver_.AddClause(BlockingClause(ModelEquality(encoding_, model))));
           continue;
         }
         return eval.status();
@@ -332,7 +334,7 @@ class RuleSynthesizer {
       // Failed: add blocking clause(s).
       if (!options_.use_analysis) {
         DYNAMITE_RETURN_NOT_OK(
-            solver_.AddConstraint(FdExpr::Not(ModelEquality(encoding_, model))));
+            solver_.AddClause(BlockingClause(ModelEquality(encoding_, model))));
         continue;
       }
       std::vector<std::vector<std::string>> mdps;
@@ -343,7 +345,7 @@ class RuleSynthesizer {
         }
       }
       DYNAMITE_RETURN_NOT_OK(
-          solver_.AddConstraint(AnalyzeBlocking(sketch_, encoding_, model, mdps)));
+          solver_.AddClauses(AnalyzeBlocking(sketch_, encoding_, model, mdps)));
     }
   }
 
@@ -468,7 +470,7 @@ class RuleSynthesizer {
       // Advance past `model` unconditionally so scout_next_ is always the
       // first unscanned model (the invariant the persistence check above
       // relies on).
-      if (!scout_.AddConstraint(FdExpr::Not(ModelEquality(encoding_, model))).ok()) {
+      if (!scout_.AddClause(BlockingClause(ModelEquality(encoding_, model))).ok()) {
         scout_ready_ = false;
         break;
       }

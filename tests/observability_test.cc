@@ -21,6 +21,7 @@
 #include "api/session.h"
 #include "datalog/engine.h"
 #include "migrate/facts.h"
+#include "solver/fd.h"
 #include "synth/synthesizer.h"
 #include "testing.h"
 #include "util/failpoint.h"
@@ -138,17 +139,24 @@ TEST_F(ObservabilityTest, SessionPipelineEmitsRootAndStageSpans) {
       Session session,
       Session::Create(testing::UnivSchema(), testing::AdmissionSchema()));
   Example example = testing::MotivatingExample();
+  const metrics::MetricsSnapshot before = metrics::Snapshot();
   ASSERT_OK_AND_ASSIGN(PipelineResult result,
                        session.SynthesizeAndMigrate(example, example.input));
+  const metrics::MetricsSnapshot after = metrics::Snapshot();
   EXPECT_GT(result.migrated.TotalRecords(), 0u);
 
   std::vector<trace::Event> events = trace::CollectEvents();
   ExpectWellNested(events);
   for (const char* span : {"session.synthesize_and_migrate", "instance.validate",
-                           "synth.synthesize", "migrate.run", "migrate.facts",
-                           "migrate.eval", "migrate.build", "engine.eval", "solver.solve"}) {
+                           "synth.synthesize", "synth.encode", "migrate.run",
+                           "migrate.facts", "migrate.eval", "migrate.build", "engine.eval",
+                           "solver.solve"}) {
     EXPECT_TRUE(HasSpan(events, span)) << "missing span " << span;
   }
+  EXPECT_GT(after.counter("solver.solves"), before.counter("solver.solves"));
+  // Registered by the first Solve even when no call conflicts.
+  EXPECT_TRUE(std::any_of(after.counters.begin(), after.counters.end(),
+                          [](const auto& c) { return c.first == "solver.conflicts"; }));
 
   // Root spans carry the run's trace id, stamped by the Session entry point.
   uint64_t root_id = 0;
@@ -273,6 +281,26 @@ TEST_F(ObservabilityTest, SynthPortfolioMetricsMatchStats) {
   EXPECT_EQ(after.counter("synth.parallel_fallbacks") -
                 before.counter("synth.parallel_fallbacks"),
             result.portfolio.parallel_fallbacks);
+}
+
+TEST_F(ObservabilityTest, SolverConflictMetricMatchesSolverStats) {
+  // Four pigeons, three holes: the refutation takes conflicts, and the
+  // registry must count each one, as the solver's own stats do.
+  FdSolver s;
+  std::vector<FdVar> pigeons;
+  for (int i = 0; i < 4; ++i) pigeons.push_back(s.NewVar("p" + std::to_string(i), {0, 1, 2}));
+  const metrics::MetricsSnapshot before = metrics::Snapshot();
+  for (size_t i = 0; i < pigeons.size(); ++i) {
+    for (size_t j = i + 1; j < pigeons.size(); ++j) {
+      ASSERT_OK(s.AddConstraint(FdExpr::Not(FdExpr::EqVar(pigeons[i], pigeons[j]))));
+    }
+  }
+  ASSERT_OK_AND_ASSIGN(bool sat, s.Solve());
+  EXPECT_FALSE(sat);
+  const metrics::MetricsSnapshot after = metrics::Snapshot();
+  EXPECT_GT(s.num_conflicts(), 0);
+  EXPECT_EQ(after.counter("solver.conflicts") - before.counter("solver.conflicts"),
+            static_cast<uint64_t>(s.num_conflicts()));
 }
 
 TEST_F(ObservabilityTest, IngestMetricsMatchStatsAcrossWorkerCounts) {

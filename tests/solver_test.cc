@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <bitset>
+#include <set>
 
 #include "solver/fd.h"
 #include "solver/sat.h"
+#include "synth/analyze.h"
+#include "synth/attr_map.h"
+#include "synth/encode.h"
+#include "synth/sketch_gen.h"
 #include "testing.h"
 #include "util/rng.h"
 
@@ -311,6 +316,239 @@ TEST_P(FdRandomFormula, ModelCountMatchesEnumeration) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FdRandomFormula, ::testing::Range(0, 30));
+
+// --- Root clausification and literal-built blocking clauses ---------------
+
+FdExpr AtomExpr(const FdLit& l) {
+  FdExpr atom = l.rhs_var.index >= 0 ? FdExpr::EqVar(l.lhs, l.rhs_var)
+                                     : FdExpr::Eq(l.lhs, l.rhs_const);
+  return l.negated ? FdExpr::Not(std::move(atom)) : atom;
+}
+
+/// The formula a clause stands for: the Or of its literals.
+FdExpr ClauseExpr(const FdClause& clause) {
+  std::vector<FdExpr> lits;
+  for (const FdLit& l : clause) lits.push_back(AtomExpr(l));
+  return FdExpr::Or(std::move(lits));
+}
+
+FdExpr ClausesExpr(const std::vector<FdClause>& clauses) {
+  std::vector<FdExpr> conj;
+  for (const FdClause& c : clauses) conj.push_back(ClauseExpr(c));
+  return FdExpr::And(std::move(conj));
+}
+
+/// Boolean variables Tseitin lowering allocates for `e` on a clone of `s`,
+/// which root clausification must match variable for variable: `e` is
+/// asserted below a root Or, where it is lowered whole. The wrapper's own
+/// reserved variable is subtracted; its False child reuses the solver's
+/// true literal, which `s` must already have.
+int TseitinVars(const FdSolver& s, const FdExpr& e) {
+  FdSolver ref = s.Clone();
+  const int before = ref.num_bool_vars();
+  EXPECT_TRUE(ref.AddConstraint(FdExpr::Or({e, FdExpr::False()})).ok());
+  return ref.num_bool_vars() - before - 1;
+}
+
+/// The motivating example's Admission sketch, encoded, with the true
+/// literal allocated and one model solved.
+struct BlockingSetup {
+  Schema src = testing::UnivSchema();
+  Schema tgt = testing::AdmissionSchema();
+  RuleSketch sketch;
+  FdSolver solver;
+  SketchEncoding encoding;
+  SketchModel model;
+
+  BlockingSetup() {
+    Example example = testing::MotivatingExample();
+    AttributeMapping psi = InferAttrMapping(src, tgt, example).ValueOrDie();
+    sketch = GenRuleSketch(psi, src, tgt, "Admission", {}).ValueOrDie();
+    encoding = EncodeSketch(sketch, &solver).ValueOrDie();
+    EXPECT_TRUE(solver.AddConstraint(FdExpr::True()).ok());
+    NextModel();
+  }
+
+  void NextModel() {
+    ASSERT_TRUE(solver.Solve().ValueOrDie());
+    model = ExtractModel(encoding, solver);
+  }
+
+  std::vector<FdLit> GeneralizeAll() const {
+    return Generalize(sketch, encoding, model, {"grad", "ug", "num"});
+  }
+};
+
+TEST(FdRootClauses, ModelEqualityBlockingIsOneClause) {
+  BlockingSetup s;
+  ASSERT_GE(s.encoding.hole_vars.size(), 2u);
+  FdClause clause = BlockingClause(ModelEquality(s.encoding, s.model));
+  const size_t clauses = s.solver.num_clauses();
+  const int vars = s.solver.num_bool_vars();
+  const int tseitin = TseitinVars(s.solver, ClauseExpr(clause));
+  ASSERT_OK(s.solver.AddClause(clause));
+  EXPECT_EQ(s.solver.num_clauses(), clauses + 1);
+  EXPECT_EQ(s.solver.num_bool_vars() - vars, tseitin);
+  EXPECT_EQ(tseitin, 1);  // selectors exist: only the reserved variable
+}
+
+TEST(FdRootClauses, GeneralizeBlockingIsOneClause) {
+  BlockingSetup s;
+  // The first Generalize clause also defines the x = y literals of every
+  // unknown pair; the numbering must match Tseitin lowering exactly.
+  FdClause first = BlockingClause(s.GeneralizeAll());
+  const int vars = s.solver.num_bool_vars();
+  const int tseitin = TseitinVars(s.solver, ClauseExpr(first));
+  ASSERT_OK(s.solver.AddClause(first));
+  EXPECT_EQ(s.solver.num_bool_vars() - vars, tseitin);
+  EXPECT_GT(tseitin, 1);
+
+  // Later ones reuse the cached x = y literals: one stored clause and one
+  // reserved variable each, where Tseitin kept one definition clause per
+  // atom besides.
+  s.NextModel();
+  FdClause second = BlockingClause(s.GeneralizeAll());
+  const size_t clauses = s.solver.num_clauses();
+  const int vars2 = s.solver.num_bool_vars();
+  ASSERT_OK(s.solver.AddClause(second));
+  EXPECT_EQ(s.solver.num_clauses(), clauses + 1);
+  EXPECT_EQ(s.solver.num_bool_vars(), vars2 + 1);
+}
+
+TEST(FdRootClauses, AnalyzeBlockingIsOneClausePerMdp) {
+  BlockingSetup s;
+  const std::vector<std::vector<std::string>> mdps = {{"num"}, {"grad", "ug"}};
+  std::vector<FdClause> first = AnalyzeBlocking(s.sketch, s.encoding, s.model, mdps);
+  ASSERT_EQ(first.size(), 2u);
+  const int vars = s.solver.num_bool_vars();
+  const int tseitin = TseitinVars(s.solver, ClausesExpr(first));
+  ASSERT_OK(s.solver.AddClauses(first));
+  EXPECT_EQ(s.solver.num_bool_vars() - vars, tseitin);
+
+  s.NextModel();
+  std::vector<FdClause> second = AnalyzeBlocking(s.sketch, s.encoding, s.model, mdps);
+  const size_t clauses = s.solver.num_clauses();
+  const int vars2 = s.solver.num_bool_vars();
+  ASSERT_OK(s.solver.AddClauses(second));
+  EXPECT_EQ(s.solver.num_clauses(), clauses + 2);
+  // One reserved variable per clause, one for the conjunction.
+  EXPECT_EQ(s.solver.num_bool_vars(), vars2 + 3);
+}
+
+/// A random formula over `vars`: atoms compare against constants in and
+/// out of the domains, and a variable may be compared with itself.
+FdExpr RandomFormula(Rng* rng, const std::vector<FdVar>& vars, int depth) {
+  const uint64_t pick = rng->NextBelow(depth > 0 ? 10 : 5);
+  FdVar x = vars[rng->NextBelow(vars.size())];
+  if (pick == 0) return rng->NextBool() ? FdExpr::True() : FdExpr::False();
+  if (pick <= 2) return FdExpr::Eq(x, static_cast<int64_t>(rng->NextBelow(6)));
+  if (pick <= 4) return FdExpr::EqVar(x, vars[rng->NextBelow(vars.size())]);
+  if (pick <= 5) return FdExpr::Not(RandomFormula(rng, vars, depth - 1));
+  std::vector<FdExpr> children;
+  const uint64_t n = 2 + rng->NextBelow(2);
+  for (uint64_t i = 0; i < n; ++i) children.push_back(RandomFormula(rng, vars, depth - 1));
+  return pick <= 7 ? FdExpr::And(std::move(children)) : FdExpr::Or(std::move(children));
+}
+
+/// A random formula whose root has the given shape: 0 And, 1 Or, 2 Not(And),
+/// 3 Not(Or), 4 Not(Not(·)), 5 anything.
+FdExpr RandomRoot(Rng* rng, const std::vector<FdVar>& vars, uint64_t shape) {
+  if (shape == 5) return RandomFormula(rng, vars, 3);
+  if (shape == 4) return FdExpr::Not(FdExpr::Not(RandomRoot(rng, vars, rng->NextBelow(4))));
+  std::vector<FdExpr> children;
+  const uint64_t n = 2 + rng->NextBelow(3);
+  for (uint64_t i = 0; i < n; ++i) children.push_back(RandomFormula(rng, vars, 2));
+  FdExpr e = shape % 2 == 0 ? FdExpr::And(std::move(children)) : FdExpr::Or(std::move(children));
+  return shape >= 2 ? FdExpr::Not(std::move(e)) : e;
+}
+
+bool Holds(const FdExpr& e, const std::vector<int64_t>& val) {
+  switch (e.kind()) {
+    case FdExpr::Kind::kTrue:
+      return true;
+    case FdExpr::Kind::kFalse:
+      return false;
+    case FdExpr::Kind::kVarEqConst:
+      return val[static_cast<size_t>(e.lhs().index)] == e.rhs_const();
+    case FdExpr::Kind::kVarEqVar:
+      return val[static_cast<size_t>(e.lhs().index)] ==
+             val[static_cast<size_t>(e.rhs_var().index)];
+    case FdExpr::Kind::kNot:
+      return !Holds(e.children()[0], val);
+    case FdExpr::Kind::kAnd:
+      for (const FdExpr& c : e.children()) {
+        if (!Holds(c, val)) return false;
+      }
+      return true;
+    case FdExpr::Kind::kOr:
+      for (const FdExpr& c : e.children()) {
+        if (Holds(c, val)) return true;
+      }
+      return false;
+  }
+  return false;
+}
+
+// Property test: root clausification keeps the model set and the Tseitin
+// variable numbering of every formula shape, and literal-built blocking
+// clauses enumerate exactly the brute-force models.
+TEST(FdRootClauses, RandomRootShapesMatchBruteForce) {
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 7919 + 3);
+    FdSolver s;
+    std::vector<FdVar> vars;
+    std::vector<std::vector<int64_t>> domains;
+    const size_t num_vars = 3 + rng.NextBelow(2);
+    for (size_t i = 0; i < num_vars; ++i) {
+      std::vector<int64_t> domain;
+      const uint64_t size = 1 + rng.NextBelow(4);
+      for (int64_t v = 0; v < 6 && domain.size() < size; ++v) {
+        if (rng.NextBool(0.6)) domain.push_back(v);
+      }
+      if (domain.empty()) domain.push_back(static_cast<int64_t>(rng.NextBelow(6)));
+      vars.push_back(s.NewVar("v" + std::to_string(i), domain));
+      domains.push_back(std::move(domain));
+    }
+    ASSERT_OK(s.AddConstraint(FdExpr::True()));  // see TseitinVars
+    std::vector<FdExpr> asserted;
+    for (uint64_t k = 0, n = 1 + rng.NextBelow(2); k < n; ++k) {
+      asserted.push_back(RandomRoot(&rng, vars, rng.NextBelow(6)));
+      const int vars_before = s.num_bool_vars();
+      const int tseitin = TseitinVars(s, asserted.back());
+      ASSERT_OK(s.AddConstraint(asserted.back()));
+      EXPECT_EQ(s.num_bool_vars() - vars_before, tseitin) << asserted.back().ToString();
+    }
+
+    std::set<std::vector<int64_t>> expected;
+    std::vector<int64_t> val(num_vars);
+    std::vector<size_t> digit(num_vars, 0);
+    for (;;) {
+      for (size_t i = 0; i < num_vars; ++i) val[i] = domains[i][digit[i]];
+      bool ok = true;
+      for (const FdExpr& e : asserted) ok = ok && Holds(e, val);
+      if (ok) expected.insert(val);
+      size_t i = 0;
+      while (i < num_vars && ++digit[i] == domains[i].size()) digit[i++] = 0;
+      if (i == num_vars) break;
+    }
+
+    std::set<std::vector<int64_t>> found;
+    for (;;) {
+      ASSERT_OK_AND_ASSIGN(bool sat1, s.Solve());
+      if (!sat1) break;
+      std::vector<FdLit> eqs;
+      for (size_t i = 0; i < num_vars; ++i) {
+        val[i] = s.ModelValue(vars[i]);
+        eqs.push_back(FdLit::Eq(vars[i], val[i]));
+      }
+      ASSERT_TRUE(found.insert(val).second) << "model repeated";
+      ASSERT_LE(found.size(), 256u);
+      ASSERT_OK(s.AddClause(BlockingClause(std::move(eqs))));
+    }
+    EXPECT_EQ(found, expected);
+  }
+}
 
 }  // namespace
 }  // namespace dynamite

@@ -140,14 +140,16 @@ TEST(Generalize, BlockedModelsAreReallyIncorrect) {
   // Constrain the solver to Generalize(σ) (all head vars pinned) and check
   // that every further model is also incorrect.
   std::set<std::string> all_heads = {"grad", "ug", "num"};
-  ASSERT_OK(s.solver.AddConstraint(Generalize(s.sketch, s.encoding, sigma, all_heads)));
+  for (const FdLit& l : Generalize(s.sketch, s.encoding, sigma, all_heads)) {
+    ASSERT_OK(s.solver.AddClause({l}));
+  }
   for (int i = 0; i < 5; ++i) {
     ASSERT_OK_AND_ASSIGN(bool more, s.solver.Solve());
     if (!more) break;
     SketchModel variant = ExtractModel(s.encoding, s.solver);
     EXPECT_NE(s.Run(variant), expected_canon)
         << "Generalize admitted a correct program — unsound blocking";
-    ASSERT_OK(s.solver.AddConstraint(FdExpr::Not(ModelEquality(s.encoding, variant))));
+    ASSERT_OK(s.solver.AddClause(BlockingClause(ModelEquality(s.encoding, variant))));
   }
 }
 
@@ -159,7 +161,7 @@ TEST(Encode, CoverageMakesEveryModelWellFormed) {
     SketchModel m = ExtractModel(s.encoding, s.solver);
     // Instantiate validates range restriction — must never fail.
     EXPECT_TRUE(Instantiate(s.sketch, m).ok());
-    ASSERT_OK(s.solver.AddConstraint(FdExpr::Not(ModelEquality(s.encoding, m))));
+    ASSERT_OK(s.solver.AddClause(BlockingClause(ModelEquality(s.encoding, m))));
   }
 }
 
