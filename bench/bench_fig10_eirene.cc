@@ -5,10 +5,10 @@
 
 #include <cstdio>
 
+#include "api/session.h"
 #include "baselines/eirene.h"
 #include "bench_util.h"
 #include "datalog/simplify.h"
-#include "synth/synthesizer.h"
 #include "workload/benchmarks.h"
 
 namespace {
@@ -57,13 +57,12 @@ int main() {
     if (!example.ok()) continue;
     Program golden = SimplifyProgram(b->golden);
 
-    Synthesizer dynamite(b->source, b->target);
-    auto dyn = dynamite.Synthesize(*example);
+    auto dynamite = Session::Create(b->source, b->target);
+    if (!dynamite.ok()) continue;
+    auto dyn = dynamite->Synthesize(*example);
 
-    EireneOptions options;
-    options.timeout_seconds = 300;
-    EireneSynthesizer eirene(b->source, b->target, options);
-    auto eir = eirene.Synthesize(*example);
+    EireneSynthesizer eirene(b->source, b->target);
+    auto eir = eirene.Synthesize(*example, RunContext::WithTimeout(300));
 
     double d_dyn = dyn.ok() ? DistanceToGolden(dyn->program, golden) : -1;
     double d_eir = eir.ok() ? DistanceToGolden(eir->glav, golden) : -1;

@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "api/session.h"
 #include "bench_util.h"
-#include "synth/synthesizer.h"
 #include "workload/benchmarks.h"
 
 int main(int argc, char** argv) {
@@ -47,9 +47,13 @@ int main(int argc, char** argv) {
                              {"SuccessRate", 13}});
   table.PrintHeader();
 
+  SessionOptions options;
+  options.default_budget_seconds = 30;  // scaled-down stand-in for 10 min
   for (const std::string& name : names) {
     const Benchmark* b = FindBenchmark(name);
     if (b == nullptr) continue;
+    auto session = Session::Create(b->source, b->target, options);
+    if (!session.ok()) continue;
     for (size_t r = 1; r <= 8; ++r) {
       double total_time = 0;
       size_t successes = 0, timed = 0;
@@ -57,10 +61,7 @@ int main(int argc, char** argv) {
         uint64_t seed = 1000 * r + trial;
         auto example = MakeExample(*b, seed, r);
         if (!example.ok()) continue;
-        SynthesisOptions options;
-        options.timeout_seconds = 30;  // scaled-down stand-in for 10 min
-        Synthesizer synth(b->source, b->target, options);
-        auto result = synth.Synthesize(*example);
+        auto result = session->Synthesize(*example);
         if (!result.ok()) continue;  // timeout / no program: failure
         total_time += result->seconds;
         ++timed;

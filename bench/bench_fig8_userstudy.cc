@@ -15,9 +15,9 @@
 
 #include <cstdio>
 
+#include "api/session.h"
 #include "bench_util.h"
-#include "migrate/migrator.h"
-#include "synth/interactive.h"
+#include "util/timer.h"
 #include "workload/benchmarks.h"
 
 int main() {
@@ -39,7 +39,11 @@ int main() {
   for (const char* name : {"Tencent-1", "Retina-1"}) {
     const Benchmark* b = FindBenchmark(name);
     if (b == nullptr) continue;
-    Migrator migrator(b->source, b->target);
+    // One session answers as the user (the golden program), the other
+    // synthesizes.
+    auto golden = Session::Create(b->source, b->target);
+    auto dynamite = Session::Create(b->source, b->target);
+    if (!golden.ok() || !dynamite.ok()) continue;
 
     double total_time = 0;
     int correct = 0;
@@ -50,12 +54,12 @@ int main() {
       auto pool = GenerateSource(*b, seed + 50, 5);
       if (!initial.ok() || !pool.ok()) continue;
       Oracle oracle = [&](const RecordForest& input) -> Result<RecordForest> {
-        return migrator.Migrate(b->golden, input);
+        return golden->Migrate(b->golden, input);
       };
-      InteractiveSynthesizer interactive(b->source, b->target);
-      auto run = interactive.Run(*initial, *pool, oracle);
+      Timer timer;
+      auto run = dynamite->SynthesizeInteractive(*initial, *pool, oracle);
       if (!run.ok()) continue;
-      total_time += run->result.seconds +
+      total_time += timer.ElapsedSeconds() +
                     kQueryReviewSeconds * static_cast<double>(run->queries);
       auto agrees = AgreesWithGolden(*b, run->result.program, seed + 99, 8);
       if (agrees.ok() && *agrees) ++correct;

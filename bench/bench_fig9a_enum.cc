@@ -8,8 +8,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "api/session.h"
 #include "bench_util.h"
-#include "synth/synthesizer.h"
 #include "workload/benchmarks.h"
 
 namespace {
@@ -50,12 +50,13 @@ int main(int argc, char** argv) {
     for (const Benchmark& b : AllBenchmarks()) {
       auto example = MakeExample(b, b.example_seed, b.example_scale);
       if (!example.ok()) continue;
-      SynthesisOptions options;
-      options.use_analysis = arm.use_analysis;
-      options.use_mdp = arm.use_mdp;
-      options.timeout_seconds = timeout;
-      Synthesizer synth(b.source, b.target, options);
-      auto result = synth.Synthesize(*example);
+      SessionOptions options;
+      options.synthesis.use_analysis = arm.use_analysis;
+      options.synthesis.use_mdp = arm.use_mdp;
+      options.default_budget_seconds = timeout;
+      auto session = Session::Create(b.source, b.target, options);
+      if (!session.ok()) continue;
+      auto result = session->Synthesize(*example);
       if (result.ok()) {
         ++solved;
         times.push_back(result->seconds);

@@ -18,7 +18,6 @@
 #include "util/thread_pool.h"
 #include "util/trace.h"
 #include "synth/mdp.h"
-#include "synth/synthesizer.h"
 #include "workload/benchmarks.h"
 #include "workload/families.h"
 
@@ -436,7 +435,7 @@ void BM_MdpSearch(benchmark::State& state) {
 BENCHMARK(BM_MdpSearch)->Arg(16)->Arg(256);
 
 void BM_MigrateDirect(benchmark::State& state) {
-  // Baseline for the Session-overhead check below: the legacy Migrator
+  // Baseline for the Session-overhead check below: the Migrator stage
   // driving a Tencent-1-scale migration directly.
   const auto* bench = workload::FindBenchmark("Tencent-1");
   RecordForest source =
@@ -445,7 +444,7 @@ void BM_MigrateDirect(benchmark::State& state) {
   Migrator migrator(bench->source, bench->target);
   size_t records = 0;
   for (auto _ : state) {
-    auto out = migrator.Migrate(bench->golden, source);
+    auto out = migrator.Migrate(bench->golden, source, RunContext());
     records = out.ValueOrDie().TotalRecords();
     benchmark::DoNotOptimize(out);
   }
@@ -475,9 +474,9 @@ BENCHMARK(BM_MigrateSession)->Arg(200)->Arg(1000);
 void BM_EndToEndSynthesisMotivating(benchmark::State& state) {
   const auto* bench = workload::FindBenchmark("Tencent-1");
   auto example = workload::MakeExample(*bench, 7, 3).ValueOrDie();
+  Session session = Session::Create(bench->source, bench->target).ValueOrDie();
   for (auto _ : state) {
-    Synthesizer synth(bench->source, bench->target);
-    auto result = synth.Synthesize(example);
+    auto result = session.Synthesize(example);
     benchmark::DoNotOptimize(result);
   }
 }
@@ -511,16 +510,20 @@ void BM_SynthesizeEndToEnd(benchmark::State& state) {
           .ValueOrDie();
   Example example;
   example.input = workload::GenerateSource(*bench, 7, 200).ValueOrDie();
-  example.output = Migrator(bench->source, tgt).Migrate(golden, example.input).ValueOrDie();
+  example.output = Session::Create(bench->source, tgt)
+                       .ValueOrDie()
+                       .Migrate(golden, example.input)
+                       .ValueOrDie();
 
-  SynthesisOptions options;
-  options.use_analysis = false;  // Dynamite-Enum: deterministic scout replay
-  options.use_mdp = false;
-  options.max_iterations = 192;
+  SessionOptions options;
+  options.synthesis.use_analysis = false;  // Dynamite-Enum: deterministic scout replay
+  options.synthesis.use_mdp = false;
+  options.synthesis.max_iterations = 192;
   options.synth_threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    Synthesizer synth(bench->source, tgt, options);
-    auto result = synth.Synthesize(example);
+    // A fresh session per run, so each run also starts its own portfolio.
+    Session session = Session::Create(bench->source, tgt, options).ValueOrDie();
+    auto result = session.Synthesize(example);
     // The budget is below the solution's enumeration index: every run
     // measures exactly max_iterations candidate evaluations.
     if (result.ok() || result.status().code() != StatusCode::kEvalBudget) {
@@ -530,7 +533,7 @@ void BM_SynthesizeEndToEnd(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(options.max_iterations));
+                          static_cast<int64_t>(options.synthesis.max_iterations));
 }
 BENCHMARK(BM_SynthesizeEndToEnd)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 

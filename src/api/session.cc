@@ -62,10 +62,9 @@ Session::Session(Schema source, Schema target, SessionOptions options)
     : source_(std::move(source)), target_(std::move(target)), options_(options) {
   // The synthesis stage owns its per-candidate evaluation engine; the
   // migration engine below is the one shared across Migrate calls and
-  // interactive probes. The legacy timeout knob is neutralized — budgets
-  // come from RunContext deadlines (see Bounded()).
+  // interactive probes. Budgets come from RunContext deadlines (see
+  // Bounded()).
   SynthesisOptions synth = options_.synthesis;
-  synth.timeout_seconds = 0;
   // One thread-count knob for both engines; the stage-level options stay
   // authoritative when the session-level knob is left at 0.
   DatalogEngine::Options engine = options_.engine;
@@ -147,15 +146,6 @@ Result<InteractiveResult> Session::SynthesizeInteractive(const Example& example,
       CheckAgainstSchema(example.output, target_, "example output vs target schema"));
   DYNAMITE_RETURN_NOT_OK(
       CheckAgainstSchema(validation_pool, source_, "validation pool vs source schema"));
-  SynthesisOptions synth = options_.synthesis;
-  synth.timeout_seconds = 0;
-  if (options_.num_threads != 0) synth.eval_num_threads = options_.num_threads;
-  if (options_.synth_threads != 0) {
-    synth.synth_threads = options_.synth_threads;
-  } else if (options_.num_threads != 0) {
-    synth.synth_threads = options_.num_threads;
-  }
-  InteractiveSynthesizer interactive(source_, target_, synth, options_.interactive);
   MemoryBudget local_budget(options_.max_memory_bytes);
   RunContext bounded =
       WithBudget(Bounded(ctx), &local_budget, options_.max_memory_bytes);
@@ -165,7 +155,8 @@ Result<InteractiveResult> Session::SynthesizeInteractive(const Example& example,
       "interactive synthesis", [&]() -> Result<InteractiveResult> {
         DYNAMITE_ASSIGN_OR_RETURN(
             InteractiveResult result,
-            interactive.Run(example, validation_pool, oracle, bounded, migrator_.get()));
+            RunInteractive(*synthesizer_, *migrator_, example, validation_pool, oracle,
+                           options_.interactive, bounded));
         if (options_.fail_on_ambiguity && !result.unique && !result.cancelled) {
           return Status::Ambiguous(
               "validation pool cannot distinguish the remaining candidate programs");

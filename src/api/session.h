@@ -33,9 +33,10 @@
 // surfaces as a typed Status, never as a crash, and leaves the Session
 // reusable.
 //
-// The legacy Synthesizer / InteractiveSynthesizer / Migrator classes are
-// thin deprecated shims kept for source compatibility; new code should use
-// a Session.
+// A Session is the pipeline's only public surface. The stage classes behind
+// it — Synthesizer, RunInteractive and Migrator — are its implementation:
+// one of each per stage, taking the RunContext as their only wall-clock
+// budget.
 
 #ifndef DYNAMITE_API_SESSION_H_
 #define DYNAMITE_API_SESSION_H_
@@ -54,14 +55,12 @@
 
 namespace dynamite {
 
-/// Knobs for a Session, grouping the per-stage options that used to live on
-/// three separate classes. Wall-clock budgeting is unified: per-call
-/// RunContext deadlines govern, defaulted by `default_budget_seconds`; the
-/// legacy SynthesisOptions::timeout_seconds knob is ignored here.
+/// Knobs for a Session, grouping the per-stage options of its three stages.
+/// Wall-clock budgeting is unified: per-call RunContext deadlines govern,
+/// defaulted by `default_budget_seconds`.
 struct SessionOptions {
   /// Synthesis-stage knobs (analysis/MDP toggles, filtering, iteration and
-  /// per-candidate evaluation budgets). timeout_seconds is superseded by
-  /// the budget model above.
+  /// per-candidate evaluation budgets).
   SynthesisOptions synthesis;
   /// Interactive-stage knobs (rounds, probe width, query size).
   InteractiveOptions interactive;

@@ -10,16 +10,13 @@
 #ifndef DYNAMITE_BASELINES_EIRENE_H_
 #define DYNAMITE_BASELINES_EIRENE_H_
 
+#include "api/run_context.h"
 #include "datalog/ast.h"
 #include "schema/schema.h"
 #include "synth/example.h"
 #include "util/result.h"
 
 namespace dynamite {
-
-struct EireneOptions {
-  double timeout_seconds = 3600;
-};
 
 struct EireneResult {
   Program glav;  ///< fitted GLAV mapping as (unsimplified) Datalog tgds
@@ -30,14 +27,16 @@ struct EireneResult {
 /// Eirene-style GLAV fitting from data examples (relational-to-relational).
 class EireneSynthesizer {
  public:
-  EireneSynthesizer(Schema source, Schema target, EireneOptions options = EireneOptions());
+  EireneSynthesizer(Schema source, Schema target);
 
-  Result<EireneResult> Synthesize(const Example& example) const;
+  /// Fits the mapping through a Session, bounded by `ctx` (or, when its
+  /// deadline is infinite, by the Session's default budget).
+  Result<EireneResult> Synthesize(const Example& example,
+                                  const RunContext& ctx = RunContext()) const;
 
  private:
   Schema source_;
   Schema target_;
-  EireneOptions options_;
 };
 
 }  // namespace dynamite

@@ -7,11 +7,6 @@
 namespace dynamite {
 
 Result<RecordForest> Migrator::Migrate(const Program& program, const RecordForest& source,
-                                       MigrationStats* stats) const {
-  return Migrate(program, source, RunContext(), stats);
-}
-
-Result<RecordForest> Migrator::Migrate(const Program& program, const RecordForest& source,
                                        const RunContext& ctx,
                                        MigrationStats* stats) const {
   // Crash-free boundary for the facts/build stages (the engine stage has

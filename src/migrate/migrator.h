@@ -37,12 +37,12 @@ struct MigrationStats {
 /// Migrates a source instance (as a record forest) to the target schema by
 /// executing `program`; returns the target instance as a record forest.
 ///
-/// Deprecated as a user-facing entry point: prefer dynamite::Session
-/// (src/api/session.h), which shares one engine (and its compiled-rule
-/// cache) across repeated migrations. This class remains as the
-/// migration-stage implementation. Each call releases the engine's join
-/// indexes over the call's converted source (DatalogEngine::
-/// ReleaseEdbIndexes): those relations die when the call returns.
+/// The migration stage behind dynamite::Session (src/api/session.h), the
+/// pipeline's public surface, which shares one Migrator (and its engine's
+/// compiled-rule cache) across repeated migrations and interactive probes.
+/// Each call releases the engine's join indexes over the call's converted
+/// source (DatalogEngine::ReleaseEdbIndexes): those relations die when the
+/// call returns.
 class Migrator {
  public:
   Migrator(Schema source_schema, Schema target_schema,
@@ -51,13 +51,10 @@ class Migrator {
         target_schema_(std::move(target_schema)),
         engine_(engine_options) {}
 
-  /// Runs the migration; fills `*stats` if non-null.
-  Result<RecordForest> Migrate(const Program& program, const RecordForest& source,
-                               MigrationStats* stats = nullptr) const;
-
-  /// Context-bounded variant: `ctx` deadline/cancellation is honored in all
-  /// three stages (facts conversion, evaluation, forest reconstruction) and
-  /// a kMigrate progress event fires as each stage completes.
+  /// Runs the migration; fills `*stats` if non-null. The `ctx`
+  /// deadline/cancellation is honored in all three stages (facts
+  /// conversion, evaluation, forest reconstruction) and a kMigrate progress
+  /// event fires as each stage completes.
   Result<RecordForest> Migrate(const Program& program, const RecordForest& source,
                                const RunContext& ctx,
                                MigrationStats* stats = nullptr) const;

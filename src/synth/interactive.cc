@@ -6,14 +6,6 @@
 
 namespace dynamite {
 
-InteractiveSynthesizer::InteractiveSynthesizer(Schema source, Schema target,
-                                               SynthesisOptions synth_options,
-                                               InteractiveOptions options)
-    : source_(std::move(source)),
-      target_(std::move(target)),
-      synth_options_(synth_options),
-      options_(options) {}
-
 namespace {
 
 /// Enumerates subsets of pool roots in increasing size order, invoking `fn`
@@ -53,23 +45,13 @@ void ForEachSubset(const RecordForest& pool, size_t max_size, size_t budget,
 
 }  // namespace
 
-Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
-                                                      const RecordForest& validation_pool,
-                                                      const Oracle& oracle) const {
-  // Legacy shim: the synthesis options' timeout governs each round's
-  // synthesis (as before); the loop itself is bounded by max_rounds only.
-  return Run(std::move(example), validation_pool, oracle, RunContext());
-}
-
-Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
-                                                      const RecordForest& validation_pool,
-                                                      const Oracle& oracle,
-                                                      const RunContext& ctx,
-                                                      const Migrator* shared_migrator) const {
+Result<InteractiveResult> RunInteractive(const Synthesizer& synthesizer,
+                                         const Migrator& migrator, Example example,
+                                         const RecordForest& validation_pool,
+                                         const Oracle& oracle,
+                                         const InteractiveOptions& options,
+                                         const RunContext& ctx) {
   InteractiveResult out;
-  Migrator local_migrator(source_, target_);
-  const Migrator& migrator =
-      shared_migrator != nullptr ? *shared_migrator : local_migrator;
   Timer total;
 
   auto report = [&](const std::string& detail) {
@@ -83,30 +65,18 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
     ctx.Report(event);
   };
 
-  // Synthesizes the final result from the accumulated example (shared by
-  // every exit path: resolved, pool-exhausted, oracle-cancelled, or round
-  // budget spent).
-  auto finish = [&]() -> Result<InteractiveResult> {
-    Synthesizer synth(source_, target_, synth_options_);
-    DYNAMITE_ASSIGN_OR_RETURN(SynthesisResult result, synth.Synthesize(example, ctx));
-    out.result = std::move(result);
-    return out;
-  };
-
-  for (size_t round = 0; round < options_.max_rounds; ++round) {
+  for (size_t round = 0; round < options.max_rounds; ++round) {
     DYNAMITE_RETURN_NOT_OK(ctx.Check("interactive round"));
     ++out.rounds;
     report("round");
-    Synthesizer synth(source_, target_, synth_options_);
-    DYNAMITE_ASSIGN_OR_RETURN(
-        std::vector<Program> programs,
-        synth.SynthesizeDistinct(example, options_.max_programs, ctx));
-    if (programs.empty()) {
-      return Status::SynthesisFailure("no consistent program");
-    }
-    if (programs.size() == 1) {
+    // The round's first program is the final answer on every exit but one
+    // (the example only changes when the oracle answers), so it is kept
+    // rather than re-synthesized.
+    DYNAMITE_ASSIGN_OR_RETURN(out.result,
+                              synthesizer.SynthesizeDistinct(example, options.max_programs, ctx));
+    if (out.result.alternatives.empty()) {
       out.unique = true;
-      return finish();
+      return out;
     }
 
     // Search a distinguishing input between the first program and any
@@ -115,14 +85,15 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
     // events would be indistinguishable from a user-requested migration.
     RunContext probe_ctx = ctx;
     probe_ctx.observer = nullptr;
-    const Program& p1 = programs[0];
+    const Program& p1 = out.result.raw_program;
     bool resolved_this_round = false;
-    for (size_t alt = 1; alt < programs.size() && !resolved_this_round; ++alt) {
-      const Program& p2 = programs[alt];
+    for (size_t alt = 0; alt < out.result.alternatives.size() && !resolved_this_round;
+         ++alt) {
+      const Program& p2 = out.result.alternatives[alt];
       RecordForest distinguishing;
       bool found = false;
-      ForEachSubset(validation_pool, options_.max_query_records,
-                    options_.max_candidate_inputs,
+      ForEachSubset(validation_pool, options.max_query_records,
+                    options.max_candidate_inputs,
                     [&](const RecordForest& candidate) {
                       if (ctx.Interrupted()) return true;  // stop enumerating
                       auto o1 = migrator.Migrate(p1, candidate, probe_ctx);
@@ -147,7 +118,7 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
             // accumulated so far, with partial interaction stats.
             out.cancelled = true;
             out.unique = false;
-            return finish();
+            return out;
           }
           return answer.status();
         }
@@ -162,11 +133,13 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
       // Candidates are observationally equivalent on the validation pool:
       // accept the first program.
       out.unique = false;
-      return finish();
+      return out;
     }
   }
-  // Round budget exhausted: synthesize from the accumulated example.
-  return finish();
+  // Round budget exhausted: the last answer was merged after the round's
+  // search, so synthesize once more from the accumulated example.
+  DYNAMITE_ASSIGN_OR_RETURN(out.result, synthesizer.Synthesize(example, ctx));
+  return out;
 }
 
 }  // namespace dynamite

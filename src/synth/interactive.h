@@ -19,7 +19,7 @@ class Migrator;
 
 /// Answers a distinguishing query: given a source input, returns the target
 /// output the user expects. In tests and benchmarks this is the golden
-/// program run by a Migrator.
+/// program run through a Session.
 using Oracle = std::function<Result<RecordForest>(const RecordForest& input)>;
 
 struct InteractiveOptions {
@@ -30,6 +30,9 @@ struct InteractiveOptions {
 };
 
 struct InteractiveResult {
+  /// The final round's search: its first program is the answer, and its
+  /// `alternatives` are the candidates still unresolved when the loop
+  /// stopped without `unique`.
   SynthesisResult result;
   size_t rounds = 0;   ///< rounds executed (>= 1)
   size_t queries = 0;  ///< oracle questions asked
@@ -41,38 +44,23 @@ struct InteractiveResult {
   bool cancelled = false;
 };
 
-/// Runs interactive synthesis: `initial` is the starting example,
+/// Runs interactive synthesis — the interactive stage behind
+/// dynamite::Session::SynthesizeInteractive (src/api/session.h), the
+/// pipeline's public surface. `initial` is the starting example,
 /// `validation_pool` a forest of source records distinguishing inputs are
 /// drawn from (Appendix B samples it from the source database).
-///
-/// Deprecated as a user-facing entry point: prefer
-/// dynamite::Session::SynthesizeInteractive (src/api/session.h). This class
-/// remains as the interactive-stage implementation.
-class InteractiveSynthesizer {
- public:
-  InteractiveSynthesizer(Schema source, Schema target,
-                         SynthesisOptions synth_options = SynthesisOptions(),
-                         InteractiveOptions options = InteractiveOptions());
-
-  Result<InteractiveResult> Run(Example initial, const RecordForest& validation_pool,
-                                const Oracle& oracle) const;
-
-  /// Context-bounded variant: the deadline/cancellation applies across
-  /// rounds (synthesis, distinguishing-input search, migrations), and a
-  /// kInteract progress event fires per round and per oracle query.
-  /// `shared_migrator` (optional) runs the distinguishing-input probes —
-  /// a Session passes its own so probe join indexes persist across rounds
-  /// and calls; when null a round-local Migrator is used.
-  Result<InteractiveResult> Run(Example initial, const RecordForest& validation_pool,
-                                const Oracle& oracle, const RunContext& ctx,
-                                const Migrator* shared_migrator = nullptr) const;
-
- private:
-  Schema source_;
-  Schema target_;
-  SynthesisOptions synth_options_;
-  InteractiveOptions options_;
-};
+/// `synthesizer` runs each round's search and `migrator` the
+/// distinguishing-input probes; a Session passes its own, so the portfolio
+/// pool and compiled rules persist across rounds and calls. The
+/// deadline/cancellation of `ctx` applies across rounds (synthesis,
+/// distinguishing-input search, migrations), and a kInteract progress event
+/// fires per round and per oracle query.
+Result<InteractiveResult> RunInteractive(const Synthesizer& synthesizer,
+                                         const Migrator& migrator, Example initial,
+                                         const RecordForest& validation_pool,
+                                         const Oracle& oracle,
+                                         const InteractiveOptions& options,
+                                         const RunContext& ctx);
 
 }  // namespace dynamite
 

@@ -34,7 +34,7 @@ namespace {
 /// the whole run, not per rule. Accounting is atomic and reports are
 /// clamped to a monotone floor: the ProgressEvent contract promises
 /// `iterations` never decreases, and with concurrent reporters (or the
-/// baseline reset in SynthesizeDistinct) a raw (done + rule) sum can be
+/// baseline reset before the alternatives search) a raw (done + rule) sum can be
 /// observed out of order.
 /// Concurrency contract (ISSUE 8): the two counters are atomics (CAS floor
 /// + relaxed adds — a protocol Clang's thread-safety analysis cannot model,
@@ -767,92 +767,26 @@ ThreadPool* Synthesizer::PortfolioPool(size_t synth_threads) const {
   return portfolio_pool_.get();
 }
 
-Result<SynthesisResult> Synthesizer::Synthesize(const Example& example) const {
-  return Synthesize(example, RunContext());
+Result<SynthesisResult> Synthesizer::Synthesize(const Example& example,
+                                                const RunContext& ctx) const {
+  return SynthesizeDistinct(example, 1, ctx);
 }
 
-Result<SynthesisResult> Synthesizer::Synthesize(const Example& example,
-                                                const RunContext& caller_ctx) const {
+Result<SynthesisResult> Synthesizer::SynthesizeDistinct(const Example& example, size_t limit,
+                                                        const RunContext& ctx) const {
   // Crash-free boundary: the SAT search and per-candidate evaluations below
   // may throw (real bad_alloc under memory pressure, or an injected fault);
   // both surface here as typed Statuses, never as a crash.
-  MemoryBudgetScope mem_scope(caller_ctx.memory);
+  MemoryBudgetScope mem_scope(ctx.memory);
   return failpoint::GuardExceptions("synthesis", [&]() -> Result<SynthesisResult> {
-    return SynthesizeImpl(example, caller_ctx);
+    return Search(example, limit, ctx);
   });
 }
 
-Result<SynthesisResult> Synthesizer::SynthesizeImpl(const Example& example,
-                                                    const RunContext& caller_ctx) const {
-  // The legacy `timeout_seconds` knob composes with the caller's budget:
-  // this call is bounded by whichever is tighter (Session neutralizes the
-  // knob so its RunContext is the single budget; legacy context-free
-  // callers get a fresh per-call window, as before).
-  RunContext ctx =
-      caller_ctx.WithDeadlineCap(Deadline::AfterOrInfinite(options_.timeout_seconds));
+Result<SynthesisResult> Synthesizer::Search(const Example& example, size_t limit,
+                                            const RunContext& ctx) const {
   DYNAMITE_TRACE_SPAN("synth.synthesize");
   Timer total;
-  ProgressTracker progress;
-  progress.ctx = &ctx;
-  DYNAMITE_ASSIGN_OR_RETURN(Setup setup,
-                            Prepare(source_, target_, example, options_, ctx, &progress));
-
-  const size_t synth_threads = ResolveSynthThreads(options_.synth_threads);
-  std::unique_ptr<PortfolioRuntime> portfolio;
-  if (synth_threads > 1) {
-    portfolio = std::make_unique<PortfolioRuntime>(PortfolioPool(synth_threads), options_);
-  }
-
-  SynthesisResult result;
-  result.psi = setup.psi;
-  for (RuleSketch& sketch : setup.sketches) {
-    Timer rule_timer;
-    DYNAMITE_TRACE_SPAN("synth.rule");
-    RuleSynthesizer rs(source_, target_, std::move(sketch), setup.edb, example, options_,
-                       portfolio.get());
-    DYNAMITE_RETURN_NOT_OK(rs.Init());
-    DYNAMITE_RETURN_NOT_OK(ctx.Check("synthesis"));
-    progress.StartRule(rs.search_space());
-    DYNAMITE_ASSIGN_OR_RETURN(Rule rule, rs.Next(ctx, &progress));
-    result.raw_program.rules.push_back(rule);
-    RuleStats stats;
-    stats.target_record = rs.target_record();
-    stats.search_space = rs.search_space();
-    stats.iterations = rs.iterations();
-    stats.seconds = rule_timer.ElapsedSeconds();
-    result.rule_stats.push_back(std::move(stats));
-    result.search_space *= rs.search_space();
-    result.iterations += rs.iterations();
-    progress.done_iterations.fetch_add(rs.iterations(), std::memory_order_relaxed);
-    progress.Report(Phase::kSearch, rs.target_record(), 0);
-  }
-  result.program = SimplifyProgram(result.raw_program);
-  for (size_t i = 0; i < result.program.rules.size(); ++i) {
-    result.rule_stats[i].body_predicates = result.program.rules[i].body.size();
-  }
-  result.seconds = total.ElapsedSeconds();
-  if (portfolio != nullptr) result.portfolio = portfolio->stats();
-  return result;
-}
-
-Result<std::vector<Program>> Synthesizer::SynthesizeDistinct(const Example& example,
-                                                             size_t limit) const {
-  return SynthesizeDistinct(example, limit, RunContext());
-}
-
-Result<std::vector<Program>> Synthesizer::SynthesizeDistinct(const Example& example,
-                                                             size_t limit,
-                                                             const RunContext& caller_ctx) const {
-  MemoryBudgetScope mem_scope(caller_ctx.memory);
-  return failpoint::GuardExceptions("synthesis", [&]() -> Result<std::vector<Program>> {
-    return SynthesizeDistinctImpl(example, limit, caller_ctx);
-  });
-}
-
-Result<std::vector<Program>> Synthesizer::SynthesizeDistinctImpl(
-    const Example& example, size_t limit, const RunContext& caller_ctx) const {
-  RunContext ctx =
-      caller_ctx.WithDeadlineCap(Deadline::AfterOrInfinite(options_.timeout_seconds));
   ProgressTracker progress;
   progress.ctx = &ctx;
   DYNAMITE_ASSIGN_OR_RETURN(Setup setup,
@@ -865,10 +799,14 @@ Result<std::vector<Program>> Synthesizer::SynthesizeDistinctImpl(
     portfolio = std::make_unique<PortfolioRuntime>(PortfolioPool(synth_threads), options_);
   }
 
-  // First program, keeping each rule's enumerator alive.
+  // First program. Each rule's enumerator is kept alive only when
+  // alternatives are wanted: they continue its enumeration below.
+  SynthesisResult result;
+  result.psi = setup.psi;
   std::vector<std::unique_ptr<RuleSynthesizer>> enumerators;
-  Program first;
   for (RuleSketch& sketch : setup.sketches) {
+    Timer rule_timer;
+    DYNAMITE_TRACE_SPAN("synth.rule");
     auto rs = std::make_unique<RuleSynthesizer>(source_, target_, std::move(sketch),
                                                 setup.edb, example, options_,
                                                 portfolio.get());
@@ -876,16 +814,30 @@ Result<std::vector<Program>> Synthesizer::SynthesizeDistinctImpl(
     DYNAMITE_RETURN_NOT_OK(ctx.Check("synthesis"));
     progress.StartRule(rs->search_space());
     DYNAMITE_ASSIGN_OR_RETURN(Rule rule, rs->Next(ctx, &progress));
-    first.rules.push_back(rule);
+    result.raw_program.rules.push_back(std::move(rule));
+    RuleStats stats;
+    stats.target_record = rs->target_record();
+    stats.search_space = rs->search_space();
+    stats.iterations = rs->iterations();
+    stats.seconds = rule_timer.ElapsedSeconds();
+    result.rule_stats.push_back(std::move(stats));
+    result.search_space *= rs->search_space();
+    result.iterations += rs->iterations();
     progress.done_iterations.fetch_add(rs->iterations(), std::memory_order_relaxed);
-    enumerators.push_back(std::move(rs));
+    progress.Report(Phase::kSearch, rs->target_record(), 0);
+    if (limit > 1) enumerators.push_back(std::move(rs));
   }
-  std::vector<Program> programs = {first};
+  result.program = SimplifyProgram(result.raw_program);
+  for (size_t i = 0; i < result.program.rules.size(); ++i) {
+    result.rule_stats[i].body_predicates = result.program.rules[i].body.size();
+  }
 
   // Alternative programs: vary one rule at a time. Budget exhaustion here
   // returns what was found (ambiguity probing is best-effort); cancellation
   // still aborts the whole call.
-  for (size_t i = 0; i < enumerators.size() && programs.size() < limit; ++i) {
+  const Program& first = result.raw_program;
+  std::vector<Program>& alternatives = result.alternatives;
+  for (size_t i = 0; i < enumerators.size() && 1 + alternatives.size() < limit; ++i) {
     // Progress reports from enumerator i add its own cumulative count, so
     // the baseline is every *other* enumerator's total (keeps `iterations`
     // exact while one enumerator is re-entered; the tracker's monotone
@@ -895,8 +847,7 @@ Result<std::vector<Program>> Synthesizer::SynthesizeDistinctImpl(
       if (j != i) baseline += enumerators[j]->iterations();
     }
     progress.done_iterations.store(baseline, std::memory_order_relaxed);
-    for (;;) {
-      if (programs.size() >= limit) break;
+    while (1 + alternatives.size() < limit) {
       auto alt = enumerators[i]->Next(ctx, &progress);
       if (!alt.ok()) {
         if (alt.status().code() == StatusCode::kCancelled) return alt.status();
@@ -905,7 +856,7 @@ Result<std::vector<Program>> Synthesizer::SynthesizeDistinctImpl(
       // Keep only semantically new variants.
       if (RuleEquivalent(*alt, first.rules[i])) continue;
       bool duplicate = false;
-      for (const Program& p : programs) {
+      for (const Program& p : alternatives) {
         if (RuleEquivalent(p.rules[i], *alt)) {
           duplicate = true;
           break;
@@ -914,10 +865,12 @@ Result<std::vector<Program>> Synthesizer::SynthesizeDistinctImpl(
       if (duplicate) continue;
       Program variant = first;
       variant.rules[i] = *alt;
-      programs.push_back(std::move(variant));
+      alternatives.push_back(std::move(variant));
     }
   }
-  return programs;
+  result.seconds = total.ElapsedSeconds();
+  if (portfolio != nullptr) result.portfolio = portfolio->stats();
+  return result;
 }
 
 }  // namespace dynamite

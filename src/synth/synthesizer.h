@@ -41,11 +41,6 @@ struct SynthesisOptions {
   /// Filtering extension (§5): constants in hole domains.
   bool enable_filtering = false;
   size_t max_constants_per_hole = 4;
-  /// Legacy wall-clock knob: each Synthesize/SynthesizeDistinct call is
-  /// bounded by a fresh window of this many seconds (<= 0 disables),
-  /// composed (Deadline::Earliest) with any RunContext deadline. Session
-  /// sets it to 0 so the RunContext is the single budget.
-  double timeout_seconds = 600;
   /// Cap on sampled models across all rules (kEvalBudget when exhausted).
   size_t max_iterations = 5'000'000;
   /// MDP search limits.
@@ -105,9 +100,13 @@ struct RuleStats {
 struct SynthesisResult {
   Program program;      ///< simplified program
   Program raw_program;  ///< as instantiated from the sketches
+  /// SynthesizeDistinct only: further consistent programs, each differing
+  /// from raw_program in one rule and pairwise semantically distinct
+  /// (unsimplified, like raw_program). Empty after Synthesize.
+  std::vector<Program> alternatives;
   double search_space = 1;
-  size_t iterations = 0;
-  double seconds = 0;
+  size_t iterations = 0;  ///< models sampled to find `program`
+  double seconds = 0;     ///< wall time of the whole call
   std::vector<RuleStats> rule_stats;
   AttributeMapping psi;
   /// Portfolio-search counters; zero when synth_threads <= 1.
@@ -115,14 +114,12 @@ struct SynthesisResult {
   const SynthPortfolioStats& stats() const { return portfolio; }
 };
 
-/// Programming-by-example synthesizer for schema-mapping Datalog programs.
-///
-/// Deprecated as a user-facing entry point: prefer dynamite::Session
-/// (src/api/session.h), which validates schemas once, shares engine state
-/// across pipeline phases, and exposes the same calls with cancellation and
-/// progress observation. This class remains as the synthesis-stage
-/// implementation and as a thin shim for existing callers: the context-free
-/// overloads wrap the legacy `timeout_seconds` knob into a RunContext.
+/// Programming-by-example synthesizer for schema-mapping Datalog programs:
+/// the synthesis stage behind dynamite::Session (src/api/session.h), which
+/// is the pipeline's public surface. Every call is bounded and observed by
+/// its RunContext — the run's only wall-clock budget (kTimeout on deadline,
+/// kCancelled on cancellation, kEvalBudget on max_iterations) — and fires
+/// progress events per phase and per candidate batch.
 class Synthesizer {
  public:
   Synthesizer(Schema source, Schema target,
@@ -132,37 +129,29 @@ class Synthesizer {
   Synthesizer& operator=(Synthesizer&&) noexcept;
 
   /// Synthesizes a program P with ⟦P⟧(E.input) = E.output, or
-  /// kSynthesisFailure / kTimeout.
-  Result<SynthesisResult> Synthesize(const Example& example) const;
+  /// kSynthesisFailure. SynthesizeDistinct with limit 1.
+  Result<SynthesisResult> Synthesize(const Example& example, const RunContext& ctx) const;
 
-  /// Like above, bounded and observed by `ctx` (kTimeout on deadline,
-  /// kCancelled on cancellation, kEvalBudget on max_iterations); progress
-  /// events fire per phase and per candidate batch.
-  Result<SynthesisResult> Synthesize(const Example& example,
-                                     const RunContext& ctx) const;
-
-  /// Finds up to `limit` pairwise *semantically distinct* consistent
-  /// programs (used by interactive mode to detect ambiguity). The first
-  /// element equals Synthesize()'s result.
-  Result<std::vector<Program>> SynthesizeDistinct(const Example& example,
-                                                  size_t limit) const;
-
-  /// Context-bounded variant of SynthesizeDistinct.
-  Result<std::vector<Program>> SynthesizeDistinct(const Example& example, size_t limit,
-                                                  const RunContext& ctx) const;
+  /// Synthesize's result plus up to `limit - 1` alternatives in
+  /// SynthesisResult::alternatives (used by interactive mode to detect
+  /// ambiguity). The alternatives continue the same enumeration; running
+  /// out of budget while searching them ends the search with what was
+  /// found, cancellation fails the call.
+  Result<SynthesisResult> SynthesizeDistinct(const Example& example, size_t limit,
+                                             const RunContext& ctx) const;
 
   const Schema& source_schema() const { return source_; }
   const Schema& target_schema() const { return target_; }
   const SynthesisOptions& options() const { return options_; }
 
  private:
-  /// Bodies of the two context-bounded calls, minus the crash-free boundary
-  /// (the public entries install the run's MemoryBudget and map thrown
-  /// bad_alloc / injected faults to typed Statuses).
-  Result<SynthesisResult> SynthesizeImpl(const Example& example,
-                                         const RunContext& ctx) const;
-  Result<std::vector<Program>> SynthesizeDistinctImpl(const Example& example, size_t limit,
-                                                      const RunContext& ctx) const;
+  /// The one search driver: Prepare, portfolio set-up, per-rule Init/Next
+  /// and RuleStats for the first program, then the alternatives. It is
+  /// SynthesizeDistinct minus the crash-free boundary (the public entry
+  /// installs the run's MemoryBudget and maps thrown bad_alloc / injected
+  /// faults to typed Statuses).
+  Result<SynthesisResult> Search(const Example& example, size_t limit,
+                                 const RunContext& ctx) const;
 
   /// The portfolio worker pool (synth_threads - 1 spawned threads; the
   /// calling thread participates), created lazily on the first portfolio

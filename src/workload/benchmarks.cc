@@ -1,6 +1,6 @@
 #include "workload/benchmarks.h"
 
-#include "migrate/migrator.h"
+#include "api/session.h"
 #include "schema/schema_builder.h"
 #include "util/check.h"
 #include "util/failpoint.h"
@@ -496,8 +496,8 @@ Result<RecordForest> GenerateSource(const Benchmark& bench, uint64_t seed, size_
 
 Result<Example> MakeExample(const Benchmark& bench, uint64_t seed, size_t scale) {
   DYNAMITE_ASSIGN_OR_RETURN(RecordForest input, GenerateSource(bench, seed, scale));
-  Migrator migrator(bench.source, bench.target);
-  DYNAMITE_ASSIGN_OR_RETURN(RecordForest output, migrator.Migrate(bench.golden, input));
+  DYNAMITE_ASSIGN_OR_RETURN(Session session, Session::Create(bench.source, bench.target));
+  DYNAMITE_ASSIGN_OR_RETURN(RecordForest output, session.Migrate(bench.golden, input));
   Example e;
   e.input = std::move(input);
   e.output = std::move(output);
@@ -507,9 +507,9 @@ Result<Example> MakeExample(const Benchmark& bench, uint64_t seed, size_t scale)
 Result<bool> AgreesWithGolden(const Benchmark& bench, const Program& program,
                               uint64_t seed, size_t scale) {
   DYNAMITE_ASSIGN_OR_RETURN(RecordForest validation, GenerateSource(bench, seed, scale));
-  Migrator migrator(bench.source, bench.target);
-  DYNAMITE_ASSIGN_OR_RETURN(RecordForest golden_out, migrator.Migrate(bench.golden, validation));
-  DYNAMITE_ASSIGN_OR_RETURN(RecordForest synth_out, migrator.Migrate(program, validation));
+  DYNAMITE_ASSIGN_OR_RETURN(Session session, Session::Create(bench.source, bench.target));
+  DYNAMITE_ASSIGN_OR_RETURN(RecordForest golden_out, session.Migrate(bench.golden, validation));
+  DYNAMITE_ASSIGN_OR_RETURN(RecordForest synth_out, session.Migrate(program, validation));
   return ForestEquals(golden_out, synth_out);
 }
 

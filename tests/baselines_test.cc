@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "baselines/eirene.h"
 #include "baselines/mitra.h"
-#include "synth/synthesizer.h"
 #include "testing.h"
 #include "workload/benchmarks.h"
 
@@ -33,7 +33,8 @@ TEST(Mitra, TriesMoreCandidatesThanDynamite) {
   Example e = testing::MotivatingExample();
   MitraSynthesizer mitra(testing::UnivSchema(), testing::AdmissionSchema());
   ASSERT_OK_AND_ASSIGN(MitraResult mitra_result, mitra.Synthesize(e));
-  Synthesizer dynamite(testing::UnivSchema(), testing::AdmissionSchema());
+  ASSERT_OK_AND_ASSIGN(Session dynamite,
+                       Session::Create(testing::UnivSchema(), testing::AdmissionSchema()));
   ASSERT_OK_AND_ASSIGN(SynthesisResult dyn_result, dynamite.Synthesize(e));
   EXPECT_GT(mitra_result.candidates_tried, dyn_result.iterations)
       << "enumeration should sample more candidates than conflict-driven search";
@@ -73,7 +74,7 @@ TEST(Eirene, MappingsKeepRedundantPredicates) {
                        workload::MakeExample(*bench, bench->example_seed, bench->example_scale));
   EireneSynthesizer eirene(bench->source, bench->target);
   ASSERT_OK_AND_ASSIGN(EireneResult eirene_result, eirene.Synthesize(e));
-  Synthesizer dynamite(bench->source, bench->target);
+  ASSERT_OK_AND_ASSIGN(Session dynamite, Session::Create(bench->source, bench->target));
   ASSERT_OK_AND_ASSIGN(SynthesisResult dyn_result, dynamite.Synthesize(e));
   size_t eirene_preds = 0, dynamite_preds = 0;
   for (const Rule& r : eirene_result.glav.rules) eirene_preds += r.body.size();

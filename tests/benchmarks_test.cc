@@ -9,8 +9,6 @@
 #include <cstdlib>
 
 #include "api/session.h"
-#include "migrate/migrator.h"
-#include "synth/synthesizer.h"
 #include "testing.h"
 #include "workload/benchmarks.h"
 
@@ -42,9 +40,9 @@ TEST_P(BenchmarkTest, GoldenProgramRuns) {
   ASSERT_OK(b.golden.Validate());
   ASSERT_OK_AND_ASSIGN(RecordForest source,
                        workload::GenerateSource(b, /*seed=*/11, /*scale=*/5));
-  Migrator migrator(b.source, b.target);
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(b.source, b.target));
   MigrationStats stats;
-  ASSERT_OK_AND_ASSIGN(RecordForest target, migrator.Migrate(b.golden, source, &stats));
+  ASSERT_OK_AND_ASSIGN(RecordForest target, session.Migrate(b.golden, source, &stats));
   EXPECT_GT(target.TotalRecords(), 0u) << b.name;
   EXPECT_GT(stats.source_facts, 0u);
   EXPECT_GT(stats.target_facts, 0u);
@@ -54,10 +52,10 @@ TEST_P(BenchmarkTest, SynthesizesCorrectProgram) {
   const Benchmark& b = bench();
   ASSERT_OK_AND_ASSIGN(Example example,
                        workload::MakeExample(b, b.example_seed, b.example_scale));
-  SynthesisOptions options;
-  options.timeout_seconds = SynthTestTimeoutSeconds();
-  Synthesizer synth(b.source, b.target, options);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult result, synth.Synthesize(example));
+  SessionOptions options;
+  options.default_budget_seconds = SynthTestTimeoutSeconds();
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(b.source, b.target, options));
+  ASSERT_OK_AND_ASSIGN(SynthesisResult result, session.Synthesize(example));
   EXPECT_EQ(result.program.rules.size(), b.target.TopLevelRecords().size());
   // Correctness = observational equivalence with the golden program on a
   // larger validation instance.

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "migrate/facts.h"
-#include "migrate/migrator.h"
+#include "api/session.h"
 #include "testing.h"
 
 namespace dynamite {
@@ -113,9 +113,10 @@ TEST(Migrator, EndToEndMotivatingExample) {
     Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num),
                                 Univ(id2, ug, _).
   )"));
-  Migrator migrator(testing::UnivSchema(), testing::AdmissionSchema());
+  ASSERT_OK_AND_ASSIGN(Session session,
+                       Session::Create(testing::UnivSchema(), testing::AdmissionSchema()));
   MigrationStats stats;
-  ASSERT_OK_AND_ASSIGN(RecordForest out, migrator.Migrate(golden, e.input, &stats));
+  ASSERT_OK_AND_ASSIGN(RecordForest out, session.Migrate(golden, e.input, &stats));
   EXPECT_TRUE(ForestEquals(out, e.output));
   EXPECT_EQ(stats.source_records, 6u);
   EXPECT_EQ(stats.source_facts, 6u);
@@ -151,8 +152,8 @@ TEST(Migrator, NestedTargetGroupsChildren) {
       testing::FlatRecord("a", {{"a_univ", Value::Int(1)}, {"a_count", Value::Int(20)}}));
   source.roots.push_back(
       testing::FlatRecord("a", {{"a_univ", Value::Int(2)}, {"a_count", Value::Int(30)}}));
-  Migrator migrator(src, tgt);
-  ASSERT_OK_AND_ASSIGN(RecordForest out, migrator.Migrate(prog, source));
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(src, tgt));
+  ASSERT_OK_AND_ASSIGN(RecordForest out, session.Migrate(prog, source));
   // Expect: A with [10, 20], B with [30].
   ASSERT_EQ(out.roots.size(), 2u);
   const RecordNode* a_doc = nullptr;
@@ -177,9 +178,9 @@ TEST(Migrator, ScalesToLargerInstances) {
     Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num),
                                 Univ(id2, ug, _).
   )"));
-  Migrator migrator(src, tgt);
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(src, tgt));
   MigrationStats stats;
-  ASSERT_OK_AND_ASSIGN(RecordForest out, migrator.Migrate(golden, big, &stats));
+  ASSERT_OK_AND_ASSIGN(RecordForest out, session.Migrate(golden, big, &stats));
   EXPECT_EQ(out.roots.size(), 1000u);  // 500 univs x 2 admits
   EXPECT_GT(stats.TotalSeconds(), 0.0);
 }

@@ -6,9 +6,9 @@
 //     N rounds of seeded random pipelines. Each round builds either a random
 //     flat relational schema pair (synthesized end-to-end) or one of the 28
 //     workload benchmarks (golden program), then checks three invariants:
-//       1. Parity: Session(threads=1), Session(threads=T) and the legacy
-//          Migrator shim produce identical target instances (and, for
-//          synthesized cases, identical programs).
+//       1. Parity: Session(threads=1), Session(threads=T) and a Session
+//          on the scalar (block=1) matcher produce identical target
+//          instances (and, for synthesized cases, identical programs).
 //       2. Fault tolerance: re-running with a randomly armed failpoint
 //          (random site, kind, trigger) either reproduces the baseline
 //          bit-identically or fails with a typed Status from the injected
@@ -39,7 +39,6 @@
 #include "api/session.h"
 #include "datalog/index.h"
 #include "migrate/facts.h"
-#include "migrate/migrator.h"
 #include "schema/schema_builder.h"
 #include "util/failpoint.h"
 #include "util/mem_budget.h"
@@ -357,8 +356,8 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
       break;
   }
 
-  // --- invariant 1: parity across thread counts, the scalar (block=1)
-  // matcher, and the legacy shim ------------------------------------------
+  // --- invariant 1: parity across thread counts and the scalar (block=1)
+  // matcher -----------------------------------------------------------------
   Session seq = MakeSession(fc, 1);
   Session par = MakeSession(fc, threads);
   Program seq_program, par_program;
@@ -384,12 +383,6 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
               st.ToString().c_str());
   FUZZ_ASSERT(scalar_program == seq_program && ForestEquals(scalar_out, seq_out),
               "[%s] scalar (block=1) vs vectorized outputs diverge", fc.label.c_str());
-  Migrator shim(fc.source, fc.target);
-  auto shim_out = shim.Migrate(seq_program, fc.instance);
-  FUZZ_ASSERT(shim_out.ok(), "[%s] legacy Migrator failed: %s", fc.label.c_str(),
-              shim_out.status().ToString().c_str());
-  FUZZ_ASSERT(ForestEquals(seq_out, shim_out.ValueOrDie()),
-              "[%s] legacy Migrator output diverges", fc.label.c_str());
 
   // --- invariant 2: a fault-injected rerun is bit-identical or typed ------
   std::string fault = ArmRandomFault(rng, /*include_timeout=*/!fc.synthesized);

@@ -14,7 +14,6 @@
 #include "api/session.h"
 #include "datalog/engine.h"
 #include "migrate/facts.h"
-#include "migrate/migrator.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -232,17 +231,17 @@ TEST(ShardedIngest, MigrationOutputsAndStatsAgreeAcrossIngestThreads) {
     ASSERT_NE(bench, nullptr);
     RecordForest instance = BigInstance(*bench);
 
-    DatalogEngine::Options seq_opts;
-    seq_opts.num_threads = 1;
-    Migrator seq(bench->source, bench->target, seq_opts);
+    SessionOptions seq_opts;
+    seq_opts.engine.num_threads = 1;
+    Session seq = Session::Create(bench->source, bench->target, seq_opts).ValueOrDie();
     MigrationStats seq_stats;
     auto seq_out = seq.Migrate(bench->golden, instance, &seq_stats);
     ASSERT_TRUE(seq_out.ok()) << name << ": " << seq_out.status().ToString();
 
     for (size_t threads : {2u, 8u}) {
-      DatalogEngine::Options par_opts;
-      par_opts.num_threads = threads;
-      Migrator par(bench->source, bench->target, par_opts);
+      SessionOptions par_opts;
+      par_opts.engine.num_threads = threads;
+      Session par = Session::Create(bench->source, bench->target, par_opts).ValueOrDie();
       MigrationStats par_stats;
       auto par_out = par.Migrate(bench->golden, instance, &par_stats);
       ASSERT_TRUE(par_out.ok()) << name << ": " << par_out.status().ToString();

@@ -3,8 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "migrate/migrator.h"
-#include "synth/interactive.h"
+#include "api/session.h"
 #include "testing.h"
 #include "workload/benchmarks.h"
 
@@ -43,9 +42,9 @@ TEST(Interactive, ResolvesExample10Ambiguity) {
   // Initial ambiguous example: a single employee/department pair.
   Example initial;
   initial.input.roots = {fixture.Emp("Alice", 11), fixture.Dept(11, "CS")};
-  Migrator migrator(fixture.src, fixture.tgt);
-  ASSERT_OK_AND_ASSIGN(RecordForest init_out,
-                       migrator.Migrate(fixture.golden, initial.input));
+  // The user's answers (the golden program) come from their own session.
+  ASSERT_OK_AND_ASSIGN(Session user, Session::Create(fixture.src, fixture.tgt));
+  ASSERT_OK_AND_ASSIGN(RecordForest init_out, user.Migrate(fixture.golden, initial.input));
   initial.output = init_out;
 
   // Validation pool: the distinguishing input of the paper (two employees
@@ -56,12 +55,12 @@ TEST(Interactive, ResolvesExample10Ambiguity) {
 
   // Oracle = golden program.
   Oracle oracle = [&](const RecordForest& input) -> Result<RecordForest> {
-    return migrator.Migrate(fixture.golden, input);
+    return user.Migrate(fixture.golden, input);
   };
 
-  InteractiveSynthesizer interactive(fixture.src, fixture.tgt);
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(fixture.src, fixture.tgt));
   ASSERT_OK_AND_ASSIGN(InteractiveResult result,
-                       interactive.Run(initial, pool, oracle));
+                       session.SynthesizeInteractive(initial, pool, oracle));
   EXPECT_GE(result.queries, 1u) << "ambiguity should have triggered a query";
 
   // The final program must be the join, not the cross product: check on an
@@ -69,9 +68,8 @@ TEST(Interactive, ResolvesExample10Ambiguity) {
   RecordForest probe;
   probe.roots = {fixture.Emp("X", 1), fixture.Emp("Y", 2), fixture.Dept(1, "D1"),
                  fixture.Dept(2, "D2")};
-  ASSERT_OK_AND_ASSIGN(RecordForest got,
-                       migrator.Migrate(result.result.program, probe));
-  ASSERT_OK_AND_ASSIGN(RecordForest want, migrator.Migrate(fixture.golden, probe));
+  ASSERT_OK_AND_ASSIGN(RecordForest got, session.Migrate(result.result.program, probe));
+  ASSERT_OK_AND_ASSIGN(RecordForest want, user.Migrate(fixture.golden, probe));
   EXPECT_TRUE(ForestEquals(got, want)) << result.result.program.ToString();
 }
 
@@ -81,17 +79,17 @@ TEST(Interactive, UnambiguousExampleNeedsNoQueries) {
   Example initial;
   initial.input.roots = {fixture.Emp("Alice", 11), fixture.Emp("Bob", 12),
                          fixture.Dept(11, "CS"), fixture.Dept(12, "EE")};
-  Migrator migrator(fixture.src, fixture.tgt);
-  ASSERT_OK_AND_ASSIGN(RecordForest out, migrator.Migrate(fixture.golden, initial.input));
+  ASSERT_OK_AND_ASSIGN(Session user, Session::Create(fixture.src, fixture.tgt));
+  ASSERT_OK_AND_ASSIGN(RecordForest out, user.Migrate(fixture.golden, initial.input));
   initial.output = out;
 
   Oracle oracle = [&](const RecordForest& input) -> Result<RecordForest> {
-    return migrator.Migrate(fixture.golden, input);
+    return user.Migrate(fixture.golden, input);
   };
   RecordForest pool = initial.input;
-  InteractiveSynthesizer interactive(fixture.src, fixture.tgt);
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(fixture.src, fixture.tgt));
   ASSERT_OK_AND_ASSIGN(InteractiveResult result,
-                       interactive.Run(initial, pool, oracle));
+                       session.SynthesizeInteractive(initial, pool, oracle));
   EXPECT_EQ(result.queries, 0u);
   EXPECT_TRUE(result.unique);
 }
@@ -102,12 +100,13 @@ TEST(Interactive, WorksOnTencent1Benchmark) {
   ASSERT_NE(bench, nullptr);
   ASSERT_OK_AND_ASSIGN(Example initial, workload::MakeExample(*bench, 3, 2));
   ASSERT_OK_AND_ASSIGN(RecordForest pool, workload::GenerateSource(*bench, 5, 4));
-  Migrator migrator(bench->source, bench->target);
+  ASSERT_OK_AND_ASSIGN(Session user, Session::Create(bench->source, bench->target));
   Oracle oracle = [&](const RecordForest& input) -> Result<RecordForest> {
-    return migrator.Migrate(bench->golden, input);
+    return user.Migrate(bench->golden, input);
   };
-  InteractiveSynthesizer interactive(bench->source, bench->target);
-  ASSERT_OK_AND_ASSIGN(InteractiveResult result, interactive.Run(initial, pool, oracle));
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(bench->source, bench->target));
+  ASSERT_OK_AND_ASSIGN(InteractiveResult result,
+                       session.SynthesizeInteractive(initial, pool, oracle));
   ASSERT_OK_AND_ASSIGN(bool agrees,
                        workload::AgreesWithGolden(*bench, result.result.program, 77, 8));
   EXPECT_TRUE(agrees) << result.result.program.ToString();

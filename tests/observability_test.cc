@@ -265,11 +265,12 @@ TEST_F(ObservabilityTest, SynthPortfolioMetricsMatchStats) {
   // PR-8 portfolio determinism workload (motivating example, 4-way
   // speculation): registry deltas must equal the per-call portfolio stats.
   metrics::MetricsSnapshot before = metrics::Snapshot();
-  SynthesisOptions options;
+  SessionOptions options;
   options.synth_threads = 4;
-  Synthesizer synth(testing::UnivSchema(), testing::AdmissionSchema(), options);
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(testing::UnivSchema(),
+                                                        testing::AdmissionSchema(), options));
   ASSERT_OK_AND_ASSIGN(SynthesisResult result,
-                       synth.Synthesize(testing::MotivatingExample()));
+                       session.Synthesize(testing::MotivatingExample()));
   metrics::MetricsSnapshot after = metrics::Snapshot();
 
   EXPECT_EQ(after.counter("synth.speculative_hits") -

@@ -1,6 +1,6 @@
-// Tests for the unified Session pipeline API (src/api/session.h): shim vs
-// Session equivalence across the three data models, typed error codes,
-// cooperative cancellation, oracle cancellation, and progress observation.
+// Tests for the unified Session pipeline API (src/api/session.h): synthesis
+// across the three data models, typed error codes, budgets, cooperative
+// cancellation, interactive mode, and progress observation.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +11,10 @@
 
 #include "api/session.h"
 #include "instance/graph.h"
-#include "migrate/migrator.h"
 #include "schema/schema_builder.h"
-#include "synth/interactive.h"
 #include "synth/synthesizer.h"
 #include "testing.h"
+#include "util/metrics.h"
 #include "util/timer.h"
 
 namespace dynamite {
@@ -50,13 +49,34 @@ struct RelationalFixture {
                                {{"did", Value::Int(i)}, {"dname", Value::String(n)}});
   }
 
+  /// The golden program's output on `input`.
+  RecordForest GoldenOutput(const RecordForest& input) const {
+    return Session::Create(src, tgt).ValueOrDie().Migrate(golden, input).ValueOrDie();
+  }
+
   /// Rich enough to pin down the join.
   Example MakeExample() const {
     Example e;
     e.input.roots = {Emp("Alice", 11), Emp("Bob", 12), Dept(11, "CS"), Dept(12, "EE")};
-    Migrator migrator(src, tgt);
-    e.output = migrator.Migrate(golden, e.input).ValueOrDie();
+    e.output = GoldenOutput(e.input);
     return e;
+  }
+
+  /// A single employee/department pair: the join and the cross product
+  /// both fit it (the paper's Example 10).
+  Example AmbiguousExample() const {
+    Example e;
+    e.input.roots = {Emp("Alice", 11), Dept(11, "CS")};
+    e.output = GoldenOutput(e.input);
+    return e;
+  }
+
+  /// Two employees in two departments, where the join and the cross
+  /// product differ.
+  static RecordForest Probe() {
+    RecordForest probe;
+    probe.roots = {Emp("X", 1), Emp("Y", 2), Dept(1, "D1"), Dept(2, "D2")};
+    return probe;
   }
 };
 
@@ -74,6 +94,23 @@ struct GraphFixture {
                                              {"weight", PrimitiveType::kInt}})
                    .Build()
                    .ValueOrDie();
+  Program golden = Program::Parse(
+                       "FollowTable(a, b, w) :- Follows(s, t, w), User(s, a), User(t, b).")
+                       .ValueOrDie();
+
+  /// Five users; user i follows users i+1 and i+2 (mod 5).
+  RecordForest Probe() const {
+    GraphInstance g;
+    const char* names[] = {"dan", "eve", "fay", "gus", "hal"};
+    for (int i = 0; i < 5; ++i) {
+      g.AddNode(GraphNode{"User", {{"uid", Value::Int(i)}, {"uname", Value::String(names[i])}}});
+    }
+    for (int i = 0; i < 5; ++i) {
+      g.AddEdge(GraphEdge{"Follows", i, (i + 1) % 5, {{"weight", Value::Int(10 + i)}}});
+      g.AddEdge(GraphEdge{"Follows", i, (i + 2) % 5, {{"weight", Value::Int(20 + i)}}});
+    }
+    return g.ToForest(src).ValueOrDie();
+  }
 
   Example MakeExample() const {
     GraphInstance g;
@@ -153,55 +190,46 @@ struct AdversarialFixture {
   }
 };
 
-// ------------------------------------------------- shim-vs-Session parity --
+// ------------------------------------------- synthesis per data model --
 
-TEST(Session, MatchesSynthesizerOnDocumentExample) {
-  Schema src = testing::UnivSchema(), tgt = testing::AdmissionSchema();
-  Example example = testing::MotivatingExample();
-
-  Synthesizer shim(src, tgt);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult legacy, shim.Synthesize(example));
-
+/// Synthesizes from `example` through a Session and checks the program
+/// reproduces the example and migrates `probe` like `golden`.
+void ExpectSynthesizesGoldenBehaviour(const Schema& src, const Schema& tgt,
+                                      const Example& example, const Program& golden,
+                                      const RecordForest& probe) {
   ASSERT_OK_AND_ASSIGN(Session session, Session::Create(src, tgt));
-  ASSERT_OK_AND_ASSIGN(SynthesisResult unified, session.Synthesize(example));
-
-  EXPECT_EQ(legacy.program.ToString(), unified.program.ToString());
-  EXPECT_EQ(legacy.iterations, unified.iterations);
+  ASSERT_OK_AND_ASSIGN(SynthesisResult result, session.Synthesize(example));
+  ASSERT_OK_AND_ASSIGN(RecordForest replay, session.Migrate(result.program, example.input));
+  EXPECT_TRUE(ForestEquals(replay, example.output)) << result.program.ToString();
+  ASSERT_OK_AND_ASSIGN(RecordForest got, session.Migrate(result.program, probe));
+  ASSERT_OK_AND_ASSIGN(RecordForest want, session.Migrate(golden, probe));
+  EXPECT_GT(want.TotalRecords(), 0u);
+  EXPECT_TRUE(ForestEquals(got, want)) << result.program.ToString();
 }
 
-TEST(Session, MatchesSynthesizerOnRelationalExample) {
-  RelationalFixture fixture;
-  Example example = fixture.MakeExample();
-
-  Synthesizer shim(fixture.src, fixture.tgt);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult legacy, shim.Synthesize(example));
-
-  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(fixture.src, fixture.tgt));
-  ASSERT_OK_AND_ASSIGN(SynthesisResult unified, session.Synthesize(example));
-
-  EXPECT_EQ(legacy.program.ToString(), unified.program.ToString());
-
-  // And the synthesized program migrates identically through both paths.
+TEST(Session, SynthesizesGoldenBehaviourOnDocumentExample) {
+  Program golden = Program::Parse(
+                       "Admission(g, u, n) :- Univ(id1, g, v1), Admit(v1, id2, n), "
+                       "Univ(id2, u, _).")
+                       .ValueOrDie();
   RecordForest probe;
-  probe.roots = {RelationalFixture::Emp("X", 1), RelationalFixture::Emp("Y", 2),
-                 RelationalFixture::Dept(1, "D1"), RelationalFixture::Dept(2, "D2")};
-  Migrator migrator(fixture.src, fixture.tgt);
-  ASSERT_OK_AND_ASSIGN(RecordForest via_shim, migrator.Migrate(unified.program, probe));
-  ASSERT_OK_AND_ASSIGN(RecordForest via_session, session.Migrate(unified.program, probe));
-  EXPECT_TRUE(ForestEquals(via_shim, via_session));
+  probe.roots.push_back(testing::UnivRecord(1, "MIT", {{2, 7}, {3, 12}}));
+  probe.roots.push_back(testing::UnivRecord(2, "Stanford", {{1, 9}}));
+  probe.roots.push_back(testing::UnivRecord(3, "Berkeley", {{1, 4}, {2, 6}}));
+  ExpectSynthesizesGoldenBehaviour(testing::UnivSchema(), testing::AdmissionSchema(),
+                                   testing::MotivatingExample(), golden, probe);
 }
 
-TEST(Session, MatchesSynthesizerOnGraphExample) {
+TEST(Session, SynthesizesGoldenBehaviourOnRelationalExample) {
+  RelationalFixture fixture;
+  ExpectSynthesizesGoldenBehaviour(fixture.src, fixture.tgt, fixture.MakeExample(),
+                                   fixture.golden, RelationalFixture::Probe());
+}
+
+TEST(Session, SynthesizesGoldenBehaviourOnGraphExample) {
   GraphFixture fixture;
-  Example example = fixture.MakeExample();
-
-  Synthesizer shim(fixture.src, fixture.tgt);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult legacy, shim.Synthesize(example));
-
-  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(fixture.src, fixture.tgt));
-  ASSERT_OK_AND_ASSIGN(SynthesisResult unified, session.Synthesize(example));
-
-  EXPECT_EQ(legacy.program.ToString(), unified.program.ToString());
+  ExpectSynthesizesGoldenBehaviour(fixture.src, fixture.tgt, fixture.MakeExample(),
+                                   fixture.golden, fixture.Probe());
 }
 
 TEST(Session, SynthesizeAndMigrateMatchesSeparateCalls) {
@@ -300,6 +328,33 @@ TEST(Session, ExpiredDeadlineFailsWithTimeout) {
   auto result = session.Synthesize(testing::MotivatingExample(), ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
+}
+
+TEST(Session, DefaultBudgetBoundsAnUnboundedContext) {
+  // The enumeration never ends on its own; with no deadline on the call's
+  // context, the session's default budget is the one that stops it.
+  AdversarialFixture fixture;
+  SessionOptions options = fixture.SlowOptions();
+  options.default_budget_seconds = 0.001;
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(fixture.src, fixture.tgt, options));
+  Timer timer;
+  auto result = session.Synthesize(fixture.example);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), ErrorCode::kTimeout) << result.status().ToString();
+  EXPECT_LT(timer.ElapsedSeconds(), 30.0);
+}
+
+TEST(Session, ExplicitDeadlineOverridesDefaultBudget) {
+  // A longer deadline on the context wins over the short default budget:
+  // the run outlives the default budget and ends on its iteration budget.
+  AdversarialFixture fixture;
+  SessionOptions options = fixture.SlowOptions();
+  options.default_budget_seconds = 0.001;
+  options.synthesis.max_iterations = 200;
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(fixture.src, fixture.tgt, options));
+  auto result = session.Synthesize(fixture.example, RunContext::WithTimeout(600));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), ErrorCode::kEvalBudget) << result.status().ToString();
 }
 
 TEST(Session, IterationBudgetFailsWithEvalBudget) {
@@ -408,13 +463,7 @@ TEST(Engine, CancellationInterruptsEval) {
 
 TEST(Session, OracleCancelReturnsPartialResultNotFailure) {
   RelationalFixture fixture;
-  // Ambiguous single-pair example (the paper's Example 10 setup).
-  Example initial;
-  initial.input.roots = {RelationalFixture::Emp("Alice", 11),
-                         RelationalFixture::Dept(11, "CS")};
-  Migrator migrator(fixture.src, fixture.tgt);
-  ASSERT_OK_AND_ASSIGN(RecordForest out, migrator.Migrate(fixture.golden, initial.input));
-  initial.output = out;
+  Example initial = fixture.AmbiguousExample();
 
   RecordForest pool;
   pool.roots = {RelationalFixture::Emp("Alice", 11), RelationalFixture::Emp("Bob", 12),
@@ -444,17 +493,12 @@ TEST(Session, OracleCancelReturnsPartialResultNotFailure) {
 
 TEST(Session, FailOnAmbiguityReturnsAmbiguous) {
   RelationalFixture fixture;
-  Example initial;
-  initial.input.roots = {RelationalFixture::Emp("Alice", 11),
-                         RelationalFixture::Dept(11, "CS")};
-  Migrator migrator(fixture.src, fixture.tgt);
-  ASSERT_OK_AND_ASSIGN(RecordForest out, migrator.Migrate(fixture.golden, initial.input));
-  initial.output = out;
+  Example initial = fixture.AmbiguousExample();
 
   // A pool that cannot distinguish join from cross product (single pair).
   RecordForest pool = initial.input;
   Oracle oracle = [&](const RecordForest& input) -> Result<RecordForest> {
-    return migrator.Migrate(fixture.golden, input);
+    return fixture.GoldenOutput(input);
   };
 
   SessionOptions options;
@@ -464,6 +508,47 @@ TEST(Session, FailOnAmbiguityReturnsAmbiguous) {
   auto result = session.SynthesizeInteractive(initial, pool, oracle);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kAmbiguous);
+}
+
+TEST(Session, InteractiveUniqueFirstRoundSearchesOnce) {
+  // A first round that is already unique is the answer: the session must
+  // not synthesize again. Its solver calls equal those of one
+  // SynthesizeDistinct on the example (driven on the synthesis stage, which
+  // Session does not expose), and its program and iterations equal
+  // Session::Synthesize's. Sequential enumeration on both sides, so the
+  // solver-call count holds no portfolio speculation.
+  RelationalFixture fixture;
+  Example example = fixture.MakeExample();
+  SessionOptions options;
+  options.synth_threads = 1;
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(fixture.src, fixture.tgt, options));
+  Oracle oracle = [&](const RecordForest& input) -> Result<RecordForest> {
+    return fixture.GoldenOutput(input);
+  };
+
+  metrics::MetricsSnapshot before = metrics::Snapshot();
+  ASSERT_OK_AND_ASSIGN(InteractiveResult interactive,
+                       session.SynthesizeInteractive(example, example.input, oracle));
+  metrics::MetricsSnapshot after_interactive = metrics::Snapshot();
+  ASSERT_TRUE(interactive.unique);
+  EXPECT_EQ(interactive.rounds, 1u);
+  EXPECT_EQ(interactive.queries, 0u);
+
+  SynthesisOptions synth_options;
+  synth_options.synth_threads = 1;
+  Synthesizer synthesizer(fixture.src, fixture.tgt, synth_options);
+  ASSERT_OK(synthesizer
+                .SynthesizeDistinct(example, session.options().interactive.max_programs,
+                                    RunContext())
+                .status());
+  metrics::MetricsSnapshot after_distinct = metrics::Snapshot();
+  EXPECT_EQ(after_interactive.counter("solver.solves") - before.counter("solver.solves"),
+            after_distinct.counter("solver.solves") -
+                after_interactive.counter("solver.solves"));
+
+  ASSERT_OK_AND_ASSIGN(SynthesisResult direct, session.Synthesize(example));
+  EXPECT_EQ(interactive.result.program.ToString(), direct.program.ToString());
+  EXPECT_EQ(interactive.result.iterations, direct.iterations);
 }
 
 // -------------------------------------------------------------- progress --

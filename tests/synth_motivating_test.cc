@@ -5,11 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "datalog/simplify.h"
-#include "migrate/migrator.h"
 #include "synth/attr_map.h"
 #include "synth/sketch_gen.h"
-#include "synth/synthesizer.h"
 #include "testing.h"
 
 namespace dynamite {
@@ -65,10 +64,8 @@ TEST(SketchGenMotivating, MatchesPaperShape) {
 
 TEST(SynthesizeMotivating, FindsCorrectProgram) {
   Example e = MotivatingExample();
-  Schema src = UnivSchema();
-  Schema tgt = AdmissionSchema();
-  Synthesizer synth(src, tgt);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult result, synth.Synthesize(e));
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(UnivSchema(), AdmissionSchema()));
+  ASSERT_OK_AND_ASSIGN(SynthesisResult result, session.Synthesize(e));
   ASSERT_EQ(result.program.rules.size(), 1u);
 
   // The synthesized program must be equivalent to the golden one.
@@ -84,8 +81,7 @@ TEST(SynthesizeMotivating, FindsCorrectProgram) {
   big.roots.push_back(UnivRecord(1, "A", {{2, 7}, {3, 8}}));
   big.roots.push_back(UnivRecord(2, "B", {{1, 5}}));
   big.roots.push_back(UnivRecord(3, "C", {}));
-  Migrator migrator(src, tgt);
-  ASSERT_OK_AND_ASSIGN(RecordForest migrated, migrator.Migrate(result.program, big));
+  ASSERT_OK_AND_ASSIGN(RecordForest migrated, session.Migrate(result.program, big));
   // Expected: A<-B:7, A<-C:8, B<-A:5.
   RecordForest expected;
   expected.roots.push_back(testing::AdmissionRecord("A", "B", 7));
@@ -97,12 +93,13 @@ TEST(SynthesizeMotivating, FindsCorrectProgram) {
 
 TEST(SynthesizeMotivating, EnumBaselineFindsSameAnswerSlower) {
   Example e = MotivatingExample();
-  SynthesisOptions options;
-  options.use_analysis = false;  // Dynamite-Enum
-  Synthesizer enum_synth(UnivSchema(), AdmissionSchema(), options);
+  SessionOptions options;
+  options.synthesis.use_analysis = false;  // Dynamite-Enum
+  ASSERT_OK_AND_ASSIGN(Session enum_synth,
+                       Session::Create(UnivSchema(), AdmissionSchema(), options));
   ASSERT_OK_AND_ASSIGN(SynthesisResult enum_result, enum_synth.Synthesize(e));
 
-  Synthesizer smart(UnivSchema(), AdmissionSchema());
+  ASSERT_OK_AND_ASSIGN(Session smart, Session::Create(UnivSchema(), AdmissionSchema()));
   ASSERT_OK_AND_ASSIGN(SynthesisResult smart_result, smart.Synthesize(e));
 
   // Both consistent. On an example this tiny the two searches are within
@@ -114,8 +111,8 @@ TEST(SynthesizeMotivating, EnumBaselineFindsSameAnswerSlower) {
 
 TEST(SynthesizeMotivating, ReportsStats) {
   Example e = MotivatingExample();
-  Synthesizer synth(UnivSchema(), AdmissionSchema());
-  ASSERT_OK_AND_ASSIGN(SynthesisResult result, synth.Synthesize(e));
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(UnivSchema(), AdmissionSchema()));
+  ASSERT_OK_AND_ASSIGN(SynthesisResult result, session.Synthesize(e));
   EXPECT_DOUBLE_EQ(result.search_space, 64000.0);
   EXPECT_GE(result.iterations, 1u);
   EXPECT_EQ(result.rule_stats.size(), 1u);

@@ -18,7 +18,6 @@
 #include "api/run_context.h"
 #include "api/session.h"
 #include "instance/graph.h"
-#include "migrate/migrator.h"
 #include "schema/schema_builder.h"
 #include "synth/synthesizer.h"
 #include "testing.h"
@@ -61,8 +60,7 @@ struct RelationalFixture {
   Example MakeExample() const {
     Example e;
     e.input.roots = {Emp("Alice", 11), Emp("Bob", 12), Dept(11, "CS"), Dept(12, "EE")};
-    Migrator migrator(src, tgt);
-    e.output = migrator.Migrate(golden, e.input).ValueOrDie();
+    e.output = Session::Create(src, tgt).ValueOrDie().Migrate(golden, e.input).ValueOrDie();
     return e;
   }
 };
@@ -145,10 +143,19 @@ struct AdversarialFixture {
   }
 };
 
-SynthesisOptions PortfolioOptions(size_t synth_threads) {
-  SynthesisOptions options;
-  options.synth_threads = synth_threads;
+SessionOptions PortfolioOptions(size_t synth_threads) {
+  SessionOptions options;
+  options.synthesis.synth_threads = synth_threads;
   return options;
+}
+
+/// One Session::Synthesize call on a fresh session.
+Result<SynthesisResult> SynthesizeWith(const Schema& src, const Schema& tgt,
+                                       const SessionOptions& options,
+                                       const Example& example,
+                                       const RunContext& ctx = RunContext()) {
+  DYNAMITE_ASSIGN_OR_RETURN(Session session, Session::Create(src, tgt, options));
+  return session.Synthesize(example, ctx);
 }
 
 /// Everything the determinism bar covers, as one comparable snapshot.
@@ -184,15 +191,15 @@ void ExpectSameRun(const RunSnapshot& a, const RunSnapshot& b, const char* label
 
 void ExpectBitIdenticalAcrossThreadCounts(const Schema& src, const Schema& tgt,
                                           const Example& example) {
-  Synthesizer baseline(src, tgt, PortfolioOptions(1));
-  ASSERT_OK_AND_ASSIGN(SynthesisResult seq, baseline.Synthesize(example));
+  ASSERT_OK_AND_ASSIGN(SynthesisResult seq,
+                       SynthesizeWith(src, tgt, PortfolioOptions(1), example));
   RunSnapshot seq_snap = Snapshot(seq);
   EXPECT_EQ(seq_snap.portfolio.speculative_hits, 0u);  // sequential = no portfolio
   EXPECT_EQ(seq_snap.portfolio.prefix_memo_hits, 0u);
 
   for (size_t threads : {2u, 8u}) {
-    Synthesizer synth(src, tgt, PortfolioOptions(threads));
-    ASSERT_OK_AND_ASSIGN(SynthesisResult par, synth.Synthesize(example));
+    ASSERT_OK_AND_ASSIGN(SynthesisResult par,
+                         SynthesizeWith(src, tgt, PortfolioOptions(threads), example));
     RunSnapshot par_snap = Snapshot(par);
     ExpectSameRun(seq_snap, par_snap,
                   ("synth_threads=" + std::to_string(threads)).c_str());
@@ -227,15 +234,15 @@ TEST(SynthPortfolio, BitIdenticalInEnumModeToo) {
   // still be bit-identical.
   RelationalFixture fixture;
   Example example = fixture.MakeExample();
-  SynthesisOptions seq_opts = PortfolioOptions(1);
-  seq_opts.use_analysis = false;
-  Synthesizer baseline(fixture.src, fixture.tgt, seq_opts);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult seq, baseline.Synthesize(example));
+  SessionOptions seq_opts = PortfolioOptions(1);
+  seq_opts.synthesis.use_analysis = false;
+  ASSERT_OK_AND_ASSIGN(SynthesisResult seq,
+                       SynthesizeWith(fixture.src, fixture.tgt, seq_opts, example));
 
-  SynthesisOptions par_opts = PortfolioOptions(8);
-  par_opts.use_analysis = false;
-  Synthesizer synth(fixture.src, fixture.tgt, par_opts);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult par, synth.Synthesize(example));
+  SessionOptions par_opts = PortfolioOptions(8);
+  par_opts.synthesis.use_analysis = false;
+  ASSERT_OK_AND_ASSIGN(SynthesisResult par,
+                       SynthesizeWith(fixture.src, fixture.tgt, par_opts, example));
   ExpectSameRun(Snapshot(seq), Snapshot(par), "enum mode");
   EXPECT_GT(par.stats().speculative_hits, 0u);
 }
@@ -262,27 +269,32 @@ TEST(SynthPortfolio, FirstSuccessDeterminismOnMultiSolutionSketch) {
   example.output.roots = {testing::FlatRecord("Tgt", {{"o", Value::String("x")}}),
                           testing::FlatRecord("Tgt", {{"o", Value::String("y")}})};
 
-  Synthesizer baseline(src, tgt, PortfolioOptions(1));
-  ASSERT_OK_AND_ASSIGN(SynthesisResult seq, baseline.Synthesize(example));
+  // SynthesizeDistinct is a synthesis-stage call (Session has none), so
+  // this test drives the Synthesizer stage directly.
+  Synthesizer baseline(src, tgt, PortfolioOptions(1).synthesis);
+  ASSERT_OK_AND_ASSIGN(SynthesisResult seq, baseline.Synthesize(example, RunContext()));
   // The sketch really admits several solutions: ask for distinct programs.
-  ASSERT_OK_AND_ASSIGN(std::vector<Program> distinct,
-                       baseline.SynthesizeDistinct(example, 4));
-  ASSERT_GT(distinct.size(), 1u) << "fixture lost its ambiguity";
+  ASSERT_OK_AND_ASSIGN(SynthesisResult distinct,
+                       baseline.SynthesizeDistinct(example, 4, RunContext()));
+  ASSERT_FALSE(distinct.alternatives.empty()) << "fixture lost its ambiguity";
 
   for (size_t threads : {2u, 8u}) {
-    Synthesizer synth(src, tgt, PortfolioOptions(threads));
-    ASSERT_OK_AND_ASSIGN(SynthesisResult par, synth.Synthesize(example));
+    Synthesizer synth(src, tgt, PortfolioOptions(threads).synthesis);
+    ASSERT_OK_AND_ASSIGN(SynthesisResult par, synth.Synthesize(example, RunContext()));
     EXPECT_EQ(par.program.ToString(), seq.program.ToString()) << "threads " << threads;
     EXPECT_EQ(par.iterations, seq.iterations) << "threads " << threads;
 
     // SynthesizeDistinct continues the same enumeration; order and content
     // of the alternatives must match too.
-    ASSERT_OK_AND_ASSIGN(std::vector<Program> par_distinct,
-                         synth.SynthesizeDistinct(example, 4));
-    ASSERT_EQ(par_distinct.size(), distinct.size()) << "threads " << threads;
-    for (size_t i = 0; i < distinct.size(); ++i) {
-      EXPECT_EQ(par_distinct[i].ToString(), distinct[i].ToString())
-          << "threads " << threads << " program " << i;
+    ASSERT_OK_AND_ASSIGN(SynthesisResult par_distinct,
+                         synth.SynthesizeDistinct(example, 4, RunContext()));
+    EXPECT_EQ(par_distinct.raw_program.ToString(), distinct.raw_program.ToString())
+        << "threads " << threads;
+    ASSERT_EQ(par_distinct.alternatives.size(), distinct.alternatives.size())
+        << "threads " << threads;
+    for (size_t i = 0; i < distinct.alternatives.size(); ++i) {
+      EXPECT_EQ(par_distinct.alternatives[i].ToString(), distinct.alternatives[i].ToString())
+          << "threads " << threads << " alternative " << i;
     }
   }
 }
@@ -321,12 +333,11 @@ TEST(SynthPortfolio, IterationBudgetErrorIdenticalAcrossThreadCounts) {
   AdversarialFixture fixture;
   std::string message_at_one;
   for (size_t threads : {1u, 2u, 8u}) {
-    SynthesisOptions options = PortfolioOptions(threads);
-    options.use_analysis = false;
-    options.use_mdp = false;
-    options.max_iterations = 40;  // far below the adversarial space
-    Synthesizer synth(fixture.src, fixture.tgt, options);
-    auto result = synth.Synthesize(fixture.example);
+    SessionOptions options = PortfolioOptions(threads);
+    options.synthesis.use_analysis = false;
+    options.synthesis.use_mdp = false;
+    options.synthesis.max_iterations = 40;  // far below the adversarial space
+    auto result = SynthesizeWith(fixture.src, fixture.tgt, options, fixture.example);
     ASSERT_FALSE(result.ok()) << "threads " << threads;
     EXPECT_EQ(result.status().code(), StatusCode::kEvalBudget) << "threads " << threads;
     if (threads == 1) {
@@ -359,8 +370,7 @@ TEST(SynthPortfolio, SynthesisFailureIdenticalAcrossThreadCounts) {
 
   std::string message_at_one;
   for (size_t threads : {1u, 2u, 8u}) {
-    Synthesizer synth(src, tgt, PortfolioOptions(threads));
-    auto result = synth.Synthesize(example);
+    auto result = SynthesizeWith(src, tgt, PortfolioOptions(threads), example);
     ASSERT_FALSE(result.ok()) << "threads " << threads;
     EXPECT_EQ(result.status().code(), StatusCode::kSynthesisFailure)
         << "threads " << threads << ": " << result.status().ToString();
@@ -380,11 +390,11 @@ TEST(SynthPortfolio, MidSearchCancelLandsPromptlyAt8Threads) {
   // workers speculating ahead. The wall-clock bound is deliberately loose
   // for sanitizer builds; the hard assertion is kCancelled.
   AdversarialFixture fixture;
-  SynthesisOptions options = PortfolioOptions(8);
-  options.use_analysis = false;
-  options.use_mdp = false;
-  options.timeout_seconds = 0;
-  Synthesizer synth(fixture.src, fixture.tgt, options);
+  SessionOptions options = PortfolioOptions(8);
+  options.synthesis.use_analysis = false;
+  options.synthesis.use_mdp = false;
+  options.default_budget_seconds = 0;
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(fixture.src, fixture.tgt, options));
 
   CancelSource source;
   RunContext ctx;
@@ -395,7 +405,7 @@ TEST(SynthPortfolio, MidSearchCancelLandsPromptlyAt8Threads) {
     cancel_at = std::chrono::steady_clock::now();
     source.RequestCancel();
   });
-  auto result = synth.Synthesize(fixture.example, ctx);
+  auto result = session.Synthesize(fixture.example, ctx);
   auto returned_at = std::chrono::steady_clock::now();
   canceller.join();
 
@@ -416,25 +426,25 @@ TEST(SynthPortfolio, PrefixMemoHitsAndMemoOffIdentity) {
   RelationalFixture fixture;
   Example example = fixture.MakeExample();
 
-  SynthesisOptions on = PortfolioOptions(4);
-  on.use_analysis = false;
-  Synthesizer with_memo(fixture.src, fixture.tgt, on);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult memo_on, with_memo.Synthesize(example));
+  SessionOptions on = PortfolioOptions(4);
+  on.synthesis.use_analysis = false;
+  ASSERT_OK_AND_ASSIGN(SynthesisResult memo_on,
+                       SynthesizeWith(fixture.src, fixture.tgt, on, example));
 
-  SynthesisOptions off = on;
-  off.prefix_memo = false;
-  Synthesizer without_memo(fixture.src, fixture.tgt, off);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult memo_off, without_memo.Synthesize(example));
+  SessionOptions off = on;
+  off.synthesis.prefix_memo = false;
+  ASSERT_OK_AND_ASSIGN(SynthesisResult memo_off,
+                       SynthesizeWith(fixture.src, fixture.tgt, off, example));
 
   EXPECT_GT(memo_on.stats().prefix_memo_hits, 0u);
   EXPECT_EQ(memo_off.stats().prefix_memo_hits, 0u);
   ExpectSameRun(Snapshot(memo_on), Snapshot(memo_off), "memo on vs off");
 
   // And both match the plain sequential run.
-  SynthesisOptions seq = on;
-  seq.synth_threads = 1;
-  Synthesizer sequential(fixture.src, fixture.tgt, seq);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult seq_result, sequential.Synthesize(example));
+  SessionOptions seq = on;
+  seq.synthesis.synth_threads = 1;
+  ASSERT_OK_AND_ASSIGN(SynthesisResult seq_result,
+                       SynthesizeWith(fixture.src, fixture.tgt, seq, example));
   ExpectSameRun(Snapshot(seq_result), Snapshot(memo_on), "sequential vs memo");
 }
 
@@ -446,11 +456,10 @@ TEST(SynthProgress, IterationsMonotoneAcrossRulesAndCoverageBounded) {
   Schema src = testing::UnivSchema(), tgt = testing::AdmissionSchema();
   Example example = testing::MotivatingExample();
   for (size_t threads : {1u, 4u}) {
-    Synthesizer synth(src, tgt, PortfolioOptions(threads));
     std::vector<ProgressEvent> events;
     RunContext ctx;
     ctx.observer = [&](const ProgressEvent& e) { events.push_back(e); };
-    ASSERT_OK(synth.Synthesize(example, ctx).status());
+    ASSERT_OK(SynthesizeWith(src, tgt, PortfolioOptions(threads), example, ctx).status());
     ASSERT_FALSE(events.empty());
     size_t last = 0;
     for (const ProgressEvent& e : events) {
@@ -467,15 +476,14 @@ TEST(SynthProgress, SingleRuleCoverageMonotone) {
   // iterations) must be non-decreasing. Enum mode makes the run long
   // enough to emit several kSearch events (stride 64).
   AdversarialFixture fixture;
-  SynthesisOptions options = PortfolioOptions(4);
-  options.use_analysis = false;
-  options.use_mdp = false;
-  options.max_iterations = 300;  // a few stride-64 batches, then kEvalBudget
-  Synthesizer synth(fixture.src, fixture.tgt, options);
+  SessionOptions options = PortfolioOptions(4);
+  options.synthesis.use_analysis = false;
+  options.synthesis.use_mdp = false;
+  options.synthesis.max_iterations = 300;  // a few stride-64 batches, then kEvalBudget
   std::vector<ProgressEvent> events;
   RunContext ctx;
   ctx.observer = [&](const ProgressEvent& e) { events.push_back(e); };
-  auto result = synth.Synthesize(fixture.example, ctx);
+  auto result = SynthesizeWith(fixture.src, fixture.tgt, options, fixture.example, ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kEvalBudget);
 
@@ -497,11 +505,12 @@ TEST(SynthProgress, SingleRuleCoverageMonotone) {
 TEST(SynthProgress, DistinctEnumerationKeepsIterationsMonotone) {
   // SynthesizeDistinct re-enters per-rule enumerators with a rebased
   // iteration baseline; the tracker's monotone floor must keep observed
-  // totals non-decreasing through the reset.
+  // totals non-decreasing through the reset. A synthesis-stage call, so the
+  // Synthesizer stage is driven directly.
   RelationalFixture fixture;
   Example example = fixture.MakeExample();
   for (size_t threads : {1u, 4u}) {
-    Synthesizer synth(fixture.src, fixture.tgt, PortfolioOptions(threads));
+    Synthesizer synth(fixture.src, fixture.tgt, PortfolioOptions(threads).synthesis);
     std::vector<ProgressEvent> events;
     RunContext ctx;
     ctx.observer = [&](const ProgressEvent& e) { events.push_back(e); };

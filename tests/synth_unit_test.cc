@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "datalog/simplify.h"
 #include "migrate/facts.h"
 #include "solver/fd.h"
@@ -12,7 +13,6 @@
 #include "synth/mdp.h"
 #include "synth/sketch_gen.h"
 #include "synth/synthesizer.h"
-#include "migrate/migrator.h"
 #include "testing.h"
 
 namespace dynamite {
@@ -195,8 +195,8 @@ TEST(Synthesizer, FailsOnInconsistentExample) {
       if (attr == "num") value = Value::Int(999999);
     }
   }
-  Synthesizer synth(src, tgt);
-  auto result = synth.Synthesize(e);
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(src, tgt));
+  auto result = session.Synthesize(e);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kSynthesisFailure);
 }
@@ -232,10 +232,10 @@ TEST(Filtering, SynthesizesConstantFilter) {
                    person("carol", "ME"), person("dan", "EE"), person("dan", "ME")};
   e.output.roots = {cs("alice"), cs("carol")};
 
-  SynthesisOptions options;
-  options.enable_filtering = true;
-  Synthesizer synth(src, tgt, options);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult result, synth.Synthesize(e));
+  SessionOptions options;
+  options.synthesis.enable_filtering = true;
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(src, tgt, options));
+  ASSERT_OK_AND_ASSIGN(SynthesisResult result, session.Synthesize(e));
 
   // The synthesized rule must use the constant "CS" to filter.
   bool uses_constant = false;
@@ -249,8 +249,7 @@ TEST(Filtering, SynthesizesConstantFilter) {
   // And it must generalize: a fresh EE person must stay excluded.
   RecordForest validation;
   validation.roots = {person("erin", "CS"), person("frank", "EE")};
-  Migrator migrator(src, tgt);
-  ASSERT_OK_AND_ASSIGN(RecordForest out, migrator.Migrate(result.program, validation));
+  ASSERT_OK_AND_ASSIGN(RecordForest out, session.Migrate(result.program, validation));
   RecordForest expected;
   expected.roots = {cs("erin")};
   EXPECT_TRUE(ForestEquals(out, expected)) << result.program.ToString();
@@ -277,8 +276,8 @@ TEST(Filtering, WithoutFlagNoConstantIsUsed) {
   e.input.roots = {person("alice", "CS"), person("bob", "EE")};
   e.output.roots = {testing::FlatRecord(
       "CsPeople", {{"cs_name", Value::String("alice")}, {"cs_dept", Value::String("CS")}})};
-  Synthesizer synth(src, tgt);  // filtering off
-  auto result = synth.Synthesize(e);
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(src, tgt));  // filtering off
+  auto result = session.Synthesize(e);
   EXPECT_FALSE(result.ok());
 }
 
@@ -305,9 +304,11 @@ TEST(SynthesizeDistinct, FindsAmbiguityOfExample10) {
                           {{"did", Value::Int(11)}, {"dname", Value::String("CS")}})};
   e.output.roots = {testing::FlatRecord(
       "WorksIn", {{"w_name", Value::String("Alice")}, {"w_dept", Value::String("CS")}})};
+  // SynthesizeDistinct is a synthesis-stage call: Session has none.
   Synthesizer synth(src, tgt);
-  ASSERT_OK_AND_ASSIGN(std::vector<Program> programs, synth.SynthesizeDistinct(e, 3));
-  EXPECT_GE(programs.size(), 2u) << "expected ambiguity with a single-record example";
+  ASSERT_OK_AND_ASSIGN(SynthesisResult result, synth.SynthesizeDistinct(e, 3, RunContext()));
+  EXPECT_GE(result.alternatives.size(), 1u)
+      << "expected ambiguity with a single-record example";
 }
 
 }  // namespace
