@@ -33,7 +33,8 @@ int main() {
   bench::TablePrinter table({{"Benchmark", 12},
                              {"Arm", 18},
                              {"AvgTime(s)", 12},
-                             {"Correct", 9}});
+                             {"Correct", 9},
+                             {"Failed", 28}});
   table.PrintHeader();
 
   for (const char* name : {"Tencent-1", "Retina-1"}) {
@@ -46,29 +47,53 @@ int main() {
     if (!golden.ok() || !dynamite.ok()) continue;
 
     double total_time = 0;
-    int correct = 0;
+    int correct = 0, completed = 0;
+    // Failed runs are counted and reported, not averaged in as zero time.
+    std::vector<std::string> failures;
+    std::string failed_codes;
+    auto fail = [&](int user, const Status& status) {
+      failures.push_back(std::string(name) + " user " + std::to_string(user) + ": " +
+                         StatusCodeToString(status.code()) + ": " + status.message());
+      const std::string code = std::string("k") + StatusCodeToString(status.code());
+      if (failed_codes.find(code) == std::string::npos) {
+        failed_codes += failed_codes.empty() ? code : ", " + code;
+      }
+    };
     const int kUsers = 5;
     for (int user = 0; user < kUsers; ++user) {
       uint64_t seed = 100 + static_cast<uint64_t>(user);
       auto initial = MakeExample(*b, seed, 2);
       auto pool = GenerateSource(*b, seed + 50, 5);
-      if (!initial.ok() || !pool.ok()) continue;
+      if (!initial.ok() || !pool.ok()) {
+        fail(user, !initial.ok() ? initial.status() : pool.status());
+        continue;
+      }
       Oracle oracle = [&](const RecordForest& input) -> Result<RecordForest> {
         return golden->Migrate(b->golden, input);
       };
       Timer timer;
       auto run = dynamite->SynthesizeInteractive(*initial, *pool, oracle);
-      if (!run.ok()) continue;
+      if (!run.ok()) {
+        fail(user, run.status());
+        continue;
+      }
+      ++completed;
       total_time += timer.ElapsedSeconds() +
                     kQueryReviewSeconds * static_cast<double>(run->queries);
       auto agrees = AgreesWithGolden(*b, run->result.program, seed + 99, 8);
       if (agrees.ok() && *agrees) ++correct;
     }
-    table.PrintRow({name, "Dynamite", bench::Fmt("%.1f", total_time / kUsers),
-                    std::to_string(correct) + "/5"});
-    table.PrintRow({name, "Manual [model]",
-                    bench::Fmt("%.1f", kManualSlowdown * total_time / kUsers),
-                    bench::Fmt("%.0f", kManualCorrectRate * kUsers) + "/5"});
+    const std::string failed =
+        failures.empty() ? "0"
+                         : std::to_string(failures.size()) + " (" + failed_codes + ")";
+    auto avg = [&](double factor) {
+      return completed > 0 ? bench::Fmt("%.1f", factor * total_time / completed)
+                           : std::string("-");
+    };
+    table.PrintRow({name, "Dynamite", avg(1.0), std::to_string(correct) + "/5", failed});
+    table.PrintRow({name, "Manual [model]", avg(kManualSlowdown),
+                    bench::Fmt("%.0f", kManualCorrectRate * kUsers) + "/5", "-"});
+    for (const std::string& f : failures) std::printf("  failed: %s\n", f.c_str());
   }
   std::printf("\nPaper reference: Dynamite 184s/579s with 5/5 correct; manual\n"
               "1800s/2907s with 3/5 and 2/5 correct (6.2x productivity factor).\n");

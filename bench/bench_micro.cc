@@ -559,6 +559,41 @@ void BM_SynthesizeBlocking(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesizeBlocking)->Unit(benchmark::kMillisecond);
 
+void BM_SynthesizeTable3Small(benchmark::State& state) {
+  // Sketch-completion overhead: Session::Synthesize over every Table 3
+  // benchmark that synthesizes in milliseconds (all but Bike-1 and
+  // Retina-2, whose runs are dominated by thousands of solver calls), one
+  // Session per scenario, from each benchmark's curated example. These
+  // calls spend most of their time around the solver and the engine:
+  // sketch generation, encoding, candidate checks and blocking clauses.
+  // Items are Synthesize calls.
+  struct Scenario {
+    Session session;
+    Example example;
+  };
+  std::vector<Scenario> scenarios;
+  for (const workload::Benchmark& bench : workload::AllBenchmarks()) {
+    if (bench.name == "Bike-1" || bench.name == "Retina-2") continue;
+    SessionOptions options;
+    options.num_threads = 1;
+    scenarios.push_back(
+        {Session::Create(bench.source, bench.target, options).ValueOrDie(),
+         workload::MakeExample(bench, bench.example_seed, bench.example_scale).ValueOrDie()});
+  }
+  for (auto _ : state) {
+    for (Scenario& s : scenarios) {
+      auto result = s.session.Synthesize(s.example);
+      if (!result.ok()) {
+        state.SkipWithError(result.status().ToString().c_str());
+        return;
+      }
+      benchmark::DoNotOptimize(result);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(scenarios.size()));
+}
+BENCHMARK(BM_SynthesizeTable3Small)->Unit(benchmark::kMillisecond);
+
 /// Console reporter that additionally records every run into a JsonWriter,
 /// so the perf trajectory lands in BENCH_micro.json (satellite of ISSUE 1).
 class JsonTeeReporter : public benchmark::ConsoleReporter {

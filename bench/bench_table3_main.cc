@@ -34,12 +34,12 @@ int main(int argc, char** argv) {
                              {"ExIn", 6},
                              {"ExOut", 7},
                              {"SearchSpace", 13},
-                             {"Synth(s)", 10},
+                             {"Synth(ms)", 10},
                              {"Rules", 7},
                              {"Preds/Rule", 12},
                              {"OptimRules", 12},
                              {"DistOptim", 11},
-                             {"Migrate(s)", 12}});
+                             {"Migrate(ms)", 12}});
   table.PrintHeader();
 
   double sum_synth = 0, sum_preds = 0, sum_rules = 0, sum_optim = 0, sum_dist = 0,
@@ -110,10 +110,10 @@ int main(int argc, char** argv) {
     table.PrintRow(
         {b.name, std::to_string(example->input.roots.size()),
          std::to_string(example->output.roots.size()), bench::FmtSci(result->search_space),
-         bench::Fmt("%.2f", result->seconds), std::to_string(n_rules),
+         bench::Fmt("%.2f", 1e3 * result->seconds), std::to_string(n_rules),
          bench::Fmt("%.1f", preds_per_rule), std::to_string(optim_rules),
          bench::Fmt("%.2f", static_cast<double>(dist) / static_cast<double>(n_rules)),
-         migrated ? bench::Fmt("%.2f", migrate_seconds) : "fail"});
+         migrated ? bench::Fmt("%.2f", 1e3 * migrate_seconds) : "fail"});
 
     sum_synth += result->seconds;
     sum_rules += static_cast<double>(n_rules);
@@ -127,9 +127,9 @@ int main(int argc, char** argv) {
   if (solved > 0) {
     double n = static_cast<double>(solved);
     table.PrintRow({"Average", "-", "-", "1e" + bench::Fmt("%.0f", log_space / n),
-                    bench::Fmt("%.2f", sum_synth / n), bench::Fmt("%.1f", sum_rules / n),
+                    bench::Fmt("%.2f", 1e3 * sum_synth / n), bench::Fmt("%.1f", sum_rules / n),
                     bench::Fmt("%.1f", sum_preds / n), bench::Fmt("%.1f", sum_optim / n),
-                    bench::Fmt("%.2f", sum_dist / n), bench::Fmt("%.2f", sum_migr / n)});
+                    bench::Fmt("%.2f", sum_dist / n), bench::Fmt("%.2f", 1e3 * sum_migr / n)});
   }
   std::printf("\nSolved %zu / %zu benchmarks.\n", solved, AllBenchmarks().size());
   if (migrate_failures > 0) std::printf("Migration failed on %zu.\n", migrate_failures);

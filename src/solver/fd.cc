@@ -94,32 +94,40 @@ FdClause BlockingClause(std::vector<FdLit> conjunction) {
   return conjunction;
 }
 
-FdVar FdSolver::NewVar(std::string name, std::vector<int64_t> domain) {
+FdVar FdSolver::NewVar(std::vector<int64_t> domain) {
   DYNAMITE_CHECK(!domain.empty());
   VarInfo info;
-  info.name = std::move(name);
   info.domain = std::move(domain);
-  for (size_t i = 0; i < info.domain.size(); ++i) {
-    DYNAMITE_DCHECK(info.value_index.count(info.domain[i]) == 0,
+  const size_t n = info.domain.size();
+  info.by_value.reserve(n);
+  for (size_t i = 0; i < n; ++i) info.by_value.push_back({info.domain[i], static_cast<int>(i)});
+  std::sort(info.by_value.begin(), info.by_value.end());
+  for (size_t i = 1; i < n; ++i) {
+    DYNAMITE_DCHECK(info.by_value[i - 1].first != info.by_value[i].first,
                     "duplicate domain value");
-    info.value_index[info.domain[i]] = static_cast<int>(i);
-    info.selectors.push_back(sat_.NewVar());
   }
+  info.first_selector = sat_.NumVars();
+  for (size_t i = 0; i < n; ++i) sat_.NewVar();
   // Exactly-one encoding: at-least-one + pairwise at-most-one. Domains in
   // sketch completion are small (tens of values), so pairwise is fine.
   std::vector<sat::Lit> alo;
-  alo.reserve(info.selectors.size());
-  for (sat::Var s : info.selectors) alo.push_back(sat::MkLit(s));
+  alo.reserve(n);
+  for (size_t i = 0; i < n; ++i) alo.push_back(sat::MkLit(info.first_selector + static_cast<int>(i)));
   sat_.AddClause(alo);
-  for (size_t i = 0; i < info.selectors.size(); ++i) {
-    for (size_t j = i + 1; j < info.selectors.size(); ++j) {
-      sat_.AddClause({sat::MkLit(info.selectors[i], true),
-                      sat::MkLit(info.selectors[j], true)});
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      sat_.AddClause({sat::Negate(alo[i]), sat::Negate(alo[j])});
     }
   }
   FdVar v{static_cast<int>(vars_.size())};
   vars_.push_back(std::move(info));
   return v;
+}
+
+int FdSolver::PositionOf(const VarInfo& info, int64_t value) {
+  auto it = std::lower_bound(info.by_value.begin(), info.by_value.end(),
+                             std::pair<int64_t, int>{value, -1});
+  return it != info.by_value.end() && it->first == value ? it->second : -1;
 }
 
 sat::Lit FdSolver::TrueLit() {
@@ -136,53 +144,61 @@ Result<sat::Lit> FdSolver::EqConstLit(FdVar x, int64_t c) {
     return Status::InvalidArgument("unknown FD variable");
   }
   const VarInfo& info = vars_[static_cast<size_t>(x.index)];
-  auto it = info.value_index.find(c);
-  if (it == info.value_index.end()) {
+  const int pos = PositionOf(info, c);
+  if (pos < 0) {
     // c is not in x's domain: the atom is constant false.
     return sat::Negate(TrueLit());
   }
-  return sat::MkLit(info.selectors[static_cast<size_t>(it->second)]);
+  return sat::MkLit(info.first_selector + pos);
 }
 
 Result<sat::Lit> FdSolver::EqVarLit(FdVar x, FdVar y) {
   if (x.index == y.index) return TrueLit();
-  std::pair<int, int> key = std::minmax(x.index, y.index);
-  auto it = eq_cache_.find(key);
-  if (it != eq_cache_.end()) return it->second;
+  const auto [lo, hi] = std::minmax(x.index, y.index);
+  {
+    const std::vector<sat::Lit>& row = vars_[static_cast<size_t>(hi)].eq_row;
+    if (static_cast<size_t>(lo) < row.size() && row[static_cast<size_t>(lo)].x != -2) {
+      return row[static_cast<size_t>(lo)];
+    }
+  }
 
   const VarInfo& xi = vars_[static_cast<size_t>(x.index)];
   const VarInfo& yi = vars_[static_cast<size_t>(y.index)];
 
-  // e <-> OR over shared domain values v of (x=v & y=v).
+  // e <-> OR over shared domain values v of (x=v & y=v), in ascending v.
   sat::Var e_var = sat_.NewVar();
   sat::Lit e = sat::MkLit(e_var);
   std::vector<sat::Lit> any_pair;  // auxiliary pair literals
-  for (const auto& [value, xidx] : xi.value_index) {
-    auto yit = yi.value_index.find(value);
-    if (yit == yi.value_index.end()) continue;
-    sat::Lit xv = sat::MkLit(xi.selectors[static_cast<size_t>(xidx)]);
-    sat::Lit yv = sat::MkLit(yi.selectors[static_cast<size_t>(yit->second)]);
-    // p <-> (xv & yv)
-    sat::Var p_var = sat_.NewVar();
-    sat::Lit p = sat::MkLit(p_var);
-    sat_.AddClause({sat::Negate(p), xv});
-    sat_.AddClause({sat::Negate(p), yv});
-    sat_.AddClause({p, sat::Negate(xv), sat::Negate(yv)});
-    any_pair.push_back(p);
+  for (size_t a = 0, b = 0; a < xi.by_value.size() && b < yi.by_value.size();) {
+    if (xi.by_value[a].first < yi.by_value[b].first) {
+      ++a;
+    } else if (yi.by_value[b].first < xi.by_value[a].first) {
+      ++b;
+    } else {
+      sat::Lit xv = sat::MkLit(xi.first_selector + xi.by_value[a++].second);
+      sat::Lit yv = sat::MkLit(yi.first_selector + yi.by_value[b++].second);
+      // p <-> (xv & yv)
+      sat::Lit p = sat::MkLit(sat_.NewVar());
+      sat_.AddClause({sat::Negate(p), xv});
+      sat_.AddClause({sat::Negate(p), yv});
+      sat_.AddClause({p, sat::Negate(xv), sat::Negate(yv)});
+      any_pair.push_back(p);
+    }
   }
+  sat::Lit lit = e;
   if (any_pair.empty()) {
     // Disjoint domains: x = y is constant false.
-    sat::Lit f = sat::Negate(TrueLit());
-    eq_cache_[key] = f;
-    return f;
+    lit = sat::Negate(TrueLit());
+  } else {
+    // e <-> OR(any_pair)
+    for (sat::Lit p : any_pair) sat_.AddClause({sat::Negate(p), e});
+    any_pair.push_back(sat::Negate(e));
+    sat_.AddClause(any_pair);
   }
-  // e <-> OR(any_pair)
-  for (sat::Lit p : any_pair) sat_.AddClause({sat::Negate(p), e});
-  std::vector<sat::Lit> rev = any_pair;
-  rev.push_back(sat::Negate(e));
-  sat_.AddClause(rev);
-  eq_cache_[key] = e;
-  return e;
+  std::vector<sat::Lit>& row = vars_[static_cast<size_t>(hi)].eq_row;
+  if (row.size() <= static_cast<size_t>(lo)) row.resize(static_cast<size_t>(lo) + 1, sat::Lit{-2});
+  row[static_cast<size_t>(lo)] = lit;
+  return lit;
 }
 
 Result<sat::Lit> FdSolver::Lower(const FdExpr& e) {
@@ -243,10 +259,10 @@ Result<sat::Lit> FdSolver::LowerLit(const FdLit& l) {
 
 void FdSolver::Suggest(FdVar v, int64_t value) {
   const VarInfo& info = vars_[static_cast<size_t>(v.index)];
-  auto it = info.value_index.find(value);
-  if (it == info.value_index.end()) return;
-  for (size_t i = 0; i < info.selectors.size(); ++i) {
-    sat_.SetPhase(info.selectors[i], static_cast<int>(i) == it->second);
+  const int pos = PositionOf(info, value);
+  if (pos < 0) return;
+  for (int i = 0; i < static_cast<int>(info.domain.size()); ++i) {
+    sat_.SetPhase(info.first_selector + i, i == pos);
   }
 }
 
@@ -345,8 +361,8 @@ Result<bool> FdSolver::Solve() {
 
 int64_t FdSolver::ModelValue(FdVar v) const {
   const VarInfo& info = vars_[static_cast<size_t>(v.index)];
-  for (size_t i = 0; i < info.selectors.size(); ++i) {
-    if (sat_.ModelValue(info.selectors[i])) return info.domain[i];
+  for (size_t i = 0; i < info.domain.size(); ++i) {
+    if (sat_.ModelValue(info.first_selector + static_cast<int>(i))) return info.domain[i];
   }
   DYNAMITE_CHECK(false, "no selector true in model");
   return info.domain[0];

@@ -6,6 +6,14 @@
 // equal). Variables are one-hot encoded (one boolean per domain value with
 // an exactly-one constraint); `x = y` literals are cached per variable pair.
 //
+// Literal tables are flat. Each variable keeps its domain sorted by value
+// (binary search finds the selector of `x = c`), and the `x = y` literal
+// of a pair lives in the higher-numbered variable's row, indexed by the
+// lower-numbered one. An `x = y` literal is created on first use, with one
+// pair literal per shared domain value in ascending value order; that
+// order, and so the SAT variable numbering, does not depend on how either
+// domain was listed or on the order in which pairs are first asked for.
+//
 // Formulas become CNF in two ways. The connectives at the root of an
 // asserted formula are clausified directly: an `And` asserts each child, an
 // `Or` (or a negated `And`) is one clause over its children's literals, a
@@ -29,9 +37,9 @@
 #define DYNAMITE_SOLVER_FD_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "solver/sat.h"
@@ -109,7 +117,7 @@ FdClause BlockingClause(std::vector<FdLit> conjunction);
 ///
 /// Usage:
 ///   FdSolver s;
-///   FdVar x = s.NewVar("x", {1, 2, 3});
+///   FdVar x = s.NewVar({1, 2, 3});
 ///   s.AddConstraint(FdExpr::Or({FdExpr::Eq(x, 1), FdExpr::Eq(x, 3)}));
 ///   if (*s.Solve()) { int64_t v = s.ModelValue(x); ... }
 /// Constraints may be added between Solve() calls (sketch completion adds a
@@ -121,7 +129,7 @@ class FdSolver {
   FdSolver& operator=(FdSolver&&) = default;
 
   /// Deep copy of the solver's entire state: variables, the x = y literal
-  /// cache, and the SAT core including learnt clauses, activities, and
+  /// table, and the SAT core including learnt clauses, activities, and
   /// saved phases. The clone solves independently of the original, and —
   /// because the solver is deterministic — an identical sequence of
   /// AddConstraint/Solve calls on both produces the identical model
@@ -131,10 +139,9 @@ class FdSolver {
   FdSolver Clone() const { return FdSolver(*this); }
 
   /// Creates a variable over the given (distinct, non-empty) domain values.
-  FdVar NewVar(std::string name, std::vector<int64_t> domain);
+  FdVar NewVar(std::vector<int64_t> domain);
 
   size_t NumVars() const { return vars_.size(); }
-  const std::string& NameOf(FdVar v) const { return vars_[static_cast<size_t>(v.index)].name; }
   const std::vector<int64_t>& DomainOf(FdVar v) const {
     return vars_[static_cast<size_t>(v.index)].domain;
   }
@@ -176,11 +183,19 @@ class FdSolver {
   FdSolver& operator=(const FdSolver&) = default;
 
   struct VarInfo {
-    std::string name;
     std::vector<int64_t> domain;
-    std::map<int64_t, int> value_index;
-    std::vector<sat::Var> selectors;  // one-hot booleans, one per value
+    /// One-hot booleans, one per domain value: domain[i]'s selector is the
+    /// SAT variable first_selector + i.
+    sat::Var first_selector = 0;
+    /// (value, domain position) pairs in ascending value order.
+    std::vector<std::pair<int64_t, int>> by_value;
+    /// `x = y` literals for each lower-numbered variable y, indexed by
+    /// y's index; Lit{-2} where the pair has no literal yet.
+    std::vector<sat::Lit> eq_row;
   };
+
+  /// Position of `value` in `info`'s domain, or -1.
+  static int PositionOf(const VarInfo& info, int64_t value);
 
   /// Lowers `e` to a literal, adding defining clauses (Tseitin). Used only
   /// below the root connectives of an asserted formula.
@@ -207,7 +222,6 @@ class FdSolver {
   sat::Lit TrueLit();
 
   std::vector<VarInfo> vars_;
-  std::map<std::pair<int, int>, sat::Lit> eq_cache_;
   sat::SatSolver sat_;
   sat::Lit true_lit_{-2};
 };

@@ -14,7 +14,7 @@ Var SatSolver::NewVar() {
   model_.push_back(LBool::kUndef);
   saved_phase_.push_back(false);
   level_.push_back(0);
-  reason_.push_back(-1);
+  reason_.push_back(kNoReason);
   activity_.push_back(0);
   seen_.push_back(0);
   watches_.emplace_back();
@@ -80,56 +80,79 @@ Var SatSolver::HeapPopMax() {
   return top;
 }
 
-bool SatSolver::AddClause(std::vector<Lit> lits) {
+bool SatSolver::AddClause(const Lit* lits, size_t count) {
   if (unsat_) return false;
   // Adding clauses mid-search would corrupt the trail invariants in ways
   // that surface as wrong models, not crashes — enforce in release too.
   DYNAMITE_CHECK(DecisionLevel() == 0,
                  "AddClause outside the root decision level");
-  // Normalize: sort, dedupe, drop false lits, detect tautology/satisfied.
-  std::sort(lits.begin(), lits.end());
-  std::vector<Lit> out;
+  // Normalize in place at the arena's tail (behind a header slot): sort,
+  // dedupe, drop false lits, detect tautology/satisfied. Every outcome but
+  // a stored clause truncates the tail again.
+  const size_t head = arena_.size();
+  arena_.push_back(Lit{0});
+  arena_.insert(arena_.end(), lits, lits + count);
+  Lit* begin = arena_.data() + head + 1;
+  std::sort(begin, begin + count);
+  size_t kept = 0;
   Lit prev{-2};
-  for (Lit l : lits) {
+  for (size_t i = 0; i < count; ++i) {
+    const Lit l = begin[i];
     DYNAMITE_CHECK(VarOf(l) >= 0 && VarOf(l) < NumVars(),
                    "clause literal over an unallocated variable");
     if (l == prev) continue;
-    if (l == Negate(prev)) return true;  // tautology: x ∨ ¬x
-    LBool v = ValueLit(l);
-    if (v == LBool::kTrue) return true;  // already satisfied at level 0
-    if (v == LBool::kFalse) {
-      prev = l;
-      continue;  // literal permanently false at level 0: drop
+    if (l == Negate(prev)) {  // tautology: x ∨ ¬x
+      arena_.resize(head);
+      return true;
     }
-    out.push_back(l);
+    LBool v = ValueLit(l);
+    if (v == LBool::kTrue) {  // already satisfied at level 0
+      arena_.resize(head);
+      return true;
+    }
     prev = l;
+    if (v == LBool::kFalse) continue;  // literal permanently false at level 0: drop
+    begin[kept++] = l;
   }
-  if (out.empty()) {
+  if (kept == 0) {
+    arena_.resize(head);
     unsat_ = true;
     return false;
   }
-  if (out.size() == 1) {
-    Enqueue(out[0], -1);
-    if (Propagate() != -1) {
+  if (kept == 1) {
+    const Lit unit = begin[0];
+    arena_.resize(head);
+    Enqueue(unit, kNoReason);
+    if (Propagate() != kNoReason) {
       unsat_ = true;
       return false;
     }
     return true;
   }
-  int ci = static_cast<int>(clauses_.size());
-  clauses_.push_back(Clause{std::move(out)});
-  AttachClause(ci);
+  arena_[head] = Lit{static_cast<int>(kept)};
+  arena_.resize(head + 1 + kept);
+  ++num_clauses_;
+  AttachClause(static_cast<CRef>(head));
   return true;
 }
 
-void SatSolver::AttachClause(int ci) {
-  const Clause& c = clauses_[static_cast<size_t>(ci)];
-  DYNAMITE_DCHECK(c.lits.size() >= 2);
-  watches_[static_cast<size_t>(Negate(c.lits[0]).x)].push_back(Watcher{ci, c.lits[1]});
-  watches_[static_cast<size_t>(Negate(c.lits[1]).x)].push_back(Watcher{ci, c.lits[0]});
+SatSolver::CRef SatSolver::AppendClause(const Lit* lits, size_t count) {
+  const CRef c = static_cast<CRef>(arena_.size());
+  arena_.push_back(Lit{static_cast<int>(count)});
+  arena_.insert(arena_.end(), lits, lits + count);
+  ++num_clauses_;
+  AttachClause(c);
+  return c;
 }
 
-void SatSolver::Enqueue(Lit l, int reason) {
+void SatSolver::AttachClause(CRef c) {
+  DYNAMITE_DCHECK(ClauseSize(c) >= 2);
+  const Lit* lits = ClauseLits(c);
+  watches_[static_cast<size_t>(Negate(lits[0]).x)].push_back(Watcher{c, lits[1]});
+  watches_[static_cast<size_t>(Negate(lits[1]).x)].push_back(Watcher{c, lits[0]});
+}
+
+void SatSolver::Enqueue(Lit l, CRef reason) {
   DYNAMITE_DCHECK(ValueLit(l) == LBool::kUndef);
   assigns_[static_cast<size_t>(VarOf(l))] = SignOf(l) ? LBool::kFalse : LBool::kTrue;
   level_[static_cast<size_t>(VarOf(l))] = DecisionLevel();
@@ -137,7 +160,7 @@ void SatSolver::Enqueue(Lit l, int reason) {
   trail_.push_back(l);
 }
 
-int SatSolver::Propagate() {
+SatSolver::CRef SatSolver::Propagate() {
   while (qhead_ < trail_.size()) {
     Lit p = trail_[qhead_++];
     ++propagations_;
@@ -149,24 +172,25 @@ int SatSolver::Propagate() {
         ws[j++] = ws[i++];
         continue;
       }
-      Clause& c = clauses_[static_cast<size_t>(w.clause)];
-      // Ensure c.lits[1] is the false literal (¬p).
+      // Propagation never appends to the arena, so `c` stays valid.
+      Lit* c = ClauseLits(w.clause);
+      const int size = ClauseSize(w.clause);
+      // Ensure c[1] is the false literal (¬p).
       Lit false_lit = Negate(p);
-      if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
-      DYNAMITE_DCHECK(c.lits[1] == false_lit);
+      if (c[0] == false_lit) std::swap(c[0], c[1]);
+      DYNAMITE_DCHECK(c[1] == false_lit);
       // If first literal is true, clause is satisfied.
-      if (ValueLit(c.lits[0]) == LBool::kTrue) {
-        ws[j++] = Watcher{w.clause, c.lits[0]};
+      if (ValueLit(c[0]) == LBool::kTrue) {
+        ws[j++] = Watcher{w.clause, c[0]};
         ++i;
         continue;
       }
       // Look for a new literal to watch.
       bool found = false;
-      for (size_t k = 2; k < c.lits.size(); ++k) {
-        if (ValueLit(c.lits[k]) != LBool::kFalse) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[static_cast<size_t>(Negate(c.lits[1]).x)].push_back(
-              Watcher{w.clause, c.lits[0]});
+      for (int k = 2; k < size; ++k) {
+        if (ValueLit(c[k]) != LBool::kFalse) {
+          std::swap(c[1], c[k]);
+          watches_[static_cast<size_t>(Negate(c[1]).x)].push_back(Watcher{w.clause, c[0]});
           found = true;
           break;
         }
@@ -176,7 +200,7 @@ int SatSolver::Propagate() {
         continue;
       }
       // Clause is unit or conflicting.
-      if (ValueLit(c.lits[0]) == LBool::kFalse) {
+      if (ValueLit(c[0]) == LBool::kFalse) {
         // Conflict: copy remaining watchers and report.
         while (i < ws.size()) ws[j++] = ws[i++];
         ws.resize(j);
@@ -184,27 +208,28 @@ int SatSolver::Propagate() {
         return w.clause;
       }
       ws[j++] = ws[i++];
-      Enqueue(c.lits[0], w.clause);
+      Enqueue(c[0], w.clause);
     }
     ws.resize(j);
   }
-  return -1;
+  return kNoReason;
 }
 
-void SatSolver::Analyze(int conflict, std::vector<Lit>* learnt, int* backtrack_level) {
+void SatSolver::Analyze(CRef conflict, std::vector<Lit>* learnt, int* backtrack_level) {
   learnt->clear();
   learnt->push_back(Lit{-2});  // placeholder for the asserting literal
 
   int counter = 0;
   Lit p{-2};
   size_t trail_index = trail_.size();
-  int ci = conflict;
+  CRef ci = conflict;
 
   do {
-    const Clause& c = clauses_[static_cast<size_t>(ci)];
-    // Skip c.lits[0] on continuation rounds (it equals p).
-    for (size_t k = (p.x == -2 ? 0 : 1); k < c.lits.size(); ++k) {
-      Lit q = c.lits[k];
+    const Lit* c = ClauseLits(ci);
+    const int size = ClauseSize(ci);
+    // Skip c[0] on continuation rounds (it equals p).
+    for (int k = (p.x == -2 ? 0 : 1); k < size; ++k) {
+      Lit q = c[k];
       Var v = VarOf(q);
       if (seen_[static_cast<size_t>(v)] == 0 && level_[static_cast<size_t>(v)] > 0) {
         seen_[static_cast<size_t>(v)] = 1;
@@ -252,7 +277,7 @@ void SatSolver::Backtrack(int target_level) {
     Var v = VarOf(trail_[i - 1]);
     saved_phase_[static_cast<size_t>(v)] = assigns_[static_cast<size_t>(v)] == LBool::kTrue;
     assigns_[static_cast<size_t>(v)] = LBool::kUndef;
-    reason_[static_cast<size_t>(v)] = -1;
+    reason_[static_cast<size_t>(v)] = kNoReason;
     HeapInsert(v);
   }
   trail_.resize(bound);
@@ -301,7 +326,7 @@ int64_t SatSolver::Luby(int64_t i) {
 SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
   if (unsat_) return Outcome::kUnsat;
   Backtrack(0);
-  if (Propagate() != -1) {
+  if (Propagate() != kNoReason) {
     unsat_ = true;
     return Outcome::kUnsat;
   }
@@ -312,8 +337,8 @@ SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
   std::vector<Lit> learnt;
 
   for (;;) {
-    int conflict = Propagate();
-    if (conflict != -1) {
+    CRef conflict = Propagate();
+    if (conflict != kNoReason) {
       ++conflicts_;
       ++budget_used;
       if (DecisionLevel() == 0) {
@@ -324,12 +349,9 @@ SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
       Analyze(conflict, &learnt, &backtrack_level);
       Backtrack(backtrack_level);
       if (learnt.size() == 1) {
-        Enqueue(learnt[0], -1);
+        Enqueue(learnt[0], kNoReason);
       } else {
-        int ci = static_cast<int>(clauses_.size());
-        clauses_.push_back(Clause{learnt});
-        AttachClause(ci);
-        Enqueue(learnt[0], ci);
+        Enqueue(learnt[0], AppendClause(learnt.data(), learnt.size()));
       }
       DecayActivities();
       if (--conflicts_until_restart <= 0) {
@@ -351,7 +373,7 @@ SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
       }
       ++decisions_;
       trail_lim_.push_back(static_cast<int>(trail_.size()));
-      Enqueue(next, -1);
+      Enqueue(next, kNoReason);
     }
   }
 }

@@ -8,12 +8,20 @@
 // (blocking clauses) may be added between Solve() calls. There is no
 // clause-database reduction: original and learnt clauses alike live as
 // long as the solver.
+//
+// Clause storage is one append-only literal arena (the MiniSat layout): a
+// clause is a size header followed by its literals, and a clause reference
+// is the offset of its header. AddClause normalizes the new clause in place
+// at the arena's tail, so adding a clause allocates nothing beyond amortized
+// arena growth. An append may move the arena: no pointer into it is held
+// across one (clause references are offsets for that reason).
 
 #ifndef DYNAMITE_SOLVER_SAT_H_
 #define DYNAMITE_SOLVER_SAT_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 namespace dynamite {
@@ -57,8 +65,10 @@ class SatSolver {
   /// Number of variables.
   int NumVars() const { return static_cast<int>(assigns_.size()); }
 
-  /// Number of clauses (original + learnt).
-  size_t NumClauses() const { return clauses_.size(); }
+  /// Number of stored clauses (original + learnt). Unit clauses are
+  /// assigned at the root level and never stored, nor are clauses satisfied
+  /// or tautological when added.
+  size_t NumClauses() const { return num_clauses_; }
 
   /// Statistics.
   int64_t num_conflicts() const { return conflicts_; }
@@ -68,7 +78,11 @@ class SatSolver {
   /// Adds a clause (disjunction of literals). May be called before any
   /// Solve() and between Solve() calls. Returns false if the formula is now
   /// trivially unsatisfiable (empty clause or top-level conflict).
-  bool AddClause(std::vector<Lit> lits);
+  bool AddClause(const Lit* lits, size_t count);
+  bool AddClause(std::initializer_list<Lit> lits) {
+    return AddClause(lits.begin(), lits.size());
+  }
+  bool AddClause(const std::vector<Lit>& lits) { return AddClause(lits.data(), lits.size()); }
 
   /// Solves the current formula. `conflict_budget` < 0 means unbounded;
   /// otherwise the solver gives up with kUnknown after that many conflicts.
@@ -82,36 +96,44 @@ class SatSolver {
   void SetPhase(Var v, bool value) { saved_phase_[static_cast<size_t>(v)] = value; }
 
  private:
-  struct Clause {
-    std::vector<Lit> lits;
-  };
+  /// A clause reference: the arena offset of the clause's size header.
+  using CRef = int;
+  static constexpr CRef kNoReason = -1;
 
   struct Watcher {
-    int clause = -1;
+    CRef clause = kNoReason;
     Lit blocker;
   };
+
+  int ClauseSize(CRef c) const { return arena_[static_cast<size_t>(c)].x; }
+  Lit* ClauseLits(CRef c) { return &arena_[static_cast<size_t>(c) + 1]; }
+
+  /// Stores `lits` (at least two, normalized) as a new clause, watched on
+  /// its first two literals.
+  CRef AppendClause(const Lit* lits, size_t count);
 
   LBool ValueVar(Var v) const { return assigns_[static_cast<size_t>(v)]; }
   LBool ValueLit(Lit l) const { return Flip(assigns_[static_cast<size_t>(VarOf(l))], SignOf(l)); }
 
-  void Enqueue(Lit l, int reason);
-  int Propagate();  // returns conflicting clause index or -1
-  void Analyze(int conflict, std::vector<Lit>* learnt, int* backtrack_level);
+  void Enqueue(Lit l, CRef reason);
+  CRef Propagate();  // returns the conflicting clause or kNoReason
+  void Analyze(CRef conflict, std::vector<Lit>* learnt, int* backtrack_level);
   void Backtrack(int level);
   Lit Decide();
   void BumpVar(Var v);
   void DecayActivities();
-  void AttachClause(int ci);
+  void AttachClause(CRef c);
   int DecisionLevel() const { return static_cast<int>(trail_lim_.size()); }
   static int64_t Luby(int64_t i);
 
-  std::vector<Clause> clauses_;
+  std::vector<Lit> arena_;  // [size, lit0, lit1, ...] per clause
+  size_t num_clauses_ = 0;
   std::vector<std::vector<Watcher>> watches_;  // indexed by Lit.x
   std::vector<LBool> assigns_;
   std::vector<LBool> model_;
   std::vector<bool> saved_phase_;
   std::vector<int> level_;
-  std::vector<int> reason_;  // clause index or -1
+  std::vector<CRef> reason_;  // kNoReason for decisions and root units
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;
   size_t qhead_ = 0;

@@ -23,24 +23,23 @@ std::vector<Assignment> Assignments(const SketchEncoding& encoding,
   return out;
 }
 
-}  // namespace
-
-std::vector<FdLit> Generalize(const RuleSketch& sketch, const SketchEncoding& encoding,
-                              const SketchModel& model, const std::set<std::string>& phi) {
-  std::vector<Assignment> sigma = Assignments(encoding, model);
-  std::vector<FdLit> conj;
-  conj.reserve(sigma.size() * (sigma.size() + 1) / 2 + encoding.head_binding_vars.size());
-
-  // Pairwise equality pattern (α's "otherwise" branch applies to every
-  // unknown; pinned unknowns are additionally constrained below, which
-  // keeps the formula weaker-or-equal and still sound).
+/// The pairwise equality pattern of σ: the part of Generalize(σ, ϕ) that
+/// does not depend on ϕ (α's "otherwise" branch applies to every unknown;
+/// pinned unknowns are additionally constrained by AppendPins, which keeps
+/// the formula weaker-or-equal and still sound).
+void AppendPattern(const std::vector<Assignment>& sigma, std::vector<FdLit>* conj) {
   for (size_t i = 0; i < sigma.size(); ++i) {
     for (size_t j = i + 1; j < sigma.size(); ++j) {
       FdLit eq = FdLit::EqVar(sigma[i].var, sigma[j].var);
-      conj.push_back(sigma[i].symbol == sigma[j].symbol ? eq : !eq);
+      conj->push_back(sigma[i].symbol == sigma[j].symbol ? eq : !eq);
     }
   }
+}
 
+/// The rest of Generalize(σ, ϕ), after the pattern.
+void AppendPins(const RuleSketch& sketch, const SketchEncoding& encoding,
+                const SketchModel& model, const std::vector<Assignment>& sigma,
+                const std::set<std::string>& phi, std::vector<FdLit>* conj) {
   // Pin head variables of attributes in ϕ, and pin constants (renaming a
   // constant is not semantics-preserving).
   for (const Assignment& a : sigma) {
@@ -48,7 +47,7 @@ std::vector<FdLit> Generalize(const RuleSketch& sketch, const SketchEncoding& en
     bool pin = false;
     if (sym.kind == SketchSymbol::Kind::kHeadVar && phi.count(sym.attr) > 0) pin = true;
     if (sym.kind == SketchSymbol::Kind::kConstant) pin = true;
-    if (pin) conj.push_back(FdLit::Eq(a.var, a.symbol));
+    if (pin) conj->push_back(FdLit::Eq(a.var, a.symbol));
   }
   // Theorem 1 renames variables to variables: an unknown assigned a
   // *variable* by σ must not generalize to a constant (filtering mode puts
@@ -58,7 +57,7 @@ std::vector<FdLit> Generalize(const RuleSketch& sketch, const SketchEncoding& en
     if (sym.kind == SketchSymbol::Kind::kConstant) continue;
     for (int d : sketch.holes[h].domain) {
       if (sketch.symbols.At(d).kind == SketchSymbol::Kind::kConstant) {
-        conj.push_back(!FdLit::Eq(encoding.hole_vars[h], d));
+        conj->push_back(!FdLit::Eq(encoding.hole_vars[h], d));
       }
     }
   }
@@ -66,9 +65,19 @@ std::vector<FdLit> Generalize(const RuleSketch& sketch, const SketchEncoding& en
   // body-bound and constant-bound changes semantics in ways renaming cannot
   // cover, so generalization never relaxes them.
   for (size_t b = 0; b < encoding.head_binding_vars.size(); ++b) {
-    conj.push_back(
-        FdLit::Eq(encoding.head_binding_vars[b], model.head_binding_choice[b]));
+    conj->push_back(FdLit::Eq(encoding.head_binding_vars[b], model.head_binding_choice[b]));
   }
+}
+
+}  // namespace
+
+std::vector<FdLit> Generalize(const RuleSketch& sketch, const SketchEncoding& encoding,
+                              const SketchModel& model, const std::set<std::string>& phi) {
+  std::vector<Assignment> sigma = Assignments(encoding, model);
+  std::vector<FdLit> conj;
+  conj.reserve(sigma.size() * (sigma.size() + 1) / 2 + encoding.head_binding_vars.size());
+  AppendPattern(sigma, &conj);
+  AppendPins(sketch, encoding, model, sigma, phi, &conj);
   return conj;
 }
 
@@ -86,11 +95,20 @@ std::vector<FdClause> AnalyzeBlocking(const RuleSketch& sketch,
     }
     return {BlockingClause(Generalize(sketch, encoding, model, all_heads))};
   }
+  // Generalize(σ, ϕ) per MDP ϕ; the pairwise pattern is shared.
+  const std::vector<Assignment> sigma = Assignments(encoding, model);
+  std::vector<FdLit> pattern;
+  pattern.reserve(sigma.size() * (sigma.size() - 1) / 2);
+  AppendPattern(sigma, &pattern);
   std::vector<FdClause> blocks;
   blocks.reserve(mdps.size());
   for (const std::vector<std::string>& mdp : mdps) {
     std::set<std::string> phi(mdp.begin(), mdp.end());
-    blocks.push_back(BlockingClause(Generalize(sketch, encoding, model, phi)));
+    std::vector<FdLit> conj;
+    conj.reserve(pattern.size() + sigma.size() + encoding.head_binding_vars.size());
+    conj = pattern;
+    AppendPins(sketch, encoding, model, sigma, phi, &conj);
+    blocks.push_back(BlockingClause(std::move(conj)));
   }
   return blocks;
 }

@@ -44,31 +44,32 @@ FdExpr LexLeq(const std::vector<FdVar>& xs, const std::vector<std::vector<int>>&
   return FdExpr::Or(Children(std::move(lt), std::move(eq_and_rest)));
 }
 
+/// A solver variable over a symbol-id domain.
+FdVar NewSymbolVar(const std::vector<int>& symbols, FdSolver* solver) {
+  return solver->NewVar(std::vector<int64_t>(symbols.begin(), symbols.end()));
+}
+
+/// Polls `ctx` (when given) between constraint groups.
+Status Poll(const RunContext* ctx) {
+  return ctx == nullptr ? Status::OK() : ctx->Check("sketch encoding");
+}
+
 }  // namespace
 
-Result<SketchEncoding> EncodeSketch(const RuleSketch& sketch, FdSolver* solver) {
+Result<SketchEncoding> EncodeSketch(const RuleSketch& sketch, FdSolver* solver,
+                                    const RunContext* ctx) {
   SketchEncoding enc;
-  for (size_t h = 0; h < sketch.holes.size(); ++h) {
-    std::vector<int64_t> domain;
-    domain.reserve(sketch.holes[h].domain.size());
-    for (int sym : sketch.holes[h].domain) domain.push_back(sym);
-    enc.hole_vars.push_back(
-        solver->NewVar("hole" + std::to_string(h), std::move(domain)));
+  enc.hole_vars.reserve(sketch.holes.size());
+  for (const SketchHole& hole : sketch.holes) {
+    enc.hole_vars.push_back(NewSymbolVar(hole.domain, solver));
   }
-  for (size_t c = 0; c < sketch.connectors.size(); ++c) {
-    std::vector<int64_t> domain;
-    domain.reserve(sketch.connectors[c].domain.size());
-    for (int sym : sketch.connectors[c].domain) domain.push_back(sym);
-    enc.connector_vars.push_back(
-        solver->NewVar("conn" + std::to_string(c), std::move(domain)));
+  for (const SketchConnector& conn : sketch.connectors) {
+    enc.connector_vars.push_back(NewSymbolVar(conn.domain, solver));
   }
-  for (size_t b = 0; b < sketch.head_bindings.size(); ++b) {
-    std::vector<int64_t> domain;
-    domain.reserve(sketch.head_bindings[b].domain.size());
-    for (int sym : sketch.head_bindings[b].domain) domain.push_back(sym);
-    enc.head_binding_vars.push_back(
-        solver->NewVar("headbind" + std::to_string(b), std::move(domain)));
+  for (const SketchHeadBinding& binding : sketch.head_bindings) {
+    enc.head_binding_vars.push_back(NewSymbolVar(binding.domain, solver));
   }
+  DYNAMITE_RETURN_NOT_OK(Poll(ctx));
 
   // Search heuristic: bias each hole toward its own copy's variable, so the
   // first sampled models are sparse (few accidental joins) and conflict
@@ -94,6 +95,7 @@ Result<SketchEncoding> EncodeSketch(const RuleSketch& sketch, FdSolver* solver) 
     }
   }
   for (const std::string& attr : required_attrs) {
+    DYNAMITE_RETURN_NOT_OK(Poll(ctx));
     int sym = sketch.symbols.FindHeadVar(attr);
     std::vector<FdExpr> options;
     std::vector<FdExpr> not_taken;  // no hole carries this head variable
@@ -151,6 +153,7 @@ Result<SketchEncoding> EncodeSketch(const RuleSketch& sketch, FdSolver* solver) 
     }
     for (const auto& [key, copies] : groups) {
       for (size_t i = 0; i + 1 < copies.size(); ++i) {
+        DYNAMITE_RETURN_NOT_OK(Poll(ctx));
         const std::vector<int>& a = *copies[i];
         const std::vector<int>& b = *copies[i + 1];
         if (a.size() != b.size()) continue;  // differently shaped: skip
@@ -171,6 +174,7 @@ Result<SketchEncoding> EncodeSketch(const RuleSketch& sketch, FdSolver* solver) 
   // Connector occurrence: choosing an attribute variable requires some hole
   // to carry it.
   for (size_t c = 0; c < sketch.connectors.size(); ++c) {
+    DYNAMITE_RETURN_NOT_OK(Poll(ctx));
     for (int sym : sketch.connectors[c].domain) {
       if (sketch.symbols.At(sym).kind != SketchSymbol::Kind::kBodyAttrVar) continue;
       std::vector<FdExpr> options;

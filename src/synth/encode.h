@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "api/run_context.h"
 #include "solver/fd.h"
 #include "synth/sketch.h"
 #include "util/result.h"
@@ -26,8 +27,14 @@ struct SketchEncoding {
   std::vector<FdVar> head_binding_vars;
 };
 
-/// Encodes the sketch into `solver`; returns the variable handles.
-Result<SketchEncoding> EncodeSketch(const RuleSketch& sketch, FdSolver* solver);
+/// Encodes the sketch into `solver`; returns the variable handles. `ctx`
+/// (optional) is polled once the variables exist and then between
+/// constraint groups: before each head attribute's coverage constraint,
+/// each symmetry-breaking lex-leq pair and each connector's occurrence
+/// constraints. An interrupted encoding returns kTimeout or kCancelled and
+/// leaves `solver` holding a partial encoding.
+Result<SketchEncoding> EncodeSketch(const RuleSketch& sketch, FdSolver* solver,
+                                    const RunContext* ctx = nullptr);
 
 /// Extracts the model after a successful Solve().
 SketchModel ExtractModel(const SketchEncoding& encoding, const FdSolver& solver);

@@ -32,59 +32,120 @@ void GenIntensionalPreds(const Schema& target, const std::string& record,
   }
 }
 
+/// The source schema and Ψ resolved once per SketchGen call, so building a
+/// sketch makes no by-name schema lookup per hole.
+struct SourcePlan {
+  /// One source record: its chain from the top-level ancestor, and per
+  /// attribute the attribute's primitive index (-1 for record attributes).
+  struct Record {
+    std::vector<std::string> chain;
+    bool nested = false;
+    std::vector<int> attr_prim;
+  };
+
+  const AttributeMapping& psi;
+  std::vector<std::string> prims;  ///< Schema::PrimAttrbs()
+  std::vector<const std::string*> rec_of;  ///< RecName per primitive
+  std::vector<PrimitiveType> type_of;      ///< PrimitiveOf per primitive
+  std::map<std::string, Record> records;
+  /// Source aliases per primitive (PrimAttrbs order, itself excluded);
+  /// resolved on first use.
+  std::vector<std::vector<int>> aliases;
+  std::vector<bool> aliases_known;
+
+  SourcePlan(const AttributeMapping& mapping, const Schema& source)
+      : psi(mapping), prims(source.PrimAttrbs()) {
+    std::map<std::string, int> prim_index;
+    for (size_t i = 0; i < prims.size(); ++i) {
+      prim_index.emplace(prims[i], static_cast<int>(i));
+      rec_of.push_back(&source.RecName(prims[i]));
+      type_of.push_back(source.PrimitiveOf(prims[i]));
+    }
+    for (const std::string& rec : source.RecordNames()) {
+      Record& r = records[rec];
+      r.chain = source.ChainToTopLevel(rec);
+      r.nested = source.IsNestedRecord(rec);
+      for (const std::string& attr : source.AttrsOf(rec)) {
+        auto it = prim_index.find(attr);
+        r.attr_prim.push_back(it == prim_index.end() ? -1 : it->second);
+      }
+    }
+    aliases.resize(prims.size());
+    aliases_known.resize(prims.size(), false);
+  }
+
+  /// True if y ∈ Ψ(x) or x ∈ Ψ(y).
+  bool AliasOf(const std::string& x, const std::string& y) const {
+    auto it = psi.find(x);
+    if (it != psi.end() && it->second.count(y) > 0) return true;
+    auto jt = psi.find(y);
+    return jt != psi.end() && jt->second.count(x) > 0;
+  }
+
+  const std::vector<int>& AliasesOf(int a) {
+    const size_t i = static_cast<size_t>(a);
+    if (!aliases_known[i]) {
+      for (size_t j = 0; j < prims.size(); ++j) {
+        if (j != i && AliasOf(prims[i], prims[j])) aliases[i].push_back(static_cast<int>(j));
+      }
+      aliases_known[i] = true;
+    }
+    return aliases[i];
+  }
+};
+
 /// State for building the body and domains of one rule sketch.
 struct BodyBuilder {
   const Schema& source;
+  const SourcePlan& plan;
   RuleSketch* sketch;
   // Copies per source relation (CopyNum).
   std::map<std::string, int> copy_count;
-  // (relation, copy index, attr) -> hole index.
-  std::map<std::string, int> hole_of;  // key: rel|copy|attr
+  std::vector<int> hole_prim;  // primitive index of each hole's attribute
   int fresh_connector = 0;
-
-  static std::string HoleKey(const std::string& rel, int copy, const std::string& attr) {
-    return rel + "|" + std::to_string(copy) + "|" + attr;
-  }
 
   /// Adds one copy of the extensional predicate chain for record `rec`
   /// (GenExtensionalPreds, Figure 6): predicates for every record from the
   /// top-level ancestor down to `rec`, linked by fresh connector variables.
   void AddChainCopy(const std::string& rec) {
     std::vector<int> chain_holes;
-    std::vector<std::string> chain = source.ChainToTopLevel(rec);
+    const std::vector<std::string>& chain = plan.records.at(rec).chain;
     // Assign a copy index to each record on the chain.
-    std::map<std::string, int> copy_idx;
-    for (const std::string& r : chain) copy_idx[r] = ++copy_count[r];
-    // Connector variable between consecutive chain links.
-    std::map<std::string, std::string> link_var;  // child record -> var name
+    std::vector<int> copy_idx;
+    for (const std::string& r : chain) copy_idx.push_back(++copy_count[r]);
+    // Connector variable between consecutive chain links: link_var[i]
+    // joins chain[i] to its parent chain[i - 1].
+    std::vector<std::string> link_var(chain.size());
     for (size_t i = 1; i < chain.size(); ++i) {
-      link_var[chain[i]] = "v" + std::to_string(++fresh_connector);
+      link_var[i] = "v" + std::to_string(++fresh_connector);
     }
     for (size_t i = 0; i < chain.size(); ++i) {
       const std::string& r = chain[i];
+      const SourcePlan::Record& record = plan.records.at(r);
       SketchBodyAtom atom;
       atom.relation = r;
-      if (source.IsNestedRecord(r)) {
+      if (record.nested) {
         BodySlot s;
         s.kind = BodySlot::Kind::kVar;
-        s.var = link_var.at(r);
+        s.var = link_var[i];
         atom.slots.push_back(std::move(s));
       }
       const std::string* next = (i + 1 < chain.size()) ? &chain[i + 1] : nullptr;
-      for (const std::string& attr : source.AttrsOf(r)) {
+      const std::vector<std::string>& attrs = source.AttrsOf(r);
+      for (size_t k = 0; k < attrs.size(); ++k) {
         BodySlot s;
-        if (source.IsPrimitive(attr)) {
+        if (record.attr_prim[k] >= 0) {
           s.kind = BodySlot::Kind::kHole;
           s.hole = static_cast<int>(sketch->holes.size());
-          hole_of[HoleKey(r, copy_idx[r], attr)] = s.hole;
           chain_holes.push_back(s.hole);
+          hole_prim.push_back(record.attr_prim[k]);
           SketchHole hole;
-          hole.source_attr = attr;
-          hole.copy = copy_idx[r];
+          hole.source_attr = attrs[k];
+          hole.copy = copy_idx[i];
           sketch->holes.push_back(std::move(hole));
-        } else if (next != nullptr && attr == *next) {
+        } else if (next != nullptr && attrs[k] == *next) {
           s.kind = BodySlot::Kind::kVar;
-          s.var = link_var.at(attr);
+          s.var = link_var[i + 1];
         } else {
           s.kind = BodySlot::Kind::kWildcard;
         }
@@ -96,13 +157,12 @@ struct BodyBuilder {
   }
 };
 
-}  // namespace
-
-Result<RuleSketch> GenRuleSketch(
-    const AttributeMapping& psi, const Schema& source, const Schema& target,
+Result<RuleSketch> GenRuleSketchWithPlan(
+    SourcePlan* plan, const Schema& source, const Schema& target,
     const std::string& target_record,
     const std::map<std::string, std::set<Value>>& output_value_sets,
     const SketchGenOptions& options) {
+  const AttributeMapping& psi = plan->psi;
   if (!target.IsRecord(target_record) || target.IsNestedRecord(target_record)) {
     return Status::InvalidArgument("not a top-level target record: " + target_record);
   }
@@ -115,7 +175,7 @@ Result<RuleSketch> GenRuleSketch(
   std::set<std::string> tree_attr_set(tree_attrs.begin(), tree_attrs.end());
 
   // Body skeleton: one chain copy of RecName(a) per (a, alias-in-this-tree).
-  BodyBuilder builder{source, &sketch, {}, {}, 0};
+  BodyBuilder builder{source, *plan, &sketch, {}, {}, 0};
   for (const auto& [a, aliases] : psi) {
     size_t k = 0;
     for (const std::string& a2 : aliases) {
@@ -129,61 +189,60 @@ Result<RuleSketch> GenRuleSketch(
   }
 
   // Intern head variable symbols.
+  std::map<std::string, int> head_var;
   for (const std::string& attr : tree_attrs) {
     SketchSymbol sym;
     sym.kind = SketchSymbol::Kind::kHeadVar;
     sym.name = attr;
     sym.attr = attr;
-    sketch.symbols.Intern(std::move(sym));
+    head_var.emplace(attr, sketch.symbols.Intern(std::move(sym)));
   }
-  // Intern body attribute variable symbols v^i_a for every copy.
-  auto body_attr_symbol = [&](const std::string& attr, int copy) {
-    SketchSymbol sym;
-    sym.kind = SketchSymbol::Kind::kBodyAttrVar;
-    sym.name = attr + std::to_string(copy);
-    sym.attr = attr;
-    return sketch.symbols.Intern(std::move(sym));
+  // Intern body attribute variable symbols v^i_a for every copy; ids are
+  // remembered per (primitive, copy), so each is interned once.
+  std::vector<std::vector<int>> body_symbols(plan->prims.size());
+  auto body_attr_symbol = [&](int prim, int copy) {
+    std::vector<int>& ids = body_symbols[static_cast<size_t>(prim)];
+    if (ids.size() <= static_cast<size_t>(copy)) ids.resize(static_cast<size_t>(copy) + 1, -1);
+    int& id = ids[static_cast<size_t>(copy)];
+    if (id < 0) {
+      const std::string& attr = plan->prims[static_cast<size_t>(prim)];
+      SketchSymbol sym;
+      sym.kind = SketchSymbol::Kind::kBodyAttrVar;
+      sym.name = attr + std::to_string(copy);
+      sym.attr = attr;
+      id = sketch.symbols.Intern(std::move(sym));
+    }
+    return id;
   };
 
   // Domain generation (Algorithm 2, lines 13-18).
-  auto alias_of = [&](const std::string& x, const std::string& y) {
-    // True if y ∈ Ψ(x) or x ∈ Ψ(y).
-    auto it = psi.find(x);
-    if (it != psi.end() && it->second.count(y) > 0) return true;
-    auto jt = psi.find(y);
-    if (jt != psi.end() && jt->second.count(x) > 0) return true;
-    return false;
-  };
-
-  for (SketchHole& hole : sketch.holes) {
+  for (size_t h = 0; h < sketch.holes.size(); ++h) {
+    SketchHole& hole = sketch.holes[h];
     const std::string& a = hole.source_attr;
+    const int prim = builder.hole_prim[h];
     // Head variables for target aliases of a.
     auto it = psi.find(a);
     if (it != psi.end()) {
       for (const std::string& a2 : it->second) {
-        if (tree_attr_set.count(a2) > 0) {
-          hole.domain.push_back(sketch.symbols.FindHeadVar(a2));
-        }
+        if (tree_attr_set.count(a2) > 0) hole.domain.push_back(head_var.at(a2));
       }
     }
     // Body attribute variables of a and of every source alias of a.
-    std::vector<std::string> source_aliases = {a};
-    for (const std::string& a2 : source.PrimAttrbs()) {
-      if (a2 != a && alias_of(a, a2)) source_aliases.push_back(a2);
-    }
-    hole.own_symbol = body_attr_symbol(a, hole.copy);
-    for (const std::string& a2 : source_aliases) {
-      auto cit = builder.copy_count.find(source.RecName(a2));
-      if (cit == builder.copy_count.end()) continue;
+    hole.own_symbol = body_attr_symbol(prim, hole.copy);
+    auto add_copies = [&](int a2) {
+      auto cit = builder.copy_count.find(*plan->rec_of[static_cast<size_t>(a2)]);
+      if (cit == builder.copy_count.end()) return;
       for (int copy = 1; copy <= cit->second; ++copy) {
         hole.domain.push_back(body_attr_symbol(a2, copy));
       }
-    }
+    };
+    add_copies(prim);
+    for (int a2 : plan->AliasesOf(prim)) add_copies(a2);
     // Filtering extension: constants from the output example whose type
     // matches the hole's attribute.
     if (options.enable_filtering) {
       size_t added = 0;
-      PrimitiveType want = source.PrimitiveOf(a);
+      PrimitiveType want = plan->type_of[static_cast<size_t>(prim)];
       for (const auto& [tattr, values] : output_value_sets) {
         if (!target.IsPrimitive(tattr) || target.PrimitiveOf(tattr) != want) continue;
         if (tree_attr_set.count(tattr) == 0) continue;
@@ -205,7 +264,7 @@ Result<RuleSketch> GenRuleSketch(
       // fresh variable (equivalent to a wildcard position).
       SketchSymbol sym;
       sym.kind = SketchSymbol::Kind::kBodyAttrVar;
-      sym.name = a + "_free" + std::to_string(&hole - sketch.holes.data());
+      sym.name = a + "_free" + std::to_string(h);
       sym.attr = a;
       hole.domain.push_back(sketch.symbols.Intern(std::move(sym)));
     }
@@ -227,15 +286,9 @@ Result<RuleSketch> GenRuleSketch(
         }
       }
     }
-    // Body attribute variables (all copies of all attributes with holes).
-    for (const auto& [key, hole_idx] : builder.hole_of) {
-      (void)hole_idx;
-      size_t p1 = key.find('|');
-      size_t p2 = key.find('|', p1 + 1);
-      std::string copy = key.substr(p1 + 1, p2 - p1 - 1);
-      std::string attr = key.substr(p2 + 1);
-      connector_domain_base.push_back(body_attr_symbol(attr, std::stoi(copy)));
-    }
+    // Body attribute variables (all copies of all attributes with holes):
+    // each hole's own variable, interned above.
+    for (const SketchHole& hole : sketch.holes) connector_domain_base.push_back(hole.own_symbol);
     std::sort(connector_domain_base.begin(), connector_domain_base.end());
     connector_domain_base.erase(
         std::unique(connector_domain_base.begin(), connector_domain_base.end()),
@@ -262,7 +315,7 @@ Result<RuleSketch> GenRuleSketch(
       if (vit == output_value_sets.end() || vit->second.size() != 1) continue;
       SketchHeadBinding binding;
       binding.target_attr = attr;
-      binding.head_var_symbol = sketch.symbols.FindHeadVar(attr);
+      binding.head_var_symbol = head_var.at(attr);
       binding.domain.push_back(binding.head_var_symbol);
       SketchSymbol sym;
       sym.kind = SketchSymbol::Kind::kConstant;
@@ -275,15 +328,28 @@ Result<RuleSketch> GenRuleSketch(
   return sketch;
 }
 
+}  // namespace
+
+Result<RuleSketch> GenRuleSketch(
+    const AttributeMapping& psi, const Schema& source, const Schema& target,
+    const std::string& target_record,
+    const std::map<std::string, std::set<Value>>& output_value_sets,
+    const SketchGenOptions& options) {
+  SourcePlan plan(psi, source);
+  return GenRuleSketchWithPlan(&plan, source, target, target_record, output_value_sets,
+                               options);
+}
+
 Result<std::vector<RuleSketch>> SketchGen(
     const AttributeMapping& psi, const Schema& source, const Schema& target,
     const std::map<std::string, std::set<Value>>& output_value_sets,
     const SketchGenOptions& options) {
+  SourcePlan plan(psi, source);
   std::vector<RuleSketch> sketches;
   for (const std::string& rec : target.TopLevelRecords()) {
     DYNAMITE_ASSIGN_OR_RETURN(
         RuleSketch sketch,
-        GenRuleSketch(psi, source, target, rec, output_value_sets, options));
+        GenRuleSketchWithPlan(&plan, source, target, rec, output_value_sets, options));
     sketches.push_back(std::move(sketch));
   }
   return sketches;

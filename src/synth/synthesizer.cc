@@ -15,6 +15,7 @@
 #include "migrate/facts.h"
 #include "solver/fd.h"
 #include "synth/analyze.h"
+#include "synth/check.h"
 #include "synth/encode.h"
 #include "synth/sketch_gen.h"
 #include "util/debug_log.h"
@@ -246,29 +247,22 @@ class RuleSynthesizer {
         target_(target),
         sketch_(std::move(sketch)),
         edb_(edb),
+        expected_output_(example.output),
         options_(options),
         portfolio_(portfolio),
-        engine_(MakeEngine(options)) {
-    // Expected output restricted to this rule's record tree.
-    for (const RecordNode& root : example.output.roots) {
-      if (root.type == sketch_.target_record) expected_.roots.push_back(root);
-    }
-    expected_canon_ = CanonicalForest(expected_);
-    // IDB signatures for this tree only.
-    idb_sigs_[sketch_.target_record] = FactSignature(target_, sketch_.target_record);
-    for (const std::string& nested : target_.NestedRecordsOf(sketch_.target_record)) {
-      idb_sigs_[nested] = FactSignature(target_, nested);
-    }
-  }
+        engine_(MakeEngine(options)) {}
 
-  Status Init() {
+  /// Encodes the sketch (polling `ctx`) and resolves the candidate check
+  /// of this rule's record tree.
+  Status Init(const RunContext& ctx) {
     {
       DYNAMITE_TRACE_SPAN("synth.encode");
-      DYNAMITE_ASSIGN_OR_RETURN(encoding_, EncodeSketch(sketch_, &solver_));
+      DYNAMITE_ASSIGN_OR_RETURN(encoding_, EncodeSketch(sketch_, &solver_, &ctx));
     }
-    DYNAMITE_ASSIGN_OR_RETURN(Relation expected_flat,
-                              FlattenForestView(expected_, target_, sketch_.target_record));
-    expected_flat_ = std::move(expected_flat);
+    DYNAMITE_ASSIGN_OR_RETURN(CandidateCheck check,
+                              CandidateCheck::Make(target_, sketch_.target_record,
+                                                   expected_output_));
+    check_.emplace(std::move(check));
     return Status::OK();
   }
 
@@ -318,31 +312,39 @@ class RuleSynthesizer {
           // Otherwise the candidate alone was too expensive (per-candidate
           // eval budget): block exactly this model and move on.
           DYNAMITE_RETURN_NOT_OK(ctx.Check("candidate evaluation"));
+          DYNAMITE_TRACE_SPAN("synth.block");
           DYNAMITE_RETURN_NOT_OK(
               solver_.AddClause(BlockingClause(ModelEquality(encoding_, model))));
           continue;
         }
         return eval.status();
       }
-      DYNAMITE_ASSIGN_OR_RETURN(RecordForest actual, BuildForest(*eval, target_));
-      if (CanonicalForest(actual) == expected_canon_) {
+      // Judge the candidate; a failed one's flattened view feeds MDP
+      // analysis.
+      bool matched = false;
+      std::vector<std::vector<std::string>> mdps;
+      {
+        DYNAMITE_TRACE_SPAN("synth.check");
+        DYNAMITE_ASSIGN_OR_RETURN(matched, check_->Matches(*eval));
+        if (!matched && options_.use_analysis && options_.use_mdp) {
+          auto actual_flat = check_->View(*eval);
+          if (actual_flat.ok()) {
+            mdps = MDPSet(actual_flat.ValueOrDie(), check_->expected_view(), options_.mdp, &ctx);
+          }
+        }
+      }
+      if (matched) {
         last_success_ = model;
         have_last_success_ = true;
         return rule;
       }
 
       // Failed: add blocking clause(s).
+      DYNAMITE_TRACE_SPAN("synth.block");
       if (!options_.use_analysis) {
         DYNAMITE_RETURN_NOT_OK(
             solver_.AddClause(BlockingClause(ModelEquality(encoding_, model))));
         continue;
-      }
-      std::vector<std::vector<std::string>> mdps;
-      if (options_.use_mdp) {
-        auto actual_flat = FlattenForestView(actual, target_, sketch_.target_record);
-        if (actual_flat.ok()) {
-          mdps = MDPSet(actual_flat.ValueOrDie(), expected_flat_, options_.mdp, &ctx);
-        }
       }
       DYNAMITE_RETURN_NOT_OK(
           solver_.AddClauses(AnalyzeBlocking(sketch_, encoding_, model, mdps)));
@@ -412,7 +414,7 @@ class RuleSynthesizer {
         return std::move(outcome.idb);
       }
     }
-    return engine_.Eval(candidate, edb_, idb_sigs_, &ctx);
+    return engine_.Eval(candidate, edb_, check_->signatures(), &ctx);
   }
 
   /// One speculation round. The scout — a clone of the canonical solver —
@@ -559,7 +561,7 @@ class RuleSynthesizer {
   std::vector<PrefixGroup> GroupByPrefix(std::vector<SpeculatedCandidate>* cands) {
     std::vector<PrefixGroup> groups;
     if (!options_.prefix_memo || edb_.Has(kPrefixRelation) ||
-        idb_sigs_.find(kPrefixRelation) != idb_sigs_.end()) {
+        check_->signatures().count(kPrefixRelation) > 0) {
       return groups;
     }
     std::unordered_map<std::string, std::vector<size_t>> by_prefix;
@@ -628,7 +630,8 @@ class RuleSynthesizer {
     bool have = false;
     if (cand.group >= 0 && groups[static_cast<size_t>(cand.group)].ok) {
       const PrefixGroup& group = groups[static_cast<size_t>(cand.group)];
-      auto derived = eng.EvalWithOverlay(cand.residual, edb_, &group.db, idb_sigs_, &ctx);
+      auto derived =
+          eng.EvalWithOverlay(cand.residual, edb_, &group.db, check_->signatures(), &ctx);
       if (derived.ok()) {
         outcome.idb = std::move(derived).ValueOrDie();
         outcome.via_prefix = true;
@@ -639,7 +642,7 @@ class RuleSynthesizer {
       // outcomes may represent the candidate in the memo.
     }
     if (!have) {
-      auto derived = eng.Eval(cand.full, edb_, idb_sigs_, &ctx);
+      auto derived = eng.Eval(cand.full, edb_, check_->signatures(), &ctx);
       if (derived.ok()) {
         outcome.idb = std::move(derived).ValueOrDie();
       } else if (derived.status().code() == StatusCode::kEvalBudget) {
@@ -649,8 +652,8 @@ class RuleSynthesizer {
       }
     }
     if (outcome.status.ok()) {
-      auto forest = BuildForest(outcome.idb, target_);
-      if (forest.ok() && CanonicalForest(forest.ValueOrDie()) == expected_canon_) {
+      auto matched = check_->Matches(outcome.idb);
+      if (matched.ok() && matched.ValueOrDie()) {
         size_t cur = success_floor->load(std::memory_order_relaxed);
         while (index < cur && !success_floor->compare_exchange_weak(
                                   cur, index, std::memory_order_relaxed)) {
@@ -664,16 +667,15 @@ class RuleSynthesizer {
   const Schema& target_;
   RuleSketch sketch_;
   const FactDatabase& edb_;
+  const RecordForest& expected_output_;  ///< the whole example output
   const SynthesisOptions& options_;
   PortfolioRuntime* portfolio_;  ///< null = sequential enumeration
   /// One engine for the whole enumeration: EDB join indexes and compiled
   /// candidate rules persist across the thousands of Eval calls below.
   DatalogEngine engine_;
 
-  RecordForest expected_;
-  std::vector<std::string> expected_canon_;
-  Relation expected_flat_;
-  std::map<std::string, std::vector<std::string>> idb_sigs_;
+  /// This rule's record tree and expected output, resolved once (Init).
+  std::optional<CandidateCheck> check_;
 
   FdSolver solver_;
   SketchEncoding encoding_;
@@ -719,18 +721,23 @@ Result<Setup> Prepare(const Schema& source, const Schema& target, const Example&
   DYNAMITE_TRACE_SPAN("synth.prepare");
   progress->Report(Phase::kInferMapping, "", 0);
   DYNAMITE_RETURN_NOT_OK(ctx.Check("attribute-mapping inference"));
-  DYNAMITE_ASSIGN_OR_RETURN(AttributeMapping psi, InferAttrMapping(source, target, example));
-  setup.psi = std::move(psi);
+  {
+    DYNAMITE_TRACE_SPAN("synth.attr_map");
+    DYNAMITE_ASSIGN_OR_RETURN(setup.psi, InferAttrMapping(source, target, example));
+  }
   progress->Report(Phase::kSketch, "", 0);
   DYNAMITE_RETURN_NOT_OK(ctx.Check("sketch generation"));
-  SketchGenOptions gen_options;
-  gen_options.enable_filtering = options.enable_filtering;
-  gen_options.max_constants_per_hole = options.max_constants_per_hole;
-  DYNAMITE_ASSIGN_OR_RETURN(
-      std::vector<RuleSketch> sketches,
-      SketchGen(setup.psi, source, target, AttributeValueSets(example.output, target),
-                gen_options));
-  setup.sketches = std::move(sketches);
+  {
+    DYNAMITE_TRACE_SPAN("synth.sketch_gen");
+    SketchGenOptions gen_options;
+    gen_options.enable_filtering = options.enable_filtering;
+    gen_options.max_constants_per_hole = options.max_constants_per_hole;
+    // The output's value sets feed only the filtering extension's constants.
+    std::map<std::string, std::set<Value>> value_sets;
+    if (options.enable_filtering) value_sets = AttributeValueSets(example.output, target);
+    DYNAMITE_ASSIGN_OR_RETURN(setup.sketches,
+                              SketchGen(setup.psi, source, target, value_sets, gen_options));
+  }
   uint64_t next_id = 1;
   DYNAMITE_ASSIGN_OR_RETURN(FactDatabase edb, ToFacts(example.input, source, &next_id, &ctx));
   setup.edb = std::move(edb);
@@ -810,7 +817,7 @@ Result<SynthesisResult> Synthesizer::Search(const Example& example, size_t limit
     auto rs = std::make_unique<RuleSynthesizer>(source_, target_, std::move(sketch),
                                                 setup.edb, example, options_,
                                                 portfolio.get());
-    DYNAMITE_RETURN_NOT_OK(rs->Init());
+    DYNAMITE_RETURN_NOT_OK(rs->Init(ctx));
     DYNAMITE_RETURN_NOT_OK(ctx.Check("synthesis"));
     progress.StartRule(rs->search_space());
     DYNAMITE_ASSIGN_OR_RETURN(Rule rule, rs->Next(ctx, &progress));

@@ -148,7 +148,8 @@ TEST_F(ObservabilityTest, SessionPipelineEmitsRootAndStageSpans) {
   std::vector<trace::Event> events = trace::CollectEvents();
   ExpectWellNested(events);
   for (const char* span : {"session.synthesize_and_migrate", "instance.validate",
-                           "synth.synthesize", "synth.encode", "migrate.run",
+                           "synth.synthesize", "synth.attr_map", "synth.sketch_gen",
+                           "synth.encode", "synth.check", "synth.block", "migrate.run",
                            "migrate.facts", "migrate.eval", "migrate.build", "engine.eval",
                            "solver.solve"}) {
     EXPECT_TRUE(HasSpan(events, span)) << "missing span " << span;
@@ -289,7 +290,7 @@ TEST_F(ObservabilityTest, SolverConflictMetricMatchesSolverStats) {
   // registry must count each one, as the solver's own stats do.
   FdSolver s;
   std::vector<FdVar> pigeons;
-  for (int i = 0; i < 4; ++i) pigeons.push_back(s.NewVar("p" + std::to_string(i), {0, 1, 2}));
+  for (int i = 0; i < 4; ++i) pigeons.push_back(s.NewVar({0, 1, 2}));
   const metrics::MetricsSnapshot before = metrics::Snapshot();
   for (size_t i = 0; i < pigeons.size(); ++i) {
     for (size_t j = i + 1; j < pigeons.size(); ++j) {

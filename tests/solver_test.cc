@@ -155,7 +155,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SatRandomCnf, ::testing::Range(0, 50));
 
 TEST(Fd, DomainRespected) {
   FdSolver s;
-  FdVar x = s.NewVar("x", {3, 5, 9});
+  FdVar x = s.NewVar({3, 5, 9});
   ASSERT_OK_AND_ASSIGN(bool sat1, s.Solve());
   ASSERT_TRUE(sat1);
   int64_t v = s.ModelValue(x);
@@ -164,7 +164,7 @@ TEST(Fd, DomainRespected) {
 
 TEST(Fd, EqConstraintPinsValue) {
   FdSolver s;
-  FdVar x = s.NewVar("x", {1, 2, 3});
+  FdVar x = s.NewVar({1, 2, 3});
   ASSERT_OK(s.AddConstraint(FdExpr::Eq(x, 2)));
   ASSERT_OK_AND_ASSIGN(bool sat1, s.Solve());
   ASSERT_TRUE(sat1);
@@ -173,7 +173,7 @@ TEST(Fd, EqConstraintPinsValue) {
 
 TEST(Fd, EqOutOfDomainIsFalse) {
   FdSolver s;
-  FdVar x = s.NewVar("x", {1, 2});
+  FdVar x = s.NewVar({1, 2});
   ASSERT_OK(s.AddConstraint(FdExpr::Eq(x, 99)));
   ASSERT_OK_AND_ASSIGN(bool sat1, s.Solve());
   EXPECT_FALSE(sat1);
@@ -181,8 +181,8 @@ TEST(Fd, EqOutOfDomainIsFalse) {
 
 TEST(Fd, VarEqVarSharedDomain) {
   FdSolver s;
-  FdVar x = s.NewVar("x", {1, 2, 3});
-  FdVar y = s.NewVar("y", {2, 3, 4});
+  FdVar x = s.NewVar({1, 2, 3});
+  FdVar y = s.NewVar({2, 3, 4});
   ASSERT_OK(s.AddConstraint(FdExpr::EqVar(x, y)));
   ASSERT_OK_AND_ASSIGN(bool sat1, s.Solve());
   ASSERT_TRUE(sat1);
@@ -191,8 +191,8 @@ TEST(Fd, VarEqVarSharedDomain) {
 
 TEST(Fd, VarEqVarDisjointDomainsUnsat) {
   FdSolver s;
-  FdVar x = s.NewVar("x", {1, 2});
-  FdVar y = s.NewVar("y", {3, 4});
+  FdVar x = s.NewVar({1, 2});
+  FdVar y = s.NewVar({3, 4});
   ASSERT_OK(s.AddConstraint(FdExpr::EqVar(x, y)));
   ASSERT_OK_AND_ASSIGN(bool sat1, s.Solve());
   EXPECT_FALSE(sat1);
@@ -200,8 +200,8 @@ TEST(Fd, VarEqVarDisjointDomainsUnsat) {
 
 TEST(Fd, NotEqVar) {
   FdSolver s;
-  FdVar x = s.NewVar("x", {1, 2});
-  FdVar y = s.NewVar("y", {1, 2});
+  FdVar x = s.NewVar({1, 2});
+  FdVar y = s.NewVar({1, 2});
   ASSERT_OK(s.AddConstraint(FdExpr::Not(FdExpr::EqVar(x, y))));
   ASSERT_OK_AND_ASSIGN(bool sat1, s.Solve());
   ASSERT_TRUE(sat1);
@@ -211,8 +211,8 @@ TEST(Fd, NotEqVar) {
 TEST(Fd, BlockingClauseEnumeration) {
   // Enumerate all 6 models of two independent vars by blocking.
   FdSolver s;
-  FdVar x = s.NewVar("x", {1, 2});
-  FdVar y = s.NewVar("y", {1, 2, 3});
+  FdVar x = s.NewVar({1, 2});
+  FdVar y = s.NewVar({1, 2, 3});
   int models = 0;
   for (;;) {
     ASSERT_OK_AND_ASSIGN(bool sat1, s.Solve());
@@ -227,8 +227,8 @@ TEST(Fd, BlockingClauseEnumeration) {
 
 TEST(Fd, ComplexNestedFormula) {
   FdSolver s;
-  FdVar x = s.NewVar("x", {1, 2, 3});
-  FdVar y = s.NewVar("y", {1, 2, 3});
+  FdVar x = s.NewVar({1, 2, 3});
+  FdVar y = s.NewVar({1, 2, 3});
   // (x=1 | x=2) & !(x=y) & (y=1 | y=3)
   ASSERT_OK(s.AddConstraint(
       FdExpr::And({FdExpr::Or({FdExpr::Eq(x, 1), FdExpr::Eq(x, 2)}),
@@ -253,7 +253,7 @@ TEST_P(FdRandomFormula, ModelCountMatchesEnumeration) {
   FdSolver s;
   std::vector<FdVar> vars;
   for (int i = 0; i < num_vars; ++i) {
-    s.NewVar("v" + std::to_string(i), {0, 1, 2});
+    s.NewVar({0, 1, 2});
     vars.push_back(FdVar{i});
   }
   // Random constraint: conjunction of 3 random (dis)equalities.
@@ -507,7 +507,7 @@ TEST(FdRootClauses, RandomRootShapesMatchBruteForce) {
         if (rng.NextBool(0.6)) domain.push_back(v);
       }
       if (domain.empty()) domain.push_back(static_cast<int64_t>(rng.NextBelow(6)));
-      vars.push_back(s.NewVar("v" + std::to_string(i), domain));
+      vars.push_back(s.NewVar(domain));
       domains.push_back(std::move(domain));
     }
     ASSERT_OK(s.AddConstraint(FdExpr::True()));  // see TseitinVars
@@ -548,6 +548,142 @@ TEST(FdRootClauses, RandomRootShapesMatchBruteForce) {
     }
     EXPECT_EQ(found, expected);
   }
+}
+
+
+/// Every variable pinned to its value in `val`.
+std::vector<FdLit> ModelPin(const std::vector<FdVar>& vars, const std::vector<int64_t>& val) {
+  std::vector<FdLit> pins;
+  for (size_t i = 0; i < vars.size(); ++i) pins.push_back(FdLit::Eq(vars[i], val[i]));
+  return pins;
+}
+
+// Trajectory pins. Sketch completion's results depend on the exact model
+// sequence the solver visits, not only on the model set: clause storage,
+// literal numbering and propagation order all steer it. These digests were
+// captured from the solver as it stood before its clause arena and flat
+// literal tables, over enumerations that run far outside the Table 3
+// benchmarks; any change to the search shows up here.
+
+uint64_t Fold(uint64_t digest, uint64_t x) {
+  return (digest ^ x) * 1099511628211ULL;  // FNV-1a step over 64-bit words
+}
+
+TEST(SolverTrajectory, RandomCnfEnumerationIsPinned) {
+  uint64_t digest = 1469598103934665603ULL;
+  int64_t conflicts = 0, decisions = 0, propagations = 0;
+  uint64_t models = 0, clauses = 0;
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng(seed * 104729 + 17);
+    SatSolver s;
+    const int n = 20 + static_cast<int>(rng.NextBelow(10));
+    for (int i = 0; i < n; ++i) {
+      s.NewVar();
+      if (rng.NextBool(0.3)) s.SetPhase(i, true);
+    }
+    // Near the 3-SAT phase transition (ratio ~4.26): real conflicts, and
+    // still hundreds of models over the projection.
+    const int m = static_cast<int>(n * (3.0 + 1.2 * rng.NextDouble()));
+    bool unsat = false;
+    for (int c = 0; c < m && !unsat; ++c) {
+      std::vector<Lit> clause;
+      const int width = rng.NextBool(0.7) ? 3 : 4;
+      for (int k = 0; k < width; ++k) {
+        clause.push_back(MkLit(static_cast<Var>(rng.NextBelow(static_cast<uint64_t>(n))),
+                               rng.NextBool()));
+      }
+      unsat = !s.AddClause(clause);
+    }
+    const int projected = 8 + static_cast<int>(rng.NextBelow(3));
+    while (!unsat && s.Solve() == SatSolver::Outcome::kSat) {
+      uint64_t bits = 0;
+      std::vector<Lit> block;
+      for (int v = 0; v < n; ++v) {
+        if (s.ModelValue(v)) bits |= uint64_t{1} << v;
+        if (v < projected) block.push_back(MkLit(v, s.ModelValue(v)));
+      }
+      digest = Fold(digest, bits);
+      ++models;
+      ASSERT_LT(models, 100000u);
+      unsat = !s.AddClause(block);
+    }
+    digest = Fold(digest, 0xfeedULL + seed);
+    conflicts += s.num_conflicts();
+    decisions += s.num_decisions();
+    propagations += s.num_propagations();
+    clauses += s.NumClauses();
+  }
+  EXPECT_EQ(digest, 6374540215820548257ULL);
+  EXPECT_EQ(models, 3776u);
+  EXPECT_EQ(conflicts, 3464);
+  EXPECT_EQ(decisions, 36018);
+  EXPECT_EQ(propagations, 111824);
+  EXPECT_EQ(clauses, 11033u);
+}
+
+TEST(SolverTrajectory, FdEqualityBlockingEnumerationIsPinned) {
+  static const int64_t kPool[] = {-7, 0, 2, 3, 5, 11, 40, 1000003, -123456789, 6};
+  uint64_t digest = 1469598103934665603ULL;
+  int64_t conflicts = 0;
+  uint64_t models = 0, clauses = 0, bool_vars = 0;
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng(seed * 7727 + 5);
+    FdSolver s;
+    std::vector<FdVar> vars;
+    const size_t num_vars = 4 + rng.NextBelow(4);
+    for (size_t i = 0; i < num_vars; ++i) {
+      std::vector<int64_t> domain(std::begin(kPool), std::end(kPool));
+      rng.Shuffle(&domain);
+      domain.resize(2 + rng.NextBelow(4));
+      vars.push_back(s.NewVar(domain));
+      if (rng.NextBool()) s.Suggest(vars.back(), domain[rng.NextBelow(domain.size())]);
+    }
+    for (uint64_t k = 0, n = 1 + rng.NextBelow(3); k < n; ++k) {
+      ASSERT_OK(s.AddConstraint(RandomRoot(&rng, vars, rng.NextBelow(6))));
+    }
+    for (;;) {
+      ASSERT_OK_AND_ASSIGN(bool sat1, s.Solve());
+      if (!sat1) break;
+      std::vector<int64_t> val(num_vars);
+      for (size_t i = 0; i < num_vars; ++i) {
+        val[i] = s.ModelValue(vars[i]);
+        digest = Fold(digest, static_cast<uint64_t>(val[i]));
+      }
+      ++models;
+      ASSERT_LT(models, 100000u);
+      // The shape of Generalize: the pairwise equality pattern of the
+      // model, plus a pin of one variable. Pairs are visited in a seeded
+      // order, so x = y literals are created in varying orders.
+      std::vector<std::pair<size_t, size_t>> pairs;
+      for (size_t i = 0; i < num_vars; ++i) {
+        for (size_t j = i + 1; j < num_vars; ++j) pairs.push_back({i, j});
+      }
+      rng.Shuffle(&pairs);
+      std::vector<FdLit> conj;
+      for (const auto& [i, j] : pairs) {
+        FdLit eq = rng.NextBool() ? FdLit::EqVar(vars[i], vars[j]) : FdLit::EqVar(vars[j], vars[i]);
+        conj.push_back(val[i] == val[j] ? eq : !eq);
+      }
+      const size_t pinned = rng.NextBelow(num_vars);
+      conj.push_back(FdLit::Eq(vars[pinned], val[pinned]));
+      if (rng.NextBool(0.3)) {
+        std::vector<FdClause> blocks = {BlockingClause(conj),
+                                        BlockingClause(ModelPin(vars, val))};
+        ASSERT_OK(s.AddClauses(blocks));
+      } else {
+        ASSERT_OK(s.AddClause(BlockingClause(std::move(conj))));
+      }
+    }
+    digest = Fold(digest, 0xbeefULL + seed);
+    conflicts += s.num_conflicts();
+    clauses += s.num_clauses();
+    bool_vars += static_cast<uint64_t>(s.num_bool_vars());
+  }
+  EXPECT_EQ(digest, 10551581430906829578ULL);
+  EXPECT_EQ(models, 1492u);
+  EXPECT_EQ(conflicts, 1174);
+  EXPECT_EQ(clauses, 6109u);
+  EXPECT_EQ(bool_vars, 4388u);
 }
 
 }  // namespace

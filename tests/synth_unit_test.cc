@@ -186,6 +186,64 @@ TEST(Encode, UnproducibleTargetAttributeFailsFast) {
   }  // else: sketch generation already failed, which is also acceptable
 }
 
+/// A sketch of `copies` same-shaped chain copies of `width` holes each, all
+/// over one domain of `symbols` body variables: the shape whose
+/// symmetry-breaking lex-leq chain dominates encoding.
+RuleSketch ChainCopiesSketch(int copies, int width, int symbols) {
+  RuleSketch sketch;
+  sketch.target_record = "T";
+  std::vector<int> domain;
+  for (int d = 0; d < symbols; ++d) {
+    SketchSymbol sym;
+    sym.kind = SketchSymbol::Kind::kBodyAttrVar;
+    sym.name = "a" + std::to_string(d);
+    sym.attr = "a";
+    domain.push_back(sketch.symbols.Intern(std::move(sym)));
+  }
+  for (int c = 0; c < copies; ++c) {
+    std::vector<int> holes;
+    for (int w = 0; w < width; ++w) {
+      SketchHole hole;
+      hole.source_attr = "a";
+      hole.copy = c + 1;
+      hole.domain = domain;
+      holes.push_back(static_cast<int>(sketch.holes.size()));
+      sketch.holes.push_back(std::move(hole));
+    }
+    sketch.chain_copies.push_back({"R", std::move(holes)});
+  }
+  return sketch;
+}
+
+TEST(Encode, PollsTheRunContextBetweenConstraintGroups) {
+  const RuleSketch sketch = ChainCopiesSketch(24, 6, 8);
+  FdSolver full;
+  ASSERT_OK(EncodeSketch(sketch, &full).status());
+
+  // An uninterrupted context encodes exactly what no context does.
+  FdSolver polled;
+  RunContext unbounded;
+  ASSERT_OK(EncodeSketch(sketch, &polled, &unbounded).status());
+  EXPECT_EQ(polled.num_clauses(), full.num_clauses());
+  EXPECT_EQ(polled.num_bool_vars(), full.num_bool_vars());
+
+  FdSolver timed_out;
+  RunContext expired(Deadline::After(0), CancelToken());
+  auto timeout = EncodeSketch(sketch, &timed_out, &expired);
+  ASSERT_FALSE(timeout.ok());
+  EXPECT_EQ(timeout.status().code(), StatusCode::kTimeout);
+  EXPECT_LT(timed_out.num_clauses(), full.num_clauses());
+
+  FdSolver cancelled;
+  CancelSource source;
+  source.RequestCancel();
+  RunContext stopped(Deadline::Infinite(), source.token());
+  auto cancel = EncodeSketch(sketch, &cancelled, &stopped);
+  ASSERT_FALSE(cancel.ok());
+  EXPECT_EQ(cancel.status().code(), StatusCode::kCancelled);
+  EXPECT_LT(cancelled.num_clauses(), full.num_clauses());
+}
+
 TEST(Synthesizer, FailsOnInconsistentExample) {
   Schema src = testing::UnivSchema();
   Schema tgt = testing::AdmissionSchema();
