@@ -15,7 +15,6 @@
 #include "solver/fd.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 #include "synth/mdp.h"
 #include "workload/benchmarks.h"
@@ -282,31 +281,6 @@ void BM_SatPigeonHole(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SatPigeonHole)->Arg(5)->Arg(7);
-
-void BM_IngestParallel(benchmark::State& state) {
-  // The sharded-ingest headline number: ToFacts on a document-family
-  // instance at 1 vs 4 ingest workers (ISSUE 9). Output is bit-identical
-  // across worker counts, so the pair isolates pure ingest scaling; CI
-  // gates on the 1-vs-4 ratio when the runner has >= 4 cores (see
-  // .github/workflows/ci.yml).
-  const auto& family = workload::GetFamily("Yelp");
-  RecordForest forest = family.generate(1, 2000);
-  const size_t workers = static_cast<size_t>(state.range(0));
-  ThreadPool pool(workers - 1);
-  IngestOptions options;
-  if (workers > 1) {
-    options.pool_provider = [&pool]() { return &pool; };
-  }
-  size_t facts = 0;
-  for (auto _ : state) {
-    uint64_t next_id = 1;
-    auto db = ToFacts(forest, family.schema, &next_id, nullptr, options);
-    facts = db.ValueOrDie().TotalFacts();
-    benchmark::DoNotOptimize(db);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(facts));
-}
-BENCHMARK(BM_IngestParallel)->Arg(1)->Arg(4);
 
 void BM_ProbeVectorized(benchmark::State& state) {
   // Vectorized matcher: a two-way string join at probe_block_rows = 1 (the

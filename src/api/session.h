@@ -74,7 +74,9 @@ struct SessionOptions {
   /// to both the shared migration engine and the synthesis stage's
   /// candidate-evaluation engine. 0 (default) defers to the engine-level
   /// settings (whose own default is "auto": DYNAMITE_NUM_THREADS or
-  /// sequential); 1 forces the exact sequential behavior; > 1 fans out.
+  /// sequential); 1 forces the exact sequential behavior; > 1 fans out
+  /// plan evaluation over the engine's pool, the only pool Migrate uses:
+  /// fact ingest and forest reconstruction run on the calling thread.
   /// The Session itself stays one-per-thread; the engines fan out
   /// internally and their results are bit-identical at any thread count,
   /// so this is purely a throughput knob.
@@ -162,7 +164,7 @@ class Session {
 
   /// Snapshot of the process-wide metrics registry (util/metrics.h):
   /// counters like "engine.plan_refreshes" / "synth.prefix_memo_hits" /
-  /// "ingest.fallbacks", plus gauges and histograms. Process-wide — spans
+  /// "ingest.child_index_lookups", plus gauges and histograms. Process-wide — spans
   /// every Session and engine in the process, cumulative since start; the
   /// per-object stats() structs remain the per-run source of truth.
   metrics::MetricsSnapshot Metrics() const { return metrics::Snapshot(); }

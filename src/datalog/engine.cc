@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <set>
@@ -1472,26 +1471,10 @@ void DatalogEngine::ReleaseEdbIndexes(const FactDatabase& edb) const {
   }
 }
 
-namespace {
-
-/// Resolves Options::num_threads = 0 ("auto"): DYNAMITE_NUM_THREADS if set
-/// to a valid count — how the TSan CI job pushes the entire existing test
-/// suite through the parallel evaluation path without per-test plumbing —
-/// else 1. An explicit num_threads (1 included) is never overridden.
-size_t EnvNumThreads() {
-  const char* env = std::getenv("DYNAMITE_NUM_THREADS");
-  if (env == nullptr) return 1;
-  char* end = nullptr;
-  long v = std::strtol(env, &end, 10);
-  return (end != env && v > 1) ? static_cast<size_t>(v) : 1;
-}
-
-}  // namespace
-
 DatalogEngine::DatalogEngine() : DatalogEngine(Options()) {}
 DatalogEngine::DatalogEngine(Options options)
     : options_(options), caches_(std::make_unique<Caches>()) {
-  if (options_.num_threads == 0) options_.num_threads = EnvNumThreads();
+  options_.num_threads = ResolveNumThreads(options_.num_threads);
 }
 DatalogEngine::~DatalogEngine() = default;
 DatalogEngine::DatalogEngine(DatalogEngine&&) noexcept = default;

@@ -85,10 +85,11 @@ class DatalogEngine {
     /// statistics-refresh checks; see stats().plan_refreshes).
     bool cache_compiled_rules = true;
     /// Worker threads for plan evaluation. 0 (the default) means "auto":
-    /// the DYNAMITE_NUM_THREADS environment variable if set (the lever the
-    /// TSan CI job uses to push the whole test suite through the parallel
-    /// path), else sequential. 1 is *always* the exact sequential code
-    /// path — an explicit request for no threads is never overridden.
+    /// the DYNAMITE_NUM_THREADS environment variable when it holds a whole
+    /// number in [2, 256] (see ResolveNumThreads; the lever the TSan CI job
+    /// uses to push the whole test suite through the parallel path), else
+    /// sequential. 1 is *always* the exact sequential code path — an
+    /// explicit request for no threads is never overridden.
     /// Values > 1 partition each plan's first-atom scan range across a
     /// persistent pool of num_threads workers (the calling thread
     /// participates). Results are bit-identical for every value.
@@ -194,12 +195,6 @@ class DatalogEngine {
 
   /// Snapshot of the engine's cumulative counters (see Stats).
   Stats stats() const;
-
-  /// The *resolved* worker-thread count: Options::num_threads after the
-  /// constructor applied the "0 = auto" rule (DYNAMITE_NUM_THREADS, else
-  /// sequential). Always >= 1. Lets co-operating components (the migrator's
-  /// sharded ingest) size their parallelism to match the engine's.
-  size_t num_threads() const { return options_.num_threads; }
 
  private:
   /// Eval minus the crash-free boundary: Eval resolves the run's

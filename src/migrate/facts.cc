@@ -1,15 +1,11 @@
 #include "migrate/facts.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 
 #include "datalog/index.h"
-#include "util/check.h"
 #include "util/failpoint.h"
-#include "util/mem_budget.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace dynamite {
@@ -33,55 +29,30 @@ std::map<std::string, std::vector<std::string>> FactSignatures(const Schema& sch
 
 namespace {
 
-/// Per-call conversion state: the schema's resolved record types (shared
-/// with validation) plus the relation each type emits into, indexed by
-/// RecordTypeTable::Type::index.
-struct EmitPlan {
-  RecordTypeTable table;
-  std::vector<Relation*> rels;
-};
-
-/// Declares one relation per record type — in schema RecordNames() order,
-/// single-threaded even under sharded ingest, so relation uids come out in
-/// the same sequence as the sequential path.
-Status DeclareRelations(const Schema& schema, FactDatabase* db, EmitPlan* plan) {
-  for (const std::string& rec : schema.RecordNames()) {
-    DYNAMITE_ASSIGN_OR_RETURN(Relation * rel,
-                              db->DeclareRelation(rec, FactSignature(schema, rec)));
-    plan->rels.push_back(rel);
-  }
-  return Status::OK();
-}
-
-/// Builds one validated record's fact row into `row_buf` (cleared first).
-void FillRow(const RecordTypeTable::Type& type, const RecordNode& node,
-             const Value* parent_id, const Value& my_id, std::vector<Value>* row_buf) {
-  row_buf->clear();
-  if (parent_id != nullptr) row_buf->push_back(*parent_id);
-  const std::vector<std::string>& attrs = *type.attrs;
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    row_buf->push_back(type.is_prim[i] ? node.Prim(attrs[i]) : my_id);
-  }
-}
-
-/// Depth-first emission of one validated root. `Sink` receives each row
-/// with its record type; identifiers come from `*next_id` in visit order.
-template <typename Sink>
+/// Depth-first emission of validated roots: each record's row is appended
+/// straight into its type's relation, with identifiers drawn from
+/// `*next_id` in visit order.
 struct TreeEmitter {
-  const EmitPlan& plan;
+  /// The schema's resolved record types, shared with validation.
+  RecordTypeTable table;
+  /// The relation each record type emits into, by Type::index.
+  std::vector<Relation*> rels;
   uint64_t* next_id;
-  Sink sink;
   std::vector<Value> row_buf;
 
   void Emit(const RecordNode& node, const RecordTypeTable::Type& type,
             const Value* parent_id) {
     Value my_id = Value::Id((*next_id)++);
-    FillRow(type, node, parent_id, my_id, &row_buf);
-    sink(type, row_buf);
-    // row_buf is free to reuse below: the sink copied the row.
+    row_buf.clear();
+    if (parent_id != nullptr) row_buf.push_back(*parent_id);
     const std::vector<std::string>& attrs = *type.attrs;
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      row_buf.push_back(type.is_prim[i] ? node.Prim(attrs[i]) : my_id);
+    }
+    rels[type.index]->InsertRow(row_buf.data(), row_buf.size());
+    // row_buf is free to reuse below: InsertRow copied the row.
     for (size_t k = 0; k < type.record_attrs.size(); ++k) {
-      const RecordTypeTable::Type& child_type = plan.table.types()[type.record_types[k]];
+      const RecordTypeTable::Type& child_type = table.types()[type.record_types[k]];
       for (const RecordNode& child : node.Children(attrs[type.record_attrs[k]])) {
         Emit(child, child_type, &my_id);
       }
@@ -90,22 +61,26 @@ struct TreeEmitter {
 
   /// Validates `root`, then emits it; a malformed root emits nothing.
   Status EmitRoot(const RecordNode& root) {
-    DYNAMITE_ASSIGN_OR_RETURN(const RecordTypeTable::Type* type,
-                              plan.table.ValidateRoot(root));
+    DYNAMITE_ASSIGN_OR_RETURN(const RecordTypeTable::Type* type, table.ValidateRoot(root));
     Emit(root, *type, nullptr);
     return Status::OK();
   }
 };
 
-/// Sequential emission over the whole forest (also the sharded path's
-/// degradation target: it produces the canonical output by definition).
-/// Rows are appended straight into the relations column-wise.
-Status EmitSequential(const RecordForest& forest, const EmitPlan& plan, uint64_t* next_id,
-                      const RunContext* ctx) {
-  auto insert = [&plan](const RecordTypeTable::Type& type, const std::vector<Value>& row) {
-    plan.rels[type.index]->InsertRow(row.data(), row.size());
-  };
-  TreeEmitter<decltype(insert)> emitter{plan, next_id, insert, {}};
+}  // namespace
+
+Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
+                             uint64_t* next_id, const RunContext* ctx) {
+  DYNAMITE_TRACE_SPAN("ingest.to_facts");
+  FactDatabase db;
+  TreeEmitter emitter{RecordTypeTable(schema), {}, next_id, {}};
+  // One relation per record type, declared in schema RecordNames() order,
+  // so relation uids ascend in that order.
+  for (const std::string& rec : schema.RecordNames()) {
+    DYNAMITE_ASSIGN_OR_RETURN(Relation * rel,
+                              db.DeclareRelation(rec, FactSignature(schema, rec)));
+    emitter.rels.push_back(rel);
+  }
   size_t ticks = 0;
   for (const RecordNode& root : forest.roots) {
     DYNAMITE_FAILPOINT("facts.emit");
@@ -114,212 +89,6 @@ Status EmitSequential(const RecordForest& forest, const EmitPlan& plan, uint64_t
     }
     DYNAMITE_RETURN_NOT_OK(emitter.EmitRoot(root));
   }
-  return Status::OK();
-}
-
-/// Records a chunk's emissions for one relation: flat row-major values plus
-/// per-row hashes, so the single-threaded merge never hashes (the same
-/// recipe as the engine's parallel fixpoint buffers). No local dedup — the
-/// merge replays rows through the relations' own dedup tables in exactly
-/// the sequential order, folding duplicates identically.
-struct ShardBuffer {
-  std::vector<Value> values;
-  std::vector<size_t> hashes;
-};
-
-/// The number of fact rows TreeEmitter would produce for this subtree (one
-/// per record reached through schema record attributes). Drives the
-/// identifier prefix sums, so it must mirror TreeEmitter::Emit's traversal
-/// exactly on valid roots. A malformed root is never emitted and its chunk
-/// fails, so whatever it counts never reaches an observable identifier.
-size_t CountEmitted(const RecordNode& node, const RecordTypeTable& table,
-                    const RecordTypeTable::Type& type) {
-  size_t n = 1;
-  const std::vector<std::string>& attrs = *type.attrs;
-  for (size_t k = 0; k < type.record_attrs.size(); ++k) {
-    const RecordTypeTable::Type& child_type = table.types()[type.record_types[k]];
-    for (const RecordNode& child : node.Children(attrs[type.record_attrs[k]])) {
-      n += CountEmitted(child, table, child_type);
-    }
-  }
-  return n;
-}
-
-size_t CountEmittedRoot(const RecordNode& root, const RecordTypeTable& table) {
-  const RecordTypeTable::Type* type = table.Find(root.type);
-  return type == nullptr ? 1 : CountEmitted(root, table, *type);
-}
-
-/// Forests below this many roots ingest sequentially even with a pool:
-/// chunk dispatch plus the extra counting pass would cost more than the
-/// emission they parallelize.
-constexpr size_t kMinRootsForParallelIngest = 128;
-
-/// Sharded parallel emission. Returns OK/error like EmitSequential;
-/// `*degraded` is set instead when the attempt must be abandoned with the
-/// database untouched (ingest.shard fault or pool-level worker failure) —
-/// the caller then reruns EmitSequential for an identical result.
-Status EmitSharded(const RecordForest& forest, const EmitPlan& plan, uint64_t* next_id,
-                   const RunContext* ctx, ThreadPool* pool,
-                   IngestStats* stats, bool* degraded) {
-  const size_t num_roots = forest.roots.size();
-  const size_t workers = pool->num_workers();
-  // Same chunking recipe as the parallel fixpoint: enough chunks for
-  // claim-based load balancing, boundaries a pure function of the sizes.
-  const size_t num_chunks =
-      std::min(workers * 4, std::max<size_t>(1, num_roots / 32));
-  auto chunk_lo = [&](size_t c) { return num_roots * c / num_chunks; };
-
-  MemoryBudget* budget = ctx != nullptr ? ctx->memory : nullptr;
-
-  // Pass 1: count each chunk's records (identifier demand) in parallel.
-  std::vector<uint64_t> chunk_records(num_chunks, 0);
-  std::atomic<size_t> next_count{0};
-  Status count_pool_status = pool->Run([&](size_t) {
-    for (;;) {
-      size_t c = next_count.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) break;
-      DYNAMITE_TRACE_SPAN("ingest.count");
-      uint64_t n = 0;
-      for (size_t r = chunk_lo(c); r < chunk_lo(c + 1); ++r) {
-        n += CountEmittedRoot(forest.roots[r], plan.table);
-      }
-      chunk_records[c] = n;
-    }
-  });
-  if (!count_pool_status.ok()) {
-    *degraded = true;
-    return Status::OK();
-  }
-
-  // Prefix sums seed each chunk's identifier block at exactly the value the
-  // sequential depth-first walk reaches when it enters the chunk's first
-  // root.
-  std::vector<uint64_t> chunk_base(num_chunks, 0);
-  uint64_t total = 0;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    chunk_base[c] = *next_id + total;
-    total += chunk_records[c];
-  }
-
-  // Pass 2: emit each chunk into its own buffers. Chunk-level failures
-  // split two ways: an `ingest.shard` fault (or anything a worker throws,
-  // caught by the pool's trampoline) marks the attempt degraded; errors
-  // from the emission itself — a root failing validation, ctx
-  // interruption, the `facts.emit` failpoint — are typed per chunk and
-  // propagate below. Each chunk validates its own roots just before
-  // emitting them, so no serial validation pass precedes the shards.
-  std::vector<std::vector<ShardBuffer>> chunk_bufs(num_chunks);
-  std::vector<Status> chunk_status(num_chunks, Status::OK());
-  std::atomic<bool> shard_fault{false};
-  std::atomic<size_t> next_emit{0};
-  Status emit_pool_status = pool->Run([&](size_t) {
-    MemoryBudgetScope mem_scope(budget);
-    for (;;) {
-      size_t c = next_emit.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) break;
-      DYNAMITE_TRACE_SPAN("ingest.shard");
-      Status injected = DYNAMITE_FAILPOINT_STATUS("ingest.shard");
-      if (!injected.ok()) {
-        shard_fault.store(true, std::memory_order_relaxed);
-        break;
-      }
-      chunk_status[c] = failpoint::GuardExceptions("sharded ingest", [&]() -> Status {
-        std::vector<ShardBuffer>& bufs = chunk_bufs[c];
-        bufs.resize(plan.rels.size());
-        auto buffer = [&bufs](const RecordTypeTable::Type& type,
-                              const std::vector<Value>& row) {
-          ShardBuffer& sb = bufs[type.index];
-          MemoryBudget::ChargeCurrent(row.size() * sizeof(Value) + sizeof(size_t));
-          sb.values.insert(sb.values.end(), row.begin(), row.end());
-          sb.hashes.push_back(HashValueRange(row.data(), row.size()));
-        };
-        uint64_t chunk_next_id = chunk_base[c];
-        TreeEmitter<decltype(buffer)> emitter{plan, &chunk_next_id, buffer, {}};
-        size_t ticks = 0;
-        for (size_t r = chunk_lo(c); r < chunk_lo(c + 1); ++r) {
-          Status fp = DYNAMITE_FAILPOINT_STATUS("facts.emit");
-          if (!fp.ok()) return fp;
-          if (ctx != nullptr && (++ticks & 0xff) == 0) {
-            DYNAMITE_RETURN_NOT_OK(ctx->Check("facts conversion"));
-          }
-          DYNAMITE_RETURN_NOT_OK(emitter.EmitRoot(forest.roots[r]));
-        }
-        // The counting pass must agree with emission or identifiers would
-        // collide across chunks.
-        DYNAMITE_CHECK(chunk_next_id == chunk_base[c] + chunk_records[c],
-                       "sharded ingest count/emission mismatch");
-        return Status::OK();
-      });
-    }
-  });
-  if (shard_fault.load(std::memory_order_relaxed) || !emit_pool_status.ok()) {
-    *degraded = true;
-    return Status::OK();
-  }
-  // Lowest-chunk error == the first error of the sequential walk (each
-  // chunk validates and emits its roots in order, so its recorded error is
-  // the chunk's first): the same Status at any worker count.
-  for (size_t c = 0; c < num_chunks; ++c) {
-    if (!chunk_status[c].ok()) return chunk_status[c];
-  }
-
-  // Single-threaded merge. Per relation, the concatenation of chunk
-  // buffers in ascending chunk order is exactly the sequential emission
-  // order, and InsertRowPrehashed applies the same dedup the sequential
-  // InsertRow would — bit-identical contents and row order. (The merge
-  // revisits one relation at a time rather than interleaving types the way
-  // the depth-first walk does; per-relation order is what dedup and row
-  // order depend on, and that is preserved.)
-  DYNAMITE_TRACE_SPAN("ingest.merge");
-  for (size_t t = 0; t < plan.rels.size(); ++t) {
-    Relation* rel = plan.rels[t];
-    const size_t arity = rel->arity();
-    for (size_t c = 0; c < num_chunks; ++c) {
-      if (chunk_bufs[c].empty()) continue;  // chunk emitted nothing
-      const ShardBuffer& sb = chunk_bufs[c][t];
-      for (size_t r = 0; r < sb.hashes.size(); ++r) {
-        rel->InsertRowPrehashed(sb.values.data() + r * arity, arity, sb.hashes[r]);
-      }
-    }
-  }
-  *next_id += total;
-  if (stats != nullptr) stats->parallel_chunks += num_chunks;
-  DYNAMITE_METRIC_ADD("ingest.parallel_chunks", num_chunks);
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
-                             uint64_t* next_id, const RunContext* ctx) {
-  return ToFacts(forest, schema, next_id, ctx, IngestOptions{});
-}
-
-Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
-                             uint64_t* next_id, const RunContext* ctx,
-                             const IngestOptions& options) {
-  DYNAMITE_TRACE_SPAN("ingest.to_facts");
-  FactDatabase db;
-  EmitPlan plan{RecordTypeTable(schema), {}};
-  DYNAMITE_RETURN_NOT_OK(DeclareRelations(schema, &db, &plan));
-
-  if (options.pool_provider && forest.roots.size() >= kMinRootsForParallelIngest) {
-    ThreadPool* pool = options.pool_provider();
-    if (pool != nullptr && pool->num_workers() > 1) {
-      bool degraded = false;
-      DYNAMITE_RETURN_NOT_OK(EmitSharded(forest, plan, next_id, ctx, pool,
-                                         options.stats, &degraded));
-      if (!degraded) return db;
-      // Degradation: nothing reached the relations (buffers were the only
-      // state), so the sequential rerun below starts clean and produces the
-      // identical database.
-      if (options.stats != nullptr) ++options.stats->ingest_fallbacks;
-      DYNAMITE_METRIC_INC("ingest.fallbacks");
-    }
-  }
-
-  DYNAMITE_RETURN_NOT_OK(EmitSequential(forest, plan, next_id, ctx));
   return db;
 }
 

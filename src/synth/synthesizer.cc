@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <set>
@@ -744,20 +743,6 @@ Result<Setup> Prepare(const Schema& source, const Schema& target, const Example&
   return setup;
 }
 
-/// Resolves SynthesisOptions::synth_threads = 0 ("auto"), mirroring the
-/// engine's num_threads resolution: DYNAMITE_NUM_THREADS if set to a valid
-/// count (how the TSan CI job pushes the suite through the portfolio
-/// without per-test plumbing), else sequential. An explicit value (1
-/// included) is never overridden.
-size_t ResolveSynthThreads(size_t knob) {
-  if (knob != 0) return knob;
-  const char* env = std::getenv("DYNAMITE_NUM_THREADS");
-  if (env == nullptr) return 1;
-  char* end = nullptr;
-  long v = std::strtol(env, &end, 10);
-  return (end != env && v > 1) ? static_cast<size_t>(v) : 1;
-}
-
 }  // namespace
 
 Synthesizer::Synthesizer(Schema source, Schema target, SynthesisOptions options)
@@ -799,7 +784,7 @@ Result<SynthesisResult> Synthesizer::Search(const Example& example, size_t limit
   DYNAMITE_ASSIGN_OR_RETURN(Setup setup,
                             Prepare(source_, target_, example, options_, ctx, &progress));
 
-  const size_t synth_threads = ResolveSynthThreads(options_.synth_threads);
+  const size_t synth_threads = ResolveNumThreads(options_.synth_threads);
   // Declared before the enumerators, which hold pointers into it.
   std::unique_ptr<PortfolioRuntime> portfolio;
   if (synth_threads > 1) {

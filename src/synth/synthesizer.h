@@ -55,11 +55,11 @@ struct SynthesisOptions {
   size_t eval_num_threads = 0;
   /// Portfolio threads for candidate *enumeration* — the control plane,
   /// independent of eval_num_threads (the data plane within one
-  /// evaluation). 0 = auto: DYNAMITE_NUM_THREADS if set, else sequential;
-  /// 1 = the exact sequential enumeration loop, never overridden; > 1 =
-  /// speculative portfolio search (workers pre-evaluate upcoming
-  /// candidates on private engine/solver clones while the canonical loop
-  /// replays the sequential enumeration order). The synthesized program,
+  /// evaluation). 0 = auto: DYNAMITE_NUM_THREADS (see ResolveNumThreads),
+  /// else sequential; 1 = the exact sequential enumeration loop, never
+  /// overridden; > 1 = speculative portfolio search (workers pre-evaluate
+  /// upcoming candidates on private engine/solver clones while the
+  /// canonical loop replays the sequential enumeration order). The synthesized program,
   /// every stat except SynthesisResult::portfolio, and all error codes are
   /// identical at any value — see src/synth/README.md for why.
   size_t synth_threads = 0;

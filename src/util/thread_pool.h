@@ -24,12 +24,16 @@
 // thread std::terminate the process. Run() merges per-worker failures and
 // returns the first one; the engine uses a non-OK return to fall back to
 // the sequential path (see EvalPlanParallel).
+//
+// ResolveNumThreads, below, turns the "0 = auto" thread knobs of the engine
+// and the synthesis portfolio into a count, from DYNAMITE_NUM_THREADS.
 
 #ifndef DYNAMITE_UTIL_THREAD_POOL_H_
 #define DYNAMITE_UTIL_THREAD_POOL_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <thread>
@@ -41,6 +45,35 @@
 #include "util/trace.h"
 
 namespace dynamite {
+
+/// Largest worker count the DYNAMITE_NUM_THREADS environment variable may
+/// request; larger values resolve to sequential rather than spawning them.
+inline constexpr size_t kMaxEnvNumThreads = 256;
+
+/// Parses a DYNAMITE_NUM_THREADS value. Only a whole decimal string (digits
+/// and nothing else) naming a count in [2, kMaxEnvNumThreads] yields that
+/// count; anything else — null, empty, a sign, trailing characters, 0, 1 or
+/// a larger number — yields 1 (sequential). Pure: starts no thread.
+inline size_t ParseNumThreadsEnv(const char* text) {
+  if (text == nullptr || *text == '\0') return 1;
+  size_t value = 0;
+  for (const char* c = text; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') return 1;
+    value = value * 10 + static_cast<size_t>(*c - '0');
+    if (value > kMaxEnvNumThreads) return 1;
+  }
+  return value >= 2 ? value : 1;
+}
+
+/// Resolves a "0 = auto" thread-count knob (DatalogEngine::Options::
+/// num_threads, SynthesisOptions::synth_threads): an explicit value, 1
+/// included, is returned as is; 0 becomes ParseNumThreadsEnv of the
+/// DYNAMITE_NUM_THREADS environment variable — how the TSan CI job pushes
+/// the whole test suite through the parallel paths without per-test
+/// plumbing.
+inline size_t ResolveNumThreads(size_t knob) {
+  return knob != 0 ? knob : ParseNumThreadsEnv(std::getenv("DYNAMITE_NUM_THREADS"));
+}
 
 /// Persistent worker pool; see file comment for the participation model.
 class ThreadPool {

@@ -214,9 +214,8 @@ void FinishFlatCase(FuzzCase* fc, const std::vector<workload::FlatColumn>& src_c
 /// every cell from small Zipf-skewed pools — duplicate-heavy rows and hash
 /// groups with giant posting lists. Adversarial for the vectorized matcher
 /// (selection vectors that are nearly all-pass or nearly empty) and for
-/// sharded ingest (dedup folding must replay identically from shard
-/// buffers). Instance sized past both the engine's parallel threshold and
-/// the ingest sharding threshold.
+/// ingest dedup (duplicate rows fold into one fact). Instance sized past the
+/// engine's parallel threshold.
 FuzzCase MakeSkewedCase(Rng* rng) {
   FuzzCase fc;
   fc.synthesized = true;
@@ -237,8 +236,7 @@ FuzzCase MakeSkewedCase(Rng* rng) {
 }
 
 /// Wide-row case: 24-40 columns. Every row touches many column vectors, so
-/// columnar filter/gather layout bugs that narrow tables hide surface here;
-/// sharded ingest moves wide rows through its flat shard buffers.
+/// columnar filter/gather layout bugs that narrow tables hide surface here.
 FuzzCase MakeWideRowCase(Rng* rng) {
   FuzzCase fc;
   fc.synthesized = true;
@@ -568,11 +566,9 @@ int RunSmoke(const CliOptions& cli) {
       // fault was absorbed by design (a worker-thread fault falls back to
       // the sequential path and succeeds). synth.worker only executes in
       // portfolio runs (synth_threads > 1), which this matrix pins off —
-      // its degradation contract is asserted in the dedicated section below,
-      // as is ingest.shard's (absorbed by design: a shard fault degrades
-      // ToFacts to the sequential path with identical output).
+      // its degradation contract is asserted in the dedicated section below.
       if (std::strcmp(kind, "resource") == 0 && site != "thread_pool.worker" &&
-          site != "synth.worker" && site != "ingest.shard") {
+          site != "synth.worker") {
         FUZZ_ASSERT(!st.ok(), "%s:%s did not fire (pipeline came back OK)", site.c_str(),
                     spec.c_str());
       }
@@ -612,38 +608,6 @@ int RunSmoke(const CliOptions& cli) {
       FUZZ_ASSERT(ForestEquals(output, clean_out),
                   "synth.worker:%s degraded run migrated a different output", spec.c_str());
       std::printf("  synth.worker %-8s -> OK (degraded, identical program)\n", kind);
-    }
-    failpoint::DisarmAll();
-  }
-
-  // Sharded-ingest degradation: an ingest.shard fault of any kind must
-  // degrade ToFacts to the sequential path and migrate the *identical*
-  // instance — never surface an error. The instance must cross the ingest
-  // sharding threshold (128 roots) so the sharded path actually runs.
-  {
-    Rng rng(cli.seed ^ 0x16e57a2d);
-    FuzzCase fc = MakeProjectionCase(&rng);
-    while (fc.instance.roots.size() < 300) {
-      fc = MakeProjectionCase(&rng);
-    }
-    Session clean = MakeSession(fc, 4);
-    Program clean_program;
-    RecordForest clean_out;
-    Status st = RunPipeline(clean, fc, &clean_program, &clean_out);
-    FUZZ_ASSERT(st.ok(), "ingest clean baseline failed: %s", st.ToString().c_str());
-    for (const char* kind : kKinds) {
-      failpoint::DisarmAll();
-      std::string spec = std::string("hit_1:") + kind;
-      Status armed = failpoint::ArmFromString("ingest.shard", spec);
-      FUZZ_ASSERT(armed.ok(), "ArmFromString(ingest.shard, %s): %s", spec.c_str(),
-                  armed.ToString().c_str());
-      Session session = MakeSession(fc, 4);
-      auto migrated = session.Migrate(clean_program, fc.instance);
-      FUZZ_ASSERT(migrated.ok(), "ingest.shard:%s did not degrade gracefully: %s",
-                  spec.c_str(), migrated.status().ToString().c_str());
-      FUZZ_ASSERT(ForestEquals(migrated.ValueOrDie(), clean_out),
-                  "ingest.shard:%s degraded run migrated a different output", spec.c_str());
-      std::printf("  ingest.shard %-8s -> OK (degraded, identical output)\n", kind);
     }
     failpoint::DisarmAll();
   }

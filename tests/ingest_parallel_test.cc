@@ -1,9 +1,8 @@
-// Determinism suite for sharded parallel ingest and the vectorized matcher
-// (ISSUE 9): ToFacts must produce a bit-identical FactDatabase — relation
-// contents, row insertion order, identifier assignment, relation uid order —
-// at any ingest worker count; full migrations must agree on outputs, stats,
-// and engine counters across ingest threads {1, 2, 8} on relational,
-// document, and graph instances; and the engine's vectorized matcher must be
+// Determinism suite for ingest and the vectorized matcher: ToFacts declares
+// relations in schema order and fails a malformed forest with exactly
+// ValidateForest's error; full migrations must agree on outputs, stats, and
+// engine counters across Session threads {1, 2, 8} on relational, document,
+// and graph instances; and the engine's vectorized matcher must be
 // bit-identical across probe block sizes (1 == scalar, 1024 == default).
 
 #include <gtest/gtest.h>
@@ -14,9 +13,7 @@
 #include "api/session.h"
 #include "datalog/engine.h"
 #include "migrate/facts.h"
-#include "util/failpoint.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "value/database.h"
 #include "workload/benchmarks.h"
 #include "workload/datagen.h"
@@ -25,8 +22,7 @@ namespace dynamite {
 namespace {
 
 /// Bit-identity: same rows in the same insertion order (strictly stronger
-/// than SetEquals — it pins the shard-merge order to the sequential
-/// depth-first emission order).
+/// than SetEquals).
 void ExpectBitIdentical(const Relation& a, const Relation& b) {
   ASSERT_EQ(a.arity(), b.arity());
   ASSERT_EQ(a.size(), b.size());
@@ -38,72 +34,30 @@ void ExpectBitIdentical(const Relation& a, const Relation& b) {
   }
 }
 
-void ExpectDbBitIdentical(const FactDatabase& a, const FactDatabase& b) {
-  ASSERT_EQ(a.RelationNames(), b.RelationNames());
-  for (const std::string& name : a.RelationNames()) {
-    ExpectBitIdentical(*a.Find(name).ValueOrDie(), *b.Find(name).ValueOrDie());
-  }
-}
-
 /// One benchmark per source-instance shape (Table 2 names): MLB is a
 /// relational family, Yelp document, Tencent graph.
 const char* const kShapeBenchmarks[] = {"MLB-1", "Yelp-1", "Tencent-1"};
 
 RecordForest BigInstance(const workload::Benchmark& bench) {
-  // Scale chosen to clear the ingest sharding threshold (128 roots) with
-  // lots of headroom, so chunking is non-trivial at 8 workers.
+  // Scale chosen so broken roots land far apart in a forest of hundreds of
+  // roots, and the engine's parallel fan-out has rows to split.
   auto instance = workload::GenerateSource(bench, /*seed=*/11, /*scale=*/300);
   EXPECT_TRUE(instance.ok()) << instance.status().ToString();
   return std::move(instance).ValueOrDie();
 }
 
-IngestOptions WithPool(ThreadPool* pool, IngestStats* stats) {
-  IngestOptions options;
-  options.pool_provider = [pool]() { return pool; };
-  options.stats = stats;
-  return options;
-}
+// ------------------------------------------------ ToFacts layout ---------
 
-// ----------------------------------------------- ToFacts determinism ------
-
-TEST(ShardedIngest, BitIdenticalAcrossWorkerCounts) {
-  for (const char* name : kShapeBenchmarks) {
-    const workload::Benchmark* bench = workload::FindBenchmark(name);
-    ASSERT_NE(bench, nullptr);
-    RecordForest instance = BigInstance(*bench);
-
-    uint64_t seq_next_id = 1;
-    auto seq = ToFacts(instance, bench->source, &seq_next_id, nullptr);
-    ASSERT_TRUE(seq.ok()) << name << ": " << seq.status().ToString();
-
-    for (size_t workers : {2u, 8u}) {
-      ThreadPool pool(workers - 1);
-      IngestStats stats;
-      uint64_t par_next_id = 1;
-      auto par = ToFacts(instance, bench->source, &par_next_id, nullptr,
-                         WithPool(&pool, &stats));
-      ASSERT_TRUE(par.ok()) << name << ": " << par.status().ToString();
-      EXPECT_GT(stats.parallel_chunks, 0u) << name << " workers=" << workers;
-      EXPECT_EQ(stats.ingest_fallbacks, 0u);
-      EXPECT_EQ(seq_next_id, par_next_id) << name << " workers=" << workers;
-      ExpectDbBitIdentical(seq.ValueOrDie(), par.ValueOrDie());
-    }
-  }
-}
-
-TEST(ShardedIngest, RelationUidOrderMatchesDeclarationOrder) {
+TEST(Ingest, RelationUidOrderMatchesDeclarationOrder) {
   const workload::Benchmark* bench = workload::FindBenchmark("Yelp-1");
   ASSERT_NE(bench, nullptr);
   RecordForest instance = BigInstance(*bench);
-  ThreadPool pool(3);
-  IngestStats stats;
   uint64_t next_id = 1;
-  auto db = ToFacts(instance, bench->source, &next_id, nullptr, WithPool(&pool, &stats));
+  auto db = ToFacts(instance, bench->source, &next_id, nullptr);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  ASSERT_GT(stats.parallel_chunks, 0u);
-  // Relations are declared single-threaded in schema RecordNames() order
-  // even on the sharded path, so uids ascend in that order — the property
-  // uid-keyed index caches depend on for cross-run stability.
+  // Relations are declared in schema RecordNames() order, so uids ascend in
+  // that order — the property uid-keyed index caches depend on for
+  // cross-run stability.
   uint64_t prev_uid = 0;
   for (const std::string& rec : bench->source.RecordNames()) {
     const Relation* rel = db.ValueOrDie().Find(rec).ValueOrDie();
@@ -112,58 +66,12 @@ TEST(ShardedIngest, RelationUidOrderMatchesDeclarationOrder) {
   }
 }
 
-TEST(ShardedIngest, SmallForestNeverTouchesThePool) {
-  const workload::Benchmark* bench = workload::FindBenchmark("MLB-1");
-  ASSERT_NE(bench, nullptr);
-  auto small = workload::GenerateSource(*bench, 3, /*scale=*/20);
-  ASSERT_TRUE(small.ok());
-  bool provider_called = false;
-  IngestOptions options;
-  options.pool_provider = [&provider_called]() -> ThreadPool* {
-    provider_called = true;
-    return nullptr;
-  };
-  IngestStats stats;
-  options.stats = &stats;
-  uint64_t next_id = 1;
-  auto db = ToFacts(small.ValueOrDie(), bench->source, &next_id, nullptr, options);
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  // Below the sharding threshold the pool is never even resolved — small
-  // migrations must not pay thread spawn.
-  EXPECT_FALSE(provider_called);
-  EXPECT_EQ(stats.parallel_chunks, 0u);
-}
-
-TEST(ShardedIngest, ShardFaultDegradesToIdenticalSequentialOutput) {
-  const workload::Benchmark* bench = workload::FindBenchmark("Tencent-1");
-  ASSERT_NE(bench, nullptr);
-  RecordForest instance = BigInstance(*bench);
-  uint64_t seq_next_id = 1;
-  auto seq = ToFacts(instance, bench->source, &seq_next_id, nullptr);
-  ASSERT_TRUE(seq.ok());
-
-  failpoint::DisarmAll();
-  ASSERT_TRUE(failpoint::ArmFromString("ingest.shard", "hit_1:resource").ok());
-  ThreadPool pool(3);
-  IngestStats stats;
-  uint64_t par_next_id = 1;
-  auto par =
-      ToFacts(instance, bench->source, &par_next_id, nullptr, WithPool(&pool, &stats));
-  failpoint::DisarmAll();
-  ASSERT_TRUE(par.ok()) << par.status().ToString();
-  EXPECT_EQ(stats.ingest_fallbacks, 1u);
-  EXPECT_EQ(stats.parallel_chunks, 0u);
-  EXPECT_EQ(seq_next_id, par_next_id);
-  ExpectDbBitIdentical(seq.ValueOrDie(), par.ValueOrDie());
-}
-
 // --------------------------------------------- error contract ------------
 
-/// Breaks `forest` in several places, far apart, so at 8 workers the
-/// violations land in different chunks: a type error inside a nested child
-/// (or a root prim on flat instances) near the end, a missing attribute in
-/// the middle, an unknown root type and children under a primitive
-/// attribute earlier. Returns the positions of the broken roots, ascending.
+/// Breaks `forest` in several places, far apart: a type error inside a
+/// nested child (or a root prim on flat instances) near the end, a missing
+/// attribute in the middle, an unknown root type and children under a
+/// primitive attribute earlier. Returns the positions of the broken roots, ascending.
 std::vector<size_t> BreakForest(RecordForest* forest) {
   const size_t n = forest->roots.size();
   std::vector<size_t> broken = {n / 7, n / 3, n / 2, n - 5};
@@ -179,12 +87,11 @@ std::vector<size_t> BreakForest(RecordForest* forest) {
   return broken;
 }
 
-TEST(ShardedIngest, FirstValidationErrorIsTheSameOnEveryPath) {
+TEST(Ingest, FirstValidationErrorIsTheSameOnEveryPath) {
   for (const char* name : kShapeBenchmarks) {
     const workload::Benchmark* bench = workload::FindBenchmark(name);
     ASSERT_NE(bench, nullptr);
     RecordForest instance = BigInstance(*bench);
-    ASSERT_GE(instance.roots.size(), 128u) << name;
     std::vector<size_t> broken = BreakForest(&instance);
     // Repair the violations front to back, so each kind is the first error
     // once; the error must be the same whichever path finds it.
@@ -195,18 +102,9 @@ TEST(ShardedIngest, FirstValidationErrorIsTheSameOnEveryPath) {
       ASSERT_FALSE(expected.ok()) << name;
       SCOPED_TRACE(name);
 
-      uint64_t seq_next_id = 1;
-      auto seq = ToFacts(instance, bench->source, &seq_next_id, nullptr);
-      EXPECT_EQ(seq.status().ToString(), expected.ToString());
-      for (size_t workers : {2u, 8u}) {
-        ThreadPool pool(workers - 1);
-        IngestStats stats;
-        uint64_t par_next_id = 1;
-        auto par = ToFacts(instance, bench->source, &par_next_id, nullptr,
-                           WithPool(&pool, &stats));
-        EXPECT_EQ(par.status().ToString(), expected.ToString()) << "workers=" << workers;
-        EXPECT_EQ(stats.ingest_fallbacks, 0u);
-      }
+      uint64_t next_id = 1;
+      auto facts = ToFacts(instance, bench->source, &next_id, nullptr);
+      EXPECT_EQ(facts.status().ToString(), expected.ToString());
       for (size_t threads : {1u, 2u, 8u}) {
         SessionOptions options;
         options.num_threads = threads;
@@ -225,7 +123,7 @@ TEST(ShardedIngest, FirstValidationErrorIsTheSameOnEveryPath) {
 
 // ------------------------------------- end-to-end migration parity --------
 
-TEST(ShardedIngest, MigrationOutputsAndStatsAgreeAcrossIngestThreads) {
+TEST(Ingest, MigrationOutputsAndStatsAgreeAcrossIngestThreads) {
   for (const char* name : kShapeBenchmarks) {
     const workload::Benchmark* bench = workload::FindBenchmark(name);
     ASSERT_NE(bench, nullptr);
@@ -247,8 +145,7 @@ TEST(ShardedIngest, MigrationOutputsAndStatsAgreeAcrossIngestThreads) {
       ASSERT_TRUE(par_out.ok()) << name << ": " << par_out.status().ToString();
       EXPECT_TRUE(ForestEquals(seq_out.ValueOrDie(), par_out.ValueOrDie()))
           << name << " threads=" << threads;
-      // Everything except timings and the worker-count-dependent chunk
-      // diagnostics is part of the bit-identity contract.
+      // Everything except timings is part of the bit-identity contract.
       EXPECT_EQ(seq_stats.source_records, par_stats.source_records) << name;
       EXPECT_EQ(seq_stats.source_facts, par_stats.source_facts) << name;
       EXPECT_EQ(seq_stats.target_facts, par_stats.target_facts) << name;
@@ -257,7 +154,6 @@ TEST(ShardedIngest, MigrationOutputsAndStatsAgreeAcrossIngestThreads) {
           << name;
       EXPECT_EQ(seq_stats.ingest.child_index_lookups, par_stats.ingest.child_index_lookups)
           << name;
-      EXPECT_GT(par_stats.ingest.parallel_chunks, 0u) << name << " threads=" << threads;
       EXPECT_EQ(seq.engine_stats().plan_refreshes, par.engine_stats().plan_refreshes)
           << name;
       EXPECT_EQ(par.engine_stats().parallel_fallbacks, 0u) << name;

@@ -26,7 +26,6 @@
 #include "testing.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 #include "value/database.h"
 #include "workload/families.h"
@@ -305,44 +304,23 @@ TEST_F(ObservabilityTest, SolverConflictMetricMatchesSolverStats) {
             static_cast<uint64_t>(s.num_conflicts()));
 }
 
-TEST_F(ObservabilityTest, IngestMetricsMatchStatsAcrossWorkerCounts) {
+TEST_F(ObservabilityTest, IngestMetricsMatchStats) {
   const auto& family = workload::GetFamily("Yelp");
   RecordForest forest = family.generate(1, 400);
-  for (size_t workers : {1u, 4u}) {
-    ThreadPool pool(workers - 1);
-    IngestStats stats;
-    IngestOptions options;
-    options.stats = &stats;
-    if (workers > 1) {
-      options.pool_provider = [&pool]() { return &pool; };
-    }
-    metrics::MetricsSnapshot before = metrics::Snapshot();
-    uint64_t next_id = 1;
-    ASSERT_OK_AND_ASSIGN(
-        FactDatabase db,
-        ToFacts(forest, family.schema, &next_id, nullptr, options));
-    ASSERT_OK_AND_ASSIGN(RecordForest back,
-                         BuildForest(db, family.schema, nullptr, &stats));
-    EXPECT_EQ(back.TotalRecords(), forest.TotalRecords());
-    metrics::MetricsSnapshot after = metrics::Snapshot();
+  IngestStats stats;
+  metrics::MetricsSnapshot before = metrics::Snapshot();
+  uint64_t next_id = 1;
+  ASSERT_OK_AND_ASSIGN(FactDatabase db, ToFacts(forest, family.schema, &next_id));
+  ASSERT_OK_AND_ASSIGN(RecordForest back, BuildForest(db, family.schema, nullptr, &stats));
+  EXPECT_EQ(back.TotalRecords(), forest.TotalRecords());
+  metrics::MetricsSnapshot after = metrics::Snapshot();
 
-    EXPECT_EQ(after.counter("ingest.parallel_chunks") -
-                  before.counter("ingest.parallel_chunks"),
-              stats.parallel_chunks)
-        << "workers " << workers;
-    EXPECT_EQ(after.counter("ingest.fallbacks") -
-                  before.counter("ingest.fallbacks"),
-              stats.ingest_fallbacks)
-        << "workers " << workers;
-    EXPECT_EQ(after.counter("ingest.child_index_builds") -
-                  before.counter("ingest.child_index_builds"),
-              stats.child_index_builds)
-        << "workers " << workers;
-    EXPECT_EQ(after.counter("ingest.child_index_lookups") -
-                  before.counter("ingest.child_index_lookups"),
-              stats.child_index_lookups)
-        << "workers " << workers;
-  }
+  EXPECT_EQ(after.counter("ingest.child_index_builds") -
+                before.counter("ingest.child_index_builds"),
+            stats.child_index_builds);
+  EXPECT_EQ(after.counter("ingest.child_index_lookups") -
+                before.counter("ingest.child_index_lookups"),
+            stats.child_index_lookups);
 }
 
 // ------------------------------------------------------------ disarmed path

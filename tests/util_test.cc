@@ -8,6 +8,7 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace dynamite {
 namespace {
@@ -137,6 +138,30 @@ TEST(Rng, ShufflePreservesElements) {
   rng.Shuffle(&v);
   std::multiset<int> a(v.begin(), v.end()), b(orig.begin(), orig.end());
   EXPECT_EQ(a, b);
+}
+
+// The DYNAMITE_NUM_THREADS parse alone: no pool is built, so no thread
+// starts, whatever the value asks for.
+TEST(NumThreadsEnv, AcceptsOnlyWholeCountsInRange) {
+  EXPECT_EQ(ParseNumThreadsEnv("4"), 4u);
+  EXPECT_EQ(ParseNumThreadsEnv("2"), 2u);
+  EXPECT_EQ(ParseNumThreadsEnv("256"), 256u);
+  EXPECT_EQ(ParseNumThreadsEnv("4x"), 1u);
+  EXPECT_EQ(ParseNumThreadsEnv(" 4"), 1u);
+  EXPECT_EQ(ParseNumThreadsEnv("+4"), 1u);
+  EXPECT_EQ(ParseNumThreadsEnv(""), 1u);
+  EXPECT_EQ(ParseNumThreadsEnv(nullptr), 1u);
+  EXPECT_EQ(ParseNumThreadsEnv("-3"), 1u);
+  EXPECT_EQ(ParseNumThreadsEnv("0"), 1u);
+  EXPECT_EQ(ParseNumThreadsEnv("1"), 1u);
+  EXPECT_EQ(ParseNumThreadsEnv("257"), 1u);
+  EXPECT_EQ(ParseNumThreadsEnv("100000"), 1u);
+  EXPECT_EQ(ParseNumThreadsEnv("99999999999999999999999"), 1u);
+}
+
+TEST(NumThreadsEnv, ExplicitKnobIsNeverOverridden) {
+  EXPECT_EQ(ResolveNumThreads(1), 1u);
+  EXPECT_EQ(ResolveNumThreads(3), 3u);
 }
 
 }  // namespace

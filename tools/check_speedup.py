@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """CI speedup gate: assert a parallel benchmark arm beats its sequential arm.
 
-One script for the three parallel gates (fixpoint, synthesis, ingest) that
-used to live as near-identical heredocs in ci.yml. Protocol, shared by all
+One script for the two parallel gates (fixpoint, synthesis) that used to
+live as near-identical heredocs in ci.yml. Protocol, shared by all
 callers:
 
   * The benchmark binary is run with --benchmark_repetitions=N and its JSON
