@@ -10,7 +10,11 @@
 // synthesis, migration dominated by evaluation) is.
 //
 // Exits 1 when any benchmark fails to build its example, to synthesize, or
-// to migrate, so the harness doubles as an end-to-end check.
+// to migrate, so the harness doubles as an end-to-end check. The summary
+// ends with the process's peak resident set size (getrusage ru_maxrss), so
+// every run logs memory next to time; it is reported, not checked.
+
+#include <sys/resource.h>
 
 #include <cmath>
 #include <cstdio>
@@ -135,5 +139,10 @@ int main(int argc, char** argv) {
   if (migrate_failures > 0) std::printf("Migration failed on %zu.\n", migrate_failures);
   std::printf("Paper reference: 28/28 solved, avg synthesis 7.3s, avg search space "
               "5.1e39,\navg 8.0 rules, 2.5 preds/rule, 5.8 optimal rules, dist 0.79.\n");
+  struct rusage usage;
+  if (getrusage(RUSAGE_SELF, &usage) == 0) {
+    // Linux reports ru_maxrss in KiB.
+    std::printf("Peak RSS: %.1f MB\n", static_cast<double>(usage.ru_maxrss) / 1024.0);
+  }
   return solved == AllBenchmarks().size() && migrate_failures == 0 ? 0 : 1;
 }

@@ -79,7 +79,9 @@ struct SessionOptions {
   /// fact ingest and forest reconstruction run on the calling thread.
   /// The Session itself stays one-per-thread; the engines fan out
   /// internally and their results are bit-identical at any thread count,
-  /// so this is purely a throughput knob.
+  /// so this is purely a throughput knob. Values above kMaxNumThreads
+  /// (256, src/util/thread_pool.h) are clamped to it, so a pool never
+  /// holds more than 255 spawned threads.
   size_t num_threads = 0;
   /// Portfolio threads for synthesis candidate *enumeration* (see
   /// SynthesisOptions::synth_threads — the control plane; num_threads above
@@ -89,7 +91,8 @@ struct SessionOptions {
   /// forces the exact sequential enumeration; > 1 fans candidate
   /// evaluation across a worker portfolio. The synthesized program, stats,
   /// and error codes are identical at any value, so like num_threads this
-  /// is purely a throughput knob.
+  /// is purely a throughput knob, clamped to kMaxNumThreads (256) the same
+  /// way.
   size_t synth_threads = 0;
   /// When true, SynthesizeInteractive fails with kAmbiguous if the
   /// validation pool cannot distinguish the remaining candidates (instead

@@ -99,7 +99,8 @@ Result<MitraResult> MitraSynthesizer::Synthesize(const Example& example) const {
         sketch, options_.max_candidates, timer, options_.timeout_seconds,
         &out.candidates_tried, [&](const SketchModel& model) {
           auto rule = Instantiate(sketch, model);
-          if (!rule.ok()) return false;  // ill-formed (head var missing)
+          if (!rule.ok()) return false;  // model does not fit the sketch
+          // An ill-formed rule (head var missing) fails Eval's validation.
           Program candidate;
           candidate.rules.push_back(*rule);
           auto eval = engine.Eval(candidate, edb, idb_sigs);

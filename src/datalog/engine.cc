@@ -298,17 +298,20 @@ Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& 
                                  const EdbView& edb, bool reorder,
                                  const std::map<std::string, size_t>* idb_sizes = nullptr) {
   CompiledRule out;
-  std::map<std::string, int> var_slot;
+  // Variable slots in first-occurrence order (body atoms left to right,
+  // then heads): slot s is variable *slot_names[s]. A rule has few
+  // variables, so a linear scan of this flat table is the cheap lookup.
+  std::vector<const std::string*> slot_names;
   auto slot_of = [&](const std::string& v) {
-    auto it = var_slot.find(v);
-    if (it != var_slot.end()) return it->second;
-    int s = static_cast<int>(var_slot.size());
-    var_slot[v] = s;
-    return s;
+    for (size_t s = 0; s < slot_names.size(); ++s) {
+      if (*slot_names[s] == v) return static_cast<int>(s);
+    }
+    slot_names.push_back(&v);
+    return static_cast<int>(slot_names.size() - 1);
   };
 
   std::vector<RawAtom> raws;
-  std::set<int> body_vars;
+  raws.reserve(rule.body.size());
   std::vector<size_t> idb_atom_indices;
   for (const Atom& atom : rule.body) {
     RawAtom raw;
@@ -333,6 +336,7 @@ Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& 
       for (const auto& [name, size] : out.edb_stats) seen = seen || name == atom.relation;
       if (!seen && rel.ok()) out.edb_stats.emplace_back(atom.relation, raw.cardinality);
     }
+    raw.slots.reserve(atom.terms.size());
     for (const Term& t : atom.terms) {
       Slot s;
       if (t.is_constant()) {
@@ -342,16 +346,20 @@ Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& 
         s.is_wildcard = true;
       } else {
         s.var = slot_of(t.var());
-        body_vars.insert(s.var);
       }
       raw.slots.push_back(std::move(s));
     }
     raws.push_back(std::move(raw));
   }
 
+  // Every body variable got its slot above, so a head variable is bound in
+  // the body exactly when its slot precedes the first head-only one.
+  const int num_body_slots = static_cast<int>(slot_names.size());
+  out.heads.reserve(rule.heads.size());
   for (const Atom& h : rule.heads) {
     CompiledRule::Head head;
     head.relation = h.relation;
+    head.slots.reserve(h.terms.size());
     for (const Term& t : h.terms) {
       Slot s;
       if (t.is_constant()) {
@@ -359,7 +367,7 @@ Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& 
         s.constant = t.constant();
       } else if (t.is_variable()) {
         s.var = slot_of(t.var());
-        if (body_vars.count(s.var) == 0) {
+        if (s.var >= num_body_slots) {
           return Status::InvalidArgument("head variable " + t.var() + " unbound in body");
         }
       } else {
@@ -369,10 +377,10 @@ Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& 
     }
     out.heads.push_back(std::move(head));
   }
-  out.num_slots = static_cast<int>(var_slot.size());
+  out.num_slots = static_cast<int>(slot_names.size());
   out.has_idb_body = !idb_atom_indices.empty();
 
-  const size_t num_slots = var_slot.size();
+  const size_t num_slots = slot_names.size();
   std::vector<bool> head_vars(num_slots, false);
   for (const CompiledRule::Head& head : out.heads) {
     for (const Slot& s : head.slots) {
@@ -1527,8 +1535,10 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
   std::string idb_key;
   for (const auto& [name, attrs] : idb_signatures) {
     idb.insert(name);
-    idb_key += name;
-    idb_key += ',';
+    if (options_.cache_compiled_rules) {
+      idb_key += name;
+      idb_key += ',';
+    }
   }
 
   // Validate heads against signatures and body atoms against storage.

@@ -82,7 +82,10 @@ class DatalogEngine {
     /// cardinality drifts ≥4x from the size seen at planning time, or —
     /// for recursive rules — when an IDB body relation's round-0 size
     /// drifts ≥4x from the size recorded on the first Eval (the
-    /// statistics-refresh checks; see stats().plan_refreshes).
+    /// statistics-refresh checks; see stats().plan_refreshes). Worth it
+    /// for an engine that runs the same program repeatedly (the Migrator);
+    /// the synthesizer's candidate engines turn it off, since each
+    /// candidate rule is evaluated once.
     bool cache_compiled_rules = true;
     /// Worker threads for plan evaluation. 0 (the default) means "auto":
     /// the DYNAMITE_NUM_THREADS environment variable when it holds a whole
@@ -92,7 +95,8 @@ class DatalogEngine {
     /// explicit request for no threads is never overridden.
     /// Values > 1 partition each plan's first-atom scan range across a
     /// persistent pool of num_threads workers (the calling thread
-    /// participates). Results are bit-identical for every value.
+    /// participates); values above 256 are clamped to 256. Results are
+    /// bit-identical for every value.
     size_t num_threads = 0;
     /// Per-Eval byte budget covering relation growth, join-index posting
     /// lists, interned strings, and the parallel emit buffers; exceeding it

@@ -215,42 +215,43 @@ Result<sat::Lit> FdSolver::Lower(const FdExpr& e) {
       DYNAMITE_ASSIGN_OR_RETURN(sat::Lit c, Lower(e.children()[0]));
       return sat::Negate(c);
     }
-    case FdExpr::Kind::kAnd: {
-      std::vector<sat::Lit> lits;
-      for (const FdExpr& child : e.children()) {
-        DYNAMITE_ASSIGN_OR_RETURN(sat::Lit c, Lower(child));
-        lits.push_back(c);
-      }
-      sat::Var p_var = sat_.NewVar();
-      sat::Lit p = sat::MkLit(p_var);
-      std::vector<sat::Lit> rev;
-      for (sat::Lit c : lits) {
-        sat_.AddClause({sat::Negate(p), c});
-        rev.push_back(sat::Negate(c));
-      }
-      rev.push_back(p);
-      sat_.AddClause(rev);
-      return p;
-    }
+    case FdExpr::Kind::kAnd:
     case FdExpr::Kind::kOr: {
       std::vector<sat::Lit> lits;
+      lits.reserve(e.children().size());
       for (const FdExpr& child : e.children()) {
         DYNAMITE_ASSIGN_OR_RETURN(sat::Lit c, Lower(child));
         lits.push_back(c);
       }
-      sat::Var p_var = sat_.NewVar();
-      sat::Lit p = sat::MkLit(p_var);
-      std::vector<sat::Lit> fwd = lits;
-      fwd.push_back(sat::Negate(p));
-      sat_.AddClause(fwd);
-      for (sat::Lit c : lits) sat_.AddClause({sat::Negate(c), p});
-      return p;
+      return e.kind() == FdExpr::Kind::kAnd ? DefineAnd(lits.data(), lits.size())
+                                            : DefineOr(lits.data(), lits.size());
     }
   }
   return Status::Internal("unreachable FdExpr kind");
 }
 
-Result<sat::Lit> FdSolver::LowerLit(const FdLit& l) {
+sat::Lit FdSolver::DefineAnd(const sat::Lit* lits, size_t count) {
+  const sat::Lit p = sat::MkLit(sat_.NewVar());
+  gate_clause_.clear();
+  for (size_t i = 0; i < count; ++i) {
+    sat_.AddClause({sat::Negate(p), lits[i]});
+    gate_clause_.push_back(sat::Negate(lits[i]));
+  }
+  gate_clause_.push_back(p);
+  sat_.AddClause(gate_clause_);
+  return p;
+}
+
+sat::Lit FdSolver::DefineOr(const sat::Lit* lits, size_t count) {
+  const sat::Lit p = sat::MkLit(sat_.NewVar());
+  gate_clause_.assign(lits, lits + count);
+  gate_clause_.push_back(sat::Negate(p));
+  sat_.AddClause(gate_clause_);
+  for (size_t i = 0; i < count; ++i) sat_.AddClause({sat::Negate(lits[i]), p});
+  return p;
+}
+
+Result<sat::Lit> FdSolver::Literal(const FdLit& l) {
   DYNAMITE_ASSIGN_OR_RETURN(sat::Lit atom, l.rhs_var.index >= 0
                                                 ? EqVarLit(l.lhs, l.rhs_var)
                                                 : EqConstLit(l.lhs, l.rhs_const));
@@ -270,9 +271,9 @@ void FdSolver::ReserveDefinitionVar() {
   sat_.AddClause({sat::MkLit(sat_.NewVar(), /*negated=*/true)});
 }
 
-void FdSolver::AddRootClause(std::vector<sat::Lit> lits) {
-  if (lits.size() >= 2) ReserveDefinitionVar();
-  sat_.AddClause(std::move(lits));
+void FdSolver::AddRootClause(const sat::Lit* lits, size_t count) {
+  if (count >= 2) ReserveDefinitionVar();
+  sat_.AddClause(lits, count);
 }
 
 Status FdSolver::AddConstraint(const FdExpr& e) {
@@ -290,7 +291,7 @@ Status FdSolver::AddConstraint(const FdExpr& e) {
         DYNAMITE_ASSIGN_OR_RETURN(sat::Lit l, Lower(child));
         lits.push_back(l);
       }
-      AddRootClause(std::move(lits));
+      AddRootClause(lits.data(), lits.size());
       return Status::OK();
     case Kind::kNot: {
       const FdExpr& inner = e.children()[0];
@@ -302,7 +303,7 @@ Status FdSolver::AddConstraint(const FdExpr& e) {
             DYNAMITE_ASSIGN_OR_RETURN(sat::Lit l, Lower(child));
             lits.push_back(sat::Negate(l));
           }
-          AddRootClause(std::move(lits));
+          AddRootClause(lits.data(), lits.size());
           return Status::OK();
         case Kind::kOr:
           for (const FdExpr& child : inner.children()) {
@@ -328,10 +329,10 @@ Status FdSolver::AddClause(const FdClause& clause) {
   std::vector<sat::Lit> lits;
   lits.reserve(clause.size());
   for (const FdLit& l : clause) {
-    DYNAMITE_ASSIGN_OR_RETURN(sat::Lit lit, LowerLit(l));
+    DYNAMITE_ASSIGN_OR_RETURN(sat::Lit lit, Literal(l));
     lits.push_back(lit);
   }
-  AddRootClause(std::move(lits));
+  AddRootClause(lits.data(), lits.size());
   return Status::OK();
 }
 

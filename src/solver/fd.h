@@ -23,6 +23,17 @@
 // trees altogether: they are built as `FdClause`s of atom literals and
 // handed to AddClause.
 //
+// Literal-level gates build a formula of known shape with no tree at all:
+// Literal gives an atom's SAT literal, TrueLit the constant, DefineAnd and
+// DefineOr a fresh literal defined over given literals, and AddRootClause
+// asserts a root `Or`. Each allocates the variables and adds the clauses
+// that lowering the equivalent `And`/`Or` would, in the same order (Lower
+// itself runs on the same gates), so a formula emitted gate by gate in
+// lowering order gives exactly AddConstraint's CNF. The symmetry-breaking
+// lex-leq of src/synth/encode.cc is built this way. Only tests and
+// EncodeSketch's head-coverage and connector constraints still build
+// FdExpr trees.
+//
 // The reserved-variable rule: wherever Tseitin lowering of a root
 // connective would define a fresh variable, root clausification allocates
 // one at the same point and fixes it false. No clause mentions it, but it
@@ -36,6 +47,7 @@
 #ifndef DYNAMITE_SOLVER_FD_H_
 #define DYNAMITE_SOLVER_FD_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -160,6 +172,29 @@ class FdSolver {
   /// `And` of clauses would.
   Status AddClauses(const std::vector<FdClause>& clauses);
 
+  // Literal-level gates (see the file comment).
+
+  /// The SAT literal of an atom literal (as Tseitin lowering of the atom).
+  Result<sat::Lit> Literal(const FdLit& l);
+
+  /// A literal fixed to true, created on first use (lowering of `True`;
+  /// its negation is lowering of `False`).
+  sat::Lit TrueLit();
+
+  /// A fresh literal p defined as p <-> (l1 ∧ … ∧ ln) over the `count`
+  /// literals at `lits`: lowering of an `And` whose children lowered to
+  /// them (count >= 2).
+  sat::Lit DefineAnd(const sat::Lit* lits, size_t count);
+
+  /// A fresh literal p defined as p <-> (l1 ∨ … ∨ ln): lowering of an `Or`
+  /// whose children lowered to the `count` literals at `lits` (count >= 2).
+  sat::Lit DefineOr(const sat::Lit* lits, size_t count);
+
+  /// Asserts the `count` literals at `lits` as one clause, as AddConstraint
+  /// of an `Or` whose children lowered to them would (the reserved-variable
+  /// rule included).
+  void AddRootClause(const sat::Lit* lits, size_t count);
+
   /// Suggests a preferred value for `v` (search heuristic only — does not
   /// constrain the formula). No-op if `value` is outside the domain.
   void Suggest(FdVar v, int64_t value);
@@ -201,16 +236,9 @@ class FdSolver {
   /// below the root connectives of an asserted formula.
   Result<sat::Lit> Lower(const FdExpr& e);
 
-  /// The SAT literal of an atom literal.
-  Result<sat::Lit> LowerLit(const FdLit& l);
-
   /// Allocates the variable Tseitin lowering of a root connective would
   /// have defined at this point, fixed false (the reserved-variable rule).
   void ReserveDefinitionVar();
-
-  /// Adds `lits` as one clause, after reserving the definition variable of
-  /// the n-ary connective (n >= 2) it replaces.
-  void AddRootClause(std::vector<sat::Lit> lits);
 
   /// Literal for `x = c`; kFalseLit when c is outside x's domain.
   Result<sat::Lit> EqConstLit(FdVar x, int64_t c);
@@ -218,12 +246,11 @@ class FdSolver {
   /// Cached literal for `x = y`.
   Result<sat::Lit> EqVarLit(FdVar x, FdVar y);
 
-  /// A literal fixed to true (created lazily).
-  sat::Lit TrueLit();
-
   std::vector<VarInfo> vars_;
   sat::SatSolver sat_;
   sat::Lit true_lit_{-2};
+  /// Scratch for the one long clause of each gate definition.
+  std::vector<sat::Lit> gate_clause_;
 };
 
 }  // namespace dynamite

@@ -3,6 +3,8 @@
 #include <map>
 #include <set>
 
+#include "util/failpoint.h"
+
 namespace dynamite {
 
 namespace {
@@ -17,41 +19,85 @@ std::vector<FdExpr> Children(FdExpr a, FdExpr b) {
   return out;
 }
 
-/// x < y over finite domains of symbol ids: disjunction over value pairs.
-FdExpr LessThan(FdVar x, const std::vector<int>& xdom, FdVar y,
-                const std::vector<int>& ydom) {
-  std::vector<FdExpr> pairs;
+/// x < y over finite domains of symbol ids, as a literal: the disjunction
+/// over a in dom(x) of (x = a ∧ OR{ y = b : b in dom(y), b > a }), built gate
+/// by gate in the order lowering that formula would (see FdSolver's
+/// literal-level building). `greater` and `pairs` are scratch.
+Result<sat::Lit> LessThan(FdVar x, const std::vector<int>& xdom, FdVar y,
+                          const std::vector<int>& ydom, FdSolver* solver,
+                          std::vector<sat::Lit>* greater, std::vector<sat::Lit>* pairs) {
+  pairs->clear();
   for (int a : xdom) {
-    std::vector<FdExpr> greater;
+    greater->clear();
     for (int b : ydom) {
-      if (b > a) greater.push_back(FdExpr::Eq(y, b));
+      if (b > a) {
+        DYNAMITE_ASSIGN_OR_RETURN(sat::Lit yb, solver->Literal(FdLit::Eq(y, b)));
+        greater->push_back(yb);
+      }
     }
-    if (!greater.empty()) {
-      pairs.push_back(FdExpr::And(Children(FdExpr::Eq(x, a), FdExpr::Or(std::move(greater)))));
-    }
+    if (greater->empty()) continue;
+    DYNAMITE_ASSIGN_OR_RETURN(sat::Lit xa, solver->Literal(FdLit::Eq(x, a)));
+    const sat::Lit both[] = {
+        xa, greater->size() == 1 ? greater->front()
+                                 : solver->DefineOr(greater->data(), greater->size())};
+    pairs->push_back(solver->DefineAnd(both, 2));
   }
-  return FdExpr::Or(std::move(pairs));
+  if (pairs->empty()) return sat::Negate(solver->TrueLit());
+  if (pairs->size() == 1) return pairs->front();
+  return solver->DefineOr(pairs->data(), pairs->size());
 }
 
-/// Lexicographic x <= y over equal-length hole vectors.
-FdExpr LexLeq(const std::vector<FdVar>& xs, const std::vector<std::vector<int>>& xdoms,
-              const std::vector<FdVar>& ys, const std::vector<std::vector<int>>& ydoms,
-              size_t index) {
-  if (index == xs.size()) return FdExpr::True();
-  FdExpr lt = LessThan(xs[index], xdoms[index], ys[index], ydoms[index]);
-  FdExpr eq_and_rest = FdExpr::And(
-      Children(FdExpr::EqVar(xs[index], ys[index]), LexLeq(xs, xdoms, ys, ydoms, index + 1)));
-  return FdExpr::Or(Children(std::move(lt), std::move(eq_and_rest)));
+/// Polls `ctx` (when given) between constraint groups and at every
+/// lex-leq position. The failpoint `synth.encode` fires here, so a test can
+/// interrupt encoding at an exact poll.
+Status Poll(const RunContext* ctx) {
+  DYNAMITE_FAILPOINT("synth.encode");
+  return ctx == nullptr ? Status::OK() : ctx->Check("sketch encoding");
+}
+
+/// Asserts that chain copy `a`'s hole vector is lexicographically <= copy
+/// `b`'s (equal lengths), straight to clauses. With x = a's holes and
+/// y = b's, the constraint is the formula
+///   L(k) = (x[k] < y[k]) ∨ (x[k] = y[k] ∧ L(k + 1)),  L(n) = true,
+/// asserted at L(0), and the clauses and variable numbering are exactly
+/// those of lowering it: the less-than and equality literals of every
+/// position first (in position order), then the And/Or gates from the last
+/// position back, then L(0) as one root clause. `ctx` is polled per
+/// position.
+Status AddLexLeq(const RuleSketch& sketch, const SketchEncoding& enc, const std::vector<int>& a,
+                 const std::vector<int>& b, FdSolver* solver, const RunContext* ctx) {
+  const size_t n = a.size();
+  if (n == 0) {
+    const sat::Lit true_lit = solver->TrueLit();
+    solver->AddRootClause(&true_lit, 1);
+    return Status::OK();
+  }
+  std::vector<sat::Lit> less(n), equal(n), greater, pairs;
+  for (size_t k = 0; k < n; ++k) {
+    DYNAMITE_RETURN_NOT_OK(Poll(ctx));
+    const size_t x = static_cast<size_t>(a[k]);
+    const size_t y = static_cast<size_t>(b[k]);
+    DYNAMITE_ASSIGN_OR_RETURN(
+        less[k], LessThan(enc.hole_vars[x], sketch.holes[x].domain, enc.hole_vars[y],
+                          sketch.holes[y].domain, solver, &greater, &pairs));
+    DYNAMITE_ASSIGN_OR_RETURN(equal[k],
+                              solver->Literal(FdLit::EqVar(enc.hole_vars[x], enc.hole_vars[y])));
+  }
+  sat::Lit rest = solver->TrueLit();  // L(n)
+  for (size_t k = n - 1; k > 0; --k) {
+    const sat::Lit equal_and_rest[] = {equal[k], rest};
+    const sat::Lit either[] = {less[k], solver->DefineAnd(equal_and_rest, 2)};
+    rest = solver->DefineOr(either, 2);
+  }
+  const sat::Lit equal_and_rest[] = {equal[0], rest};
+  const sat::Lit either[] = {less[0], solver->DefineAnd(equal_and_rest, 2)};
+  solver->AddRootClause(either, 2);
+  return Status::OK();
 }
 
 /// A solver variable over a symbol-id domain.
 FdVar NewSymbolVar(const std::vector<int>& symbols, FdSolver* solver) {
   return solver->NewVar(std::vector<int64_t>(symbols.begin(), symbols.end()));
-}
-
-/// Polls `ctx` (when given) between constraint groups.
-Status Poll(const RunContext* ctx) {
-  return ctx == nullptr ? Status::OK() : ctx->Check("sketch encoding");
 }
 
 }  // namespace
@@ -153,20 +199,10 @@ Result<SketchEncoding> EncodeSketch(const RuleSketch& sketch, FdSolver* solver,
     }
     for (const auto& [key, copies] : groups) {
       for (size_t i = 0; i + 1 < copies.size(); ++i) {
-        DYNAMITE_RETURN_NOT_OK(Poll(ctx));
         const std::vector<int>& a = *copies[i];
         const std::vector<int>& b = *copies[i + 1];
         if (a.size() != b.size()) continue;  // differently shaped: skip
-        std::vector<FdVar> xs, ys;
-        std::vector<std::vector<int>> xdoms, ydoms;
-        for (size_t k = 0; k < a.size(); ++k) {
-          xs.push_back(enc.hole_vars[static_cast<size_t>(a[k])]);
-          xdoms.push_back(sketch.holes[static_cast<size_t>(a[k])].domain);
-          ys.push_back(enc.hole_vars[static_cast<size_t>(b[k])]);
-          ydoms.push_back(sketch.holes[static_cast<size_t>(b[k])].domain);
-        }
-        DYNAMITE_RETURN_NOT_OK(
-            solver->AddConstraint(LexLeq(xs, xdoms, ys, ydoms, 0)));
+        DYNAMITE_RETURN_NOT_OK(AddLexLeq(sketch, enc, a, b, solver, ctx));
       }
     }
   }

@@ -30,9 +30,10 @@ struct SketchEncoding {
 /// Encodes the sketch into `solver`; returns the variable handles. `ctx`
 /// (optional) is polled once the variables exist and then between
 /// constraint groups: before each head attribute's coverage constraint,
-/// each symmetry-breaking lex-leq pair and each connector's occurrence
-/// constraints. An interrupted encoding returns kTimeout or kCancelled and
-/// leaves `solver` holding a partial encoding.
+/// each position of each symmetry-breaking lex-leq pair and each
+/// connector's occurrence constraints. An interrupted encoding returns
+/// kTimeout or kCancelled and leaves `solver` holding a partial encoding.
+/// The failpoint `synth.encode` sits at every poll.
 Result<SketchEncoding> EncodeSketch(const RuleSketch& sketch, FdSolver* solver,
                                     const RunContext* ctx = nullptr);
 

@@ -173,7 +173,6 @@ Result<Rule> Instantiate(const RuleSketch& sketch, const SketchModel& model) {
     }
     rule.body.push_back(std::move(atom));
   }
-  DYNAMITE_RETURN_NOT_OK(rule.Validate());
   return rule;
 }
 

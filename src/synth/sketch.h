@@ -134,6 +134,11 @@ struct SketchModel {
 };
 
 /// Instantiates the sketch under a model, producing a concrete Datalog rule.
+/// Fails only on a model that does not fit the sketch. The rule is not
+/// range-checked here: the sketch encoding's head-coverage constraint makes
+/// every model's rule well-formed, and DatalogEngine::Eval validates each
+/// rule it runs (Rule::Validate), so a candidate is validated once, where
+/// it is evaluated.
 Result<Rule> Instantiate(const RuleSketch& sketch, const SketchModel& model);
 
 }  // namespace dynamite

@@ -377,11 +377,19 @@ class RuleSynthesizer {
     bool ok = false;
   };
 
+  /// The canonical candidate engine. Compiled rules are not cached: every
+  /// candidate is a model the enumeration then blocks, so its rule never
+  /// comes back, and a cache would only build a key string per candidate
+  /// and hold thousands of plans that are never reused. (The portfolio's
+  /// worker engines keep their caches: the shared-prefix programs and
+  /// residual rules they run do recur across batches. So does the
+  /// Migrator's engine, which runs one program again and again.)
   static DatalogEngine MakeEngine(const SynthesisOptions& options) {
     DatalogEngine::Options eval_opts;
     eval_opts.timeout_seconds = options.eval_timeout_seconds;
     eval_opts.max_derived_tuples = options.eval_max_tuples;
     eval_opts.num_threads = options.eval_num_threads;
+    eval_opts.cache_compiled_rules = false;
     return DatalogEngine(eval_opts);
   }
 
@@ -669,8 +677,9 @@ class RuleSynthesizer {
   const RecordForest& expected_output_;  ///< the whole example output
   const SynthesisOptions& options_;
   PortfolioRuntime* portfolio_;  ///< null = sequential enumeration
-  /// One engine for the whole enumeration: EDB join indexes and compiled
-  /// candidate rules persist across the thousands of Eval calls below.
+  /// One engine for the whole enumeration: EDB join indexes persist across
+  /// the thousands of Eval calls below (compiled rules do not; see
+  /// MakeEngine).
   DatalogEngine engine_;
 
   /// This rule's record tree and expected output, resolved once (Init).

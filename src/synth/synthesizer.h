@@ -59,7 +59,8 @@ struct SynthesisOptions {
   /// else sequential; 1 = the exact sequential enumeration loop, never
   /// overridden; > 1 = speculative portfolio search (workers pre-evaluate
   /// upcoming candidates on private engine/solver clones while the
-  /// canonical loop replays the sequential enumeration order). The synthesized program,
+  /// canonical loop replays the sequential enumeration order; values above
+  /// 256 are clamped to 256). The synthesized program,
   /// every stat except SynthesisResult::portfolio, and all error codes are
   /// identical at any value — see src/synth/README.md for why.
   size_t synth_threads = 0;

@@ -46,12 +46,13 @@
 
 namespace dynamite {
 
-/// Largest worker count the DYNAMITE_NUM_THREADS environment variable may
-/// request; larger values resolve to sequential rather than spawning them.
-inline constexpr size_t kMaxEnvNumThreads = 256;
+/// Largest worker count any thread knob resolves to. An explicit knob above
+/// it is clamped to it; a DYNAMITE_NUM_THREADS value above it resolves to
+/// sequential. Either way no caller can ask for more pool threads.
+inline constexpr size_t kMaxNumThreads = 256;
 
 /// Parses a DYNAMITE_NUM_THREADS value. Only a whole decimal string (digits
-/// and nothing else) naming a count in [2, kMaxEnvNumThreads] yields that
+/// and nothing else) naming a count in [2, kMaxNumThreads] yields that
 /// count; anything else — null, empty, a sign, trailing characters, 0, 1 or
 /// a larger number — yields 1 (sequential). Pure: starts no thread.
 inline size_t ParseNumThreadsEnv(const char* text) {
@@ -60,19 +61,21 @@ inline size_t ParseNumThreadsEnv(const char* text) {
   for (const char* c = text; *c != '\0'; ++c) {
     if (*c < '0' || *c > '9') return 1;
     value = value * 10 + static_cast<size_t>(*c - '0');
-    if (value > kMaxEnvNumThreads) return 1;
+    if (value > kMaxNumThreads) return 1;
   }
   return value >= 2 ? value : 1;
 }
 
 /// Resolves a "0 = auto" thread-count knob (DatalogEngine::Options::
 /// num_threads, SynthesisOptions::synth_threads): an explicit value, 1
-/// included, is returned as is; 0 becomes ParseNumThreadsEnv of the
-/// DYNAMITE_NUM_THREADS environment variable — how the TSan CI job pushes
-/// the whole test suite through the parallel paths without per-test
-/// plumbing.
+/// included, is kept up to kMaxNumThreads and clamped to it above; 0
+/// becomes ParseNumThreadsEnv of the DYNAMITE_NUM_THREADS environment
+/// variable — how the TSan CI job pushes the whole test suite through the
+/// parallel paths without per-test plumbing. Pure for an explicit knob:
+/// starts no thread.
 inline size_t ResolveNumThreads(size_t knob) {
-  return knob != 0 ? knob : ParseNumThreadsEnv(std::getenv("DYNAMITE_NUM_THREADS"));
+  if (knob != 0) return knob < kMaxNumThreads ? knob : kMaxNumThreads;
+  return ParseNumThreadsEnv(std::getenv("DYNAMITE_NUM_THREADS"));
 }
 
 /// Persistent worker pool; see file comment for the participation model.

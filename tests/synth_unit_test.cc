@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "api/session.h"
 #include "datalog/simplify.h"
 #include "migrate/facts.h"
@@ -14,6 +16,7 @@
 #include "synth/sketch_gen.h"
 #include "synth/synthesizer.h"
 #include "testing.h"
+#include "util/failpoint.h"
 
 namespace dynamite {
 namespace {
@@ -159,8 +162,9 @@ TEST(Encode, CoverageMakesEveryModelWellFormed) {
     ASSERT_OK_AND_ASSIGN(bool sat1, s.solver.Solve());
     if (!sat1) break;
     SketchModel m = ExtractModel(s.encoding, s.solver);
-    // Instantiate validates range restriction — must never fail.
-    EXPECT_TRUE(Instantiate(s.sketch, m).ok());
+    // Every model's rule is range-restricted — validation must never fail.
+    ASSERT_OK_AND_ASSIGN(Rule rule, Instantiate(s.sketch, m));
+    EXPECT_OK(rule.Validate());
     ASSERT_OK(s.solver.AddClause(BlockingClause(ModelEquality(s.encoding, m))));
   }
 }
@@ -186,37 +190,8 @@ TEST(Encode, UnproducibleTargetAttributeFailsFast) {
   }  // else: sketch generation already failed, which is also acceptable
 }
 
-/// A sketch of `copies` same-shaped chain copies of `width` holes each, all
-/// over one domain of `symbols` body variables: the shape whose
-/// symmetry-breaking lex-leq chain dominates encoding.
-RuleSketch ChainCopiesSketch(int copies, int width, int symbols) {
-  RuleSketch sketch;
-  sketch.target_record = "T";
-  std::vector<int> domain;
-  for (int d = 0; d < symbols; ++d) {
-    SketchSymbol sym;
-    sym.kind = SketchSymbol::Kind::kBodyAttrVar;
-    sym.name = "a" + std::to_string(d);
-    sym.attr = "a";
-    domain.push_back(sketch.symbols.Intern(std::move(sym)));
-  }
-  for (int c = 0; c < copies; ++c) {
-    std::vector<int> holes;
-    for (int w = 0; w < width; ++w) {
-      SketchHole hole;
-      hole.source_attr = "a";
-      hole.copy = c + 1;
-      hole.domain = domain;
-      holes.push_back(static_cast<int>(sketch.holes.size()));
-      sketch.holes.push_back(std::move(hole));
-    }
-    sketch.chain_copies.push_back({"R", std::move(holes)});
-  }
-  return sketch;
-}
-
 TEST(Encode, PollsTheRunContextBetweenConstraintGroups) {
-  const RuleSketch sketch = ChainCopiesSketch(24, 6, 8);
+  const RuleSketch sketch = testing::ChainCopiesSketch(24, 6, 8);
   FdSolver full;
   ASSERT_OK(EncodeSketch(sketch, &full).status());
 
@@ -242,6 +217,44 @@ TEST(Encode, PollsTheRunContextBetweenConstraintGroups) {
   ASSERT_FALSE(cancel.ok());
   EXPECT_EQ(cancel.status().code(), StatusCode::kCancelled);
   EXPECT_LT(cancelled.num_clauses(), full.num_clauses());
+}
+
+// One wide lex-leq pair (two copies of 31 holes over 64 symbols) is polled
+// at each of its positions. The `synth.encode` failpoint sits at every
+// poll, so arming it on its k-th execution interrupts encoding exactly
+// there: stepping k through every poll must stop encoding at 31 or more
+// distinct clause counts, none fewer than the stop before and all fewer
+// than the full encoding. Polling once per pair would give only a few.
+TEST(Encode, PollsEveryPositionOfALexLeqPair) {
+  const RuleSketch sketch = testing::ChainCopiesSketch(2, 31, 64);
+  FdSolver full;
+  ASSERT_OK(EncodeSketch(sketch, &full).status());
+
+  std::vector<size_t> stops;  // clauses at each interrupted poll, in order
+  for (uint64_t k = 1;; ++k) {
+    ASSERT_LT(k, 1000u) << "encoding never ran past the armed poll";
+    failpoint::Spec spec;
+    spec.kind = failpoint::Kind::kTimeout;
+    spec.hit = k;
+    failpoint::Arm("synth.encode", spec);
+    FdSolver partial;
+    RunContext unbounded;
+    auto encoded = EncodeSketch(sketch, &partial, &unbounded);
+    failpoint::DisarmAll();
+    if (encoded.ok()) {
+      // k ran past the last poll: the encoding is whole.
+      EXPECT_EQ(partial.num_clauses(), full.num_clauses());
+      break;
+    }
+    EXPECT_EQ(encoded.status().code(), StatusCode::kTimeout);
+    EXPECT_LT(partial.num_clauses(), full.num_clauses());
+    if (!stops.empty()) {
+      EXPECT_GE(partial.num_clauses(), stops.back());
+    }
+    stops.push_back(partial.num_clauses());
+  }
+  stops.erase(std::unique(stops.begin(), stops.end()), stops.end());
+  EXPECT_GE(stops.size(), 31u);
 }
 
 TEST(Synthesizer, FailsOnInconsistentExample) {

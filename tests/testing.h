@@ -9,6 +9,7 @@
 #include "instance/document.h"
 #include "schema/schema_builder.h"
 #include "synth/example.h"
+#include "synth/sketch.h"
 
 namespace dynamite {
 namespace testing {
@@ -95,6 +96,35 @@ inline RecordNode FlatRecord(const std::string& type,
   rec.type = type;
   rec.prims = std::move(prims);
   return rec;
+}
+
+/// A sketch of `copies` same-shaped chain copies of `width` holes each, all
+/// over one domain of `symbols` body variables: the shape whose
+/// symmetry-breaking lex-leq chain dominates encoding.
+inline RuleSketch ChainCopiesSketch(int copies, int width, int symbols) {
+  RuleSketch sketch;
+  sketch.target_record = "T";
+  std::vector<int> domain;
+  for (int d = 0; d < symbols; ++d) {
+    SketchSymbol sym;
+    sym.kind = SketchSymbol::Kind::kBodyAttrVar;
+    sym.name = "a" + std::to_string(d);
+    sym.attr = "a";
+    domain.push_back(sketch.symbols.Intern(std::move(sym)));
+  }
+  for (int c = 0; c < copies; ++c) {
+    std::vector<int> holes;
+    for (int w = 0; w < width; ++w) {
+      SketchHole hole;
+      hole.source_attr = "a";
+      hole.copy = c + 1;
+      hole.domain = domain;
+      holes.push_back(static_cast<int>(sketch.holes.size()));
+      sketch.holes.push_back(std::move(hole));
+    }
+    sketch.chain_copies.push_back({"R", std::move(holes)});
+  }
+  return sketch;
 }
 
 }  // namespace testing

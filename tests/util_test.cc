@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "util/result.h"
@@ -162,6 +163,16 @@ TEST(NumThreadsEnv, AcceptsOnlyWholeCountsInRange) {
 TEST(NumThreadsEnv, ExplicitKnobIsNeverOverridden) {
   EXPECT_EQ(ResolveNumThreads(1), 1u);
   EXPECT_EQ(ResolveNumThreads(3), 3u);
+}
+
+// Resolution alone: no pool is built, so no thread starts, whatever the
+// knob asks for.
+TEST(NumThreadsEnv, ExplicitKnobIsClampedToTheCap) {
+  EXPECT_EQ(ResolveNumThreads(kMaxNumThreads), kMaxNumThreads);
+  EXPECT_EQ(ResolveNumThreads(kMaxNumThreads + 1), kMaxNumThreads);
+  EXPECT_EQ(ResolveNumThreads(100000), kMaxNumThreads);
+  EXPECT_EQ(ResolveNumThreads(SIZE_MAX), kMaxNumThreads);
+  EXPECT_EQ(kMaxNumThreads, 256u);
 }
 
 }  // namespace
