@@ -66,17 +66,27 @@ std::vector<std::string> Atom::Variables() const {
 }
 
 namespace {
+// A rule has few variables, so the helpers below scan flat lists rather
+// than build a set per call.
 std::vector<std::string> DistinctVars(const std::vector<Atom>& atoms) {
   std::vector<std::string> out;
-  std::set<std::string> seen;
   for (const Atom& a : atoms) {
     for (const Term& t : a.terms) {
-      if (t.is_variable() && seen.insert(t.var()).second) {
+      if (t.is_variable() && std::find(out.begin(), out.end(), t.var()) == out.end()) {
         out.push_back(t.var());
       }
     }
   }
   return out;
+}
+
+bool HasVariable(const std::vector<Atom>& atoms, const std::string& var) {
+  for (const Atom& a : atoms) {
+    for (const Term& t : a.terms) {
+      if (t.is_variable() && t.var() == var) return true;
+    }
+  }
+  return false;
 }
 }  // namespace
 
@@ -101,18 +111,12 @@ std::vector<std::string> Rule::BodyVariables() const { return DistinctVars(body)
 Status Rule::Validate() const {
   if (heads.empty()) return Status::InvalidArgument("rule with no head: " + ToString());
   if (body.empty()) return Status::InvalidArgument("rule with no body: " + ToString());
-  std::set<std::string> body_vars;
-  for (const Atom& a : body) {
-    for (const Term& t : a.terms) {
-      if (t.is_variable()) body_vars.insert(t.var());
-    }
-  }
   for (const Atom& h : heads) {
     for (const Term& t : h.terms) {
       if (t.is_wildcard()) {
         return Status::InvalidArgument("wildcard in rule head: " + ToString());
       }
-      if (t.is_variable() && body_vars.count(t.var()) == 0) {
+      if (t.is_variable() && !HasVariable(body, t.var())) {
         return Status::InvalidArgument("head variable " + t.var() +
                                        " does not occur in body: " + ToString());
       }

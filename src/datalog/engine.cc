@@ -294,7 +294,8 @@ std::vector<std::vector<size_t>> BodyComponents(const std::vector<RawAtom>& raws
 ///     buffer duplicate on the parallel path): it changes no relation and
 ///     does not count against max_derived_tuples. Only the interruption
 ///     tick count changes, i.e. how soon a cancel or deadline is noticed.
-Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& idb,
+Result<CompiledRule> CompileRule(const Rule& rule,
+                                 const std::map<std::string, std::vector<std::string>>& idb,
                                  const EdbView& edb, bool reorder,
                                  const std::map<std::string, size_t>* idb_sizes = nullptr) {
   CompiledRule out;
@@ -1531,11 +1532,11 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
   DYNAMITE_TRACE_SPAN("engine.eval");
   trace::Span compile_span("engine.compile");
   const EdbView view{&edb, extra_edb};
-  std::set<std::string> idb;
+  // The IDB relations are the signature map's keys; it serves as their set.
+  const std::map<std::string, std::vector<std::string>>& idb = idb_signatures;
   std::string idb_key;
-  for (const auto& [name, attrs] : idb_signatures) {
-    idb.insert(name);
-    if (options_.cache_compiled_rules) {
+  if (options_.cache_compiled_rules) {
+    for (const auto& [name, attrs] : idb_signatures) {
       idb_key += name;
       idb_key += ',';
     }
@@ -1555,8 +1556,8 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
       }
     }
     for (const Atom& b : rule.body) {
-      if (idb.count(b.relation) > 0) {
-        if (idb_signatures.at(b.relation).size() != b.terms.size()) {
+      if (auto it = idb.find(b.relation); it != idb.end()) {
+        if (it->second.size() != b.terms.size()) {
           return Status::InvalidArgument("arity mismatch for IDB body relation " +
                                          b.relation);
         }

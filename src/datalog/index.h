@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "util/failpoint.h"
+#include "util/hash.h"
 #include "util/mem_budget.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -80,8 +81,9 @@ class JoinIndex {
     size_t start = indexed_upto_;
     if (n > start) {
       // Posting-list growth: one uint32_t per newly indexed row (group
-      // structs are charged as they appear below). Refresh has no Status
-      // channel; exhaustion is observed at the engine's next poll.
+      // structs are charged as they appear below, the group table as it
+      // grows in Regrow). Refresh has no Status channel; exhaustion is
+      // observed at the engine's next poll.
       MemoryBudget::ChargeCurrent((n - start) * sizeof(uint32_t));
       DYNAMITE_FAILPOINT_THROW("engine.index.refresh");
     }
@@ -99,6 +101,10 @@ class JoinIndex {
       });
       have_hashes = st.ok();
     }
+    // A first build sizes the group table for every row it indexes (at
+    // most one group per row), so it never regrows from 16 slots; later
+    // suffix extensions grow it by doubling.
+    if (start == 0 && n > 0 && group_slots_.empty()) Regrow(SlotsForEntries(n));
     for (size_t i = start; i < n; ++i) {
       if (groups_.size() * 4 + 4 > group_slots_.size() * 3) {
         Regrow(group_slots_.empty() ? 16 : group_slots_.size() * 2);
@@ -218,7 +224,13 @@ class JoinIndex {
     return true;
   }
 
+  /// Resizes the group table to `new_slot_count` slots, charging the growth
+  /// to the current MemoryBudget before allocating it, and reinserts every
+  /// group.
   void Regrow(size_t new_slot_count) {
+    if (new_slot_count > group_slots_.size()) {
+      MemoryBudget::ChargeCurrent((new_slot_count - group_slots_.size()) * sizeof(uint32_t));
+    }
     group_slots_.assign(new_slot_count, kEmptySlot);
     size_t mask = new_slot_count - 1;
     for (size_t gi = 0; gi < groups_.size(); ++gi) {

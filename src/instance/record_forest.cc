@@ -75,7 +75,7 @@ const RecordTypeTable::Type* RecordTypeTable::Find(const std::string& name) cons
 }
 
 Result<const RecordTypeTable::Type*> RecordTypeTable::ValidateRoot(
-    const RecordNode& root) const {
+    const RecordNode& root, std::vector<size_t>* records_by_type) const {
   const Type* type = Find(root.type);
   if (type == nullptr) {
     return Status::InvalidArgument("unknown record type in instance: " + root.type);
@@ -84,15 +84,18 @@ Result<const RecordTypeTable::Type*> RecordTypeTable::ValidateRoot(
     return Status::InvalidArgument("nested record type " + root.type +
                                    " cannot appear at the top level");
   }
-  DYNAMITE_RETURN_NOT_OK(ValidateNode(root, *type));
+  DYNAMITE_RETURN_NOT_OK(ValidateNode(root, *type, records_by_type));
   return type;
 }
 
-Status RecordTypeTable::ValidateNode(const RecordNode& node, const Type& type) const {
+Status RecordTypeTable::ValidateNode(const RecordNode& node, const Type& type,
+                                     std::vector<size_t>* records_by_type) const {
+  if (records_by_type != nullptr) ++(*records_by_type)[type.index];
   const std::vector<std::string>& attrs = *type.attrs;
+  PrimReader prims(node);
   for (size_t i = 0; i < attrs.size(); ++i) {
     if (!type.is_prim[i]) continue;
-    const Value& v = node.Prim(attrs[i]);
+    const Value& v = prims.Next(attrs[i]);
     if (v.is_null()) {
       return Status::InvalidArgument("record " + node.type + " missing attribute " + attrs[i]);
     }
@@ -113,7 +116,7 @@ Status RecordTypeTable::ValidateNode(const RecordNode& node, const Type& type) c
         return Status::InvalidArgument("child of type " + k.type + " stored under attribute " +
                                        attr);
       }
-      DYNAMITE_RETURN_NOT_OK(ValidateNode(k, *kid_type));
+      DYNAMITE_RETURN_NOT_OK(ValidateNode(k, *kid_type, records_by_type));
     }
   }
   return Status::OK();

@@ -62,6 +62,30 @@ class RecordTypeTable {
     bool nested = false;                              ///< nested in another record
   };
 
+  /// Reads a record's primitive values in its type's attribute order. Each
+  /// attribute is tried at the next unread position of `prims` first, where
+  /// instances built from the schema keep it, and found by name otherwise.
+  /// Each value read is the one RecordNode::Prim returns: every entry before
+  /// that position was read for an earlier attribute, and a record's
+  /// attribute names are distinct (Schema::Validate), so none of them can
+  /// carry this attribute's name.
+  class PrimReader {
+   public:
+    explicit PrimReader(const RecordNode& node) : node_(node) {}
+
+    /// The value of `attr`, the type's next primitive attribute.
+    const Value& Next(const std::string& attr) {
+      if (next_ < node_.prims.size() && node_.prims[next_].first == attr) {
+        return node_.prims[next_++].second;
+      }
+      return node_.Prim(attr);
+    }
+
+   private:
+    const RecordNode& node_;
+    size_t next_ = 0;  ///< prims[0, next_) were read at their positions
+  };
+
   explicit RecordTypeTable(const Schema& schema);
 
   /// Types in schema RecordNames() order; Type::index is the position.
@@ -72,11 +96,14 @@ class RecordTypeTable {
 
   /// Validates one top-level record and its subtree and returns its type;
   /// the error is the one ValidateForest reports when this root is the
-  /// first bad one.
-  Result<const Type*> ValidateRoot(const RecordNode& root) const;
+  /// first bad one. With `records_by_type` (sized types().size()), adds one
+  /// per validated record to its type's entry.
+  Result<const Type*> ValidateRoot(const RecordNode& root,
+                                   std::vector<size_t>* records_by_type = nullptr) const;
 
  private:
-  Status ValidateNode(const RecordNode& node, const Type& type) const;
+  Status ValidateNode(const RecordNode& node, const Type& type,
+                      std::vector<size_t>* records_by_type) const;
 
   std::vector<Type> types_;
   std::unordered_map<std::string, size_t> index_;

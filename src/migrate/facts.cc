@@ -5,6 +5,7 @@
 
 #include "datalog/index.h"
 #include "util/failpoint.h"
+#include "util/mem_budget.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -33,8 +34,7 @@ namespace {
 /// straight into its type's relation, with identifiers drawn from
 /// `*next_id` in visit order.
 struct TreeEmitter {
-  /// The schema's resolved record types, shared with validation.
-  RecordTypeTable table;
+  const RecordTypeTable& table;
   /// The relation each record type emits into, by Type::index.
   std::vector<Relation*> rels;
   uint64_t* next_id;
@@ -46,8 +46,9 @@ struct TreeEmitter {
     row_buf.clear();
     if (parent_id != nullptr) row_buf.push_back(*parent_id);
     const std::vector<std::string>& attrs = *type.attrs;
+    RecordTypeTable::PrimReader prims(node);
     for (size_t i = 0; i < attrs.size(); ++i) {
-      row_buf.push_back(type.is_prim[i] ? node.Prim(attrs[i]) : my_id);
+      row_buf.push_back(type.is_prim[i] ? prims.Next(attrs[i]) : my_id);
     }
     rels[type.index]->InsertRow(row_buf.data(), row_buf.size());
     // row_buf is free to reuse below: InsertRow copied the row.
@@ -58,36 +59,50 @@ struct TreeEmitter {
       }
     }
   }
-
-  /// Validates `root`, then emits it; a malformed root emits nothing.
-  Status EmitRoot(const RecordNode& root) {
-    DYNAMITE_ASSIGN_OR_RETURN(const RecordTypeTable::Type* type, table.ValidateRoot(root));
-    Emit(root, *type, nullptr);
-    return Status::OK();
-  }
 };
 
 }  // namespace
 
 Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
-                             uint64_t* next_id, const RunContext* ctx) {
+                             uint64_t* next_id, const RunContext* ctx, size_t* records) {
   DYNAMITE_TRACE_SPAN("ingest.to_facts");
+  const RecordTypeTable table(schema);
+  size_t ticks = 0;
+  // Pass 1: validate every root, counting the records of each type.
+  std::vector<size_t> counts(table.types().size(), 0);
+  std::vector<const RecordTypeTable::Type*> root_types;
+  root_types.reserve(forest.roots.size());
+  for (const RecordNode& root : forest.roots) {
+    if (ctx != nullptr && (++ticks & 0xff) == 0) {
+      DYNAMITE_RETURN_NOT_OK(ctx->Check("facts conversion"));
+    }
+    DYNAMITE_ASSIGN_OR_RETURN(const RecordTypeTable::Type* type,
+                              table.ValidateRoot(root, &counts));
+    root_types.push_back(type);
+  }
+  // One relation per record type, declared in schema RecordNames() order
+  // (so relation uids ascend in that order) and sized for its records.
   FactDatabase db;
-  TreeEmitter emitter{RecordTypeTable(schema), {}, next_id, {}};
-  // One relation per record type, declared in schema RecordNames() order,
-  // so relation uids ascend in that order.
-  for (const std::string& rec : schema.RecordNames()) {
+  TreeEmitter emitter{table, {}, next_id, {}};
+  for (const RecordTypeTable::Type& type : table.types()) {
     DYNAMITE_ASSIGN_OR_RETURN(Relation * rel,
-                              db.DeclareRelation(rec, FactSignature(schema, rec)));
+                              db.DeclareRelation(*type.name, FactSignature(schema, *type.name)));
+    if (!rel->Reserve(counts[type.index])) {
+      return MemoryBudget::Current()->ToStatus("facts conversion");
+    }
     emitter.rels.push_back(rel);
   }
-  size_t ticks = 0;
-  for (const RecordNode& root : forest.roots) {
+  // Pass 2: emit, in the same root order.
+  for (size_t r = 0; r < forest.roots.size(); ++r) {
     DYNAMITE_FAILPOINT("facts.emit");
     if (ctx != nullptr && (++ticks & 0xff) == 0) {
       DYNAMITE_RETURN_NOT_OK(ctx->Check("facts conversion"));
     }
-    DYNAMITE_RETURN_NOT_OK(emitter.EmitRoot(root));
+    emitter.Emit(forest.roots[r], *root_types[r], nullptr);
+  }
+  if (records != nullptr) {
+    *records = 0;
+    for (size_t n : counts) *records += n;
   }
   return db;
 }
@@ -130,6 +145,7 @@ struct Rebuilder {
   const RecordTypeTable& table;
   IngestStats* stats;  // may be null
   std::vector<std::optional<ChildIndex>> child_indexes;  // by Type::index
+  size_t built = 0;  // records built so far
 
   const ChildIndex& IndexFor(const RecordTypeTable::Type& child) {
     std::optional<ChildIndex>& index = child_indexes[child.index];
@@ -147,6 +163,7 @@ struct Rebuilder {
   /// `offset` = 1 when the relation has a parent column.
   RecordNode Build(const RecordTypeTable::Type& type, RowRef fact, size_t offset) {
     const std::vector<std::string>& attrs = *type.attrs;
+    ++built;
     RecordNode node;
     node.type = *type.name;
     node.prims.reserve(attrs.size() - type.record_attrs.size());
@@ -174,7 +191,7 @@ struct Rebuilder {
 }  // namespace
 
 Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
-                                 const RunContext* ctx, IngestStats* stats) {
+                                 const RunContext* ctx, IngestStats* stats, size_t* records) {
   DYNAMITE_TRACE_SPAN("ingest.build_forest");
   // The per-lookup stats increments in Rebuilder are too hot to mirror one
   // by one; the registry gets the run's delta in bulk on success.
@@ -182,7 +199,13 @@ Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
   const size_t lookups_before = stats != nullptr ? stats->child_index_lookups : 0;
   const RecordTypeTable table(schema);
   Rebuilder rb{db, table, stats, std::vector<std::optional<ChildIndex>>(table.types().size())};
+  // Each row of a top-level relation is a root.
+  size_t num_roots = 0;
+  for (const std::string& rec : schema.TopLevelRecords()) {
+    if (auto found = db.Find(rec); found.ok()) num_roots += found.ValueOrDie()->size();
+  }
   RecordForest forest;
+  forest.roots.reserve(num_roots);
   size_t ticks = 0;
   for (const std::string& rec : schema.TopLevelRecords()) {
     auto found = db.Find(rec);
@@ -209,6 +232,7 @@ Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
     DYNAMITE_METRIC_ADD("ingest.child_index_lookups",
                         stats->child_index_lookups - lookups_before);
   }
+  if (records != nullptr) *records = rb.built;
   return forest;
 }
 

@@ -48,22 +48,30 @@ std::map<std::string, std::vector<std::string>> FactSignatures(const Schema& sch
 
 /// Converts a record forest into Datalog facts. Fresh identifiers are drawn
 /// from `*next_id` (incremented); relations are declared for every record
-/// type of the schema (even if empty). Each root is validated just before it
-/// is emitted, in the same walk; a malformed forest fails with exactly the
-/// Status ValidateForest returns (the first error in root order). `ctx`
-/// (optional) is polled between top-level records: cancellation/deadline
-/// aborts the conversion, and may do so before a later root's validation
-/// error is reached.
+/// type of the schema (even if empty). A first pass validates every root and
+/// counts the records of each type; a malformed forest fails there, before
+/// anything is emitted, with exactly the Status ValidateForest returns (the
+/// first error in root order). Each relation is then sized for its count
+/// (Relation::Reserve; a MemoryBudget that refuses the storage fails the
+/// conversion with kResourceExhausted) and a second pass emits the rows in
+/// depth-first visit order. `ctx` (optional) is polled between top-level
+/// records in both passes: cancellation/deadline aborts the conversion, and
+/// may do so before a later root's validation error is reached. `records`
+/// (optional) receives the number of records in the forest, nested ones
+/// included (RecordForest::TotalRecords, counted by the validation pass).
 Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
-                             uint64_t* next_id, const RunContext* ctx = nullptr);
+                             uint64_t* next_id, const RunContext* ctx = nullptr,
+                             size_t* records = nullptr);
 
 /// Inverse of ToFacts: reconstructs a record forest from fact relations
 /// (the paper's BuildRecord procedure, applied to every top-level record).
 /// Ignores relations not present in `db` (treated as empty). `ctx` as in
 /// ToFacts. `stats` (optional) accumulates child-index build/lookup counts.
+/// `records` (optional) receives the number of records built, nested ones
+/// included (the result's TotalRecords).
 Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
                                  const RunContext* ctx = nullptr,
-                                 IngestStats* stats = nullptr);
+                                 IngestStats* stats = nullptr, size_t* records = nullptr);
 
 /// Canonical, order-insensitive fingerprints of the forest's root records
 /// (sorted). Two forests represent the same database instance iff their

@@ -27,7 +27,6 @@ Result<RecordForest> Migrator::MigrateImpl(const Program& program,
                                            MigrationStats* stats) const {
   DYNAMITE_TRACE_SPAN("migrate.run");
   MigrationStats local;
-  local.source_records = source.TotalRecords();
 
   ProgressEvent event;
   event.phase = Phase::kMigrate;
@@ -51,7 +50,7 @@ Result<RecordForest> Migrator::MigrateImpl(const Program& program,
   // error return closes the open span via its destructor.
   trace::Span facts_span("migrate.facts");
   DYNAMITE_ASSIGN_OR_RETURN(
-      FactDatabase edb, ToFacts(source, source_schema_, &next_id, &ctx));
+      FactDatabase edb, ToFacts(source, source_schema_, &next_id, &ctx, &local.source_records));
   DYNAMITE_RETURN_NOT_OK(ctx.Check("facts conversion"));
   local.source_facts = edb.TotalFacts();
   local.to_facts_seconds = timer.ElapsedSeconds();
@@ -61,7 +60,7 @@ Result<RecordForest> Migrator::MigrateImpl(const Program& program,
   timer.Reset();
   trace::Span eval_span("migrate.eval");
   Result<FactDatabase> evaluated =
-      engine_.Eval(program, edb, FactSignatures(target_schema_), &ctx);
+      engine_.Eval(program, edb, target_signatures_, &ctx);
   // The ToFacts relations die with this call, and the engine's cache is
   // keyed by relation uid: their indexes could never be hit again.
   engine_.ReleaseEdbIndexes(edb);
@@ -74,10 +73,10 @@ Result<RecordForest> Migrator::MigrateImpl(const Program& program,
 
   timer.Reset();
   trace::Span build_span("migrate.build");
-  DYNAMITE_ASSIGN_OR_RETURN(RecordForest target,
-                            BuildForest(idb, target_schema_, &ctx, &local.ingest));
+  DYNAMITE_ASSIGN_OR_RETURN(
+      RecordForest target,
+      BuildForest(idb, target_schema_, &ctx, &local.ingest, &local.target_records));
   DYNAMITE_RETURN_NOT_OK(ctx.Check("forest reconstruction"));
-  local.target_records = target.TotalRecords();
   local.build_seconds = timer.ElapsedSeconds();
   build_span.End();
   report("build");

@@ -46,6 +46,7 @@ class Migrator {
            DatalogEngine::Options engine_options = DatalogEngine::Options())
       : source_schema_(std::move(source_schema)),
         target_schema_(std::move(target_schema)),
+        target_signatures_(FactSignatures(target_schema_)),
         engine_(engine_options) {}
 
   /// Runs the migration; fills `*stats` if non-null. The `ctx`
@@ -71,6 +72,8 @@ class Migrator {
 
   Schema source_schema_;
   Schema target_schema_;
+  /// FactSignatures(target_schema_): the IDB signatures of every Eval.
+  std::map<std::string, std::vector<std::string>> target_signatures_;
   DatalogEngine engine_;
 };
 

@@ -26,6 +26,16 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Slot count of an open-addressed table that holds `entries` entries
+/// without growing: the smallest power of two, at least 16, that keeps the
+/// load at or under 3/4, the load at which the row tables (Relation) and
+/// group tables (JoinIndex) double.
+inline size_t SlotsForEntries(size_t entries) {
+  size_t slots = 16;
+  while (slots * 3 < entries * 4) slots *= 2;
+  return slots;
+}
+
 }  // namespace dynamite
 
 #endif  // DYNAMITE_UTIL_HASH_H_

@@ -6,6 +6,7 @@
 
 #include "util/check.h"
 #include "util/failpoint.h"
+#include "util/hash.h"
 #include "util/mem_budget.h"
 #include "util/strings.h"
 
@@ -43,6 +44,7 @@ Relation::Relation(const Relation& other)
       row_hashes_(other.row_hashes_),
       slots_(other.slots_),
       num_rows_(other.num_rows_),
+      charged_rows_(other.num_rows_),
       uid_(NextUid()) {}
 
 Relation& Relation::operator=(const Relation& other) {
@@ -53,6 +55,7 @@ Relation& Relation::operator=(const Relation& other) {
     row_hashes_ = other.row_hashes_;
     slots_ = other.slots_;
     num_rows_ = other.num_rows_;
+    charged_rows_ = other.num_rows_;
     uid_ = NextUid();
   }
   return *this;
@@ -65,8 +68,10 @@ Relation::Relation(Relation&& other) noexcept
       row_hashes_(std::move(other.row_hashes_)),
       slots_(std::move(other.slots_)),
       num_rows_(other.num_rows_),
+      charged_rows_(other.charged_rows_),
       uid_(other.uid_) {
   other.num_rows_ = 0;
+  other.charged_rows_ = 0;
   other.uid_ = NextUid();
 }
 
@@ -78,8 +83,10 @@ Relation& Relation::operator=(Relation&& other) noexcept {
     row_hashes_ = std::move(other.row_hashes_);
     slots_ = std::move(other.slots_);
     num_rows_ = other.num_rows_;
+    charged_rows_ = other.charged_rows_;
     uid_ = other.uid_;
     other.num_rows_ = 0;
+    other.charged_rows_ = 0;
     other.uid_ = NextUid();
   }
   return *this;
@@ -97,6 +104,19 @@ void Relation::Rehash(size_t new_slot_count) {
     while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
     slots_[i] = static_cast<uint32_t>(idx);
   }
+}
+
+bool Relation::Reserve(size_t rows) {
+  if (rows <= num_rows_) return true;  // storage already holds them
+  if (rows > charged_rows_) {
+    if (!MemoryBudget::ChargeCurrent((rows - charged_rows_) * RowBytes())) return false;
+    charged_rows_ = rows;
+    for (std::vector<Value>& col : columns_) col.reserve(rows);
+    row_hashes_.reserve(rows);
+  }
+  const size_t slots = SlotsForEntries(rows);
+  if (slots > slots_.size()) Rehash(slots);
+  return true;
 }
 
 bool Relation::RowEqualsValues(size_t idx, const Value* vals) const {
@@ -131,8 +151,10 @@ bool Relation::InsertRowPrehashed(const Value* vals, size_t count, size_t h) {
     i = (i + 1) & mask;
   }
   slots_[i] = static_cast<uint32_t>(num_rows_);
-  MemoryBudget::ChargeCurrent(columns_.size() * sizeof(Value) +
-                              sizeof(size_t));
+  if (num_rows_ == charged_rows_) {
+    MemoryBudget::ChargeCurrent(RowBytes());
+    ++charged_rows_;
+  }
   for (size_t c = 0; c < columns_.size(); ++c) columns_[c].push_back(vals[c]);
   row_hashes_.push_back(h);
   ++num_rows_;

@@ -74,6 +74,16 @@ class Relation {
   /// appends, refreshed on copy.
   uint64_t uid() const { return uid_; }
 
+  /// Sizes the storage for `rows` rows in all: the columns, the row hashes
+  /// and the slot table, so inserting up to that many rows reallocates
+  /// nothing. The row storage is charged to the thread's MemoryBudget
+  /// before it is allocated, and the rows it covers are not charged again
+  /// when inserted; the slot table grows through the same charged rehash
+  /// as insertion. Returns false, reserving nothing, when the budget
+  /// refuses the row storage (the relation then grows on demand, as
+  /// without a reservation).
+  bool Reserve(size_t rows);
+
   /// Appends the row `vals[0..arity())`; returns true if it was not already
   /// present. The hot insertion path: no Tuple is materialized.
   bool InsertRow(const Value* vals, size_t count);
@@ -168,8 +178,12 @@ class Relation {
  private:
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
-  /// Doubles (or initializes) the slot table and reinserts all row indices.
+  /// Resizes the slot table to `new_slot_count` slots (charging the growth
+  /// to the current MemoryBudget first) and reinserts all row indices.
   void Rehash(size_t new_slot_count);
+
+  /// Bytes one row occupies in the columns and the row hashes.
+  size_t RowBytes() const { return columns_.size() * sizeof(Value) + sizeof(size_t); }
 
   /// True if row `idx` equals `vals[0..arity())` cell-for-cell.
   bool RowEqualsValues(size_t idx, const Value* vals) const;
@@ -190,6 +204,9 @@ class Relation {
   /// marks a free slot. Size is always a power of two.
   std::vector<uint32_t> slots_;
   size_t num_rows_ = 0;
+  /// Rows whose storage the MemoryBudget has been charged for: num_rows_,
+  /// or more after a Reserve.
+  size_t charged_rows_ = 0;
   uint64_t uid_;
 };
 

@@ -18,6 +18,8 @@
 #include "migrate/facts.h"
 #include "schema/schema_builder.h"
 #include "testing.h"
+#include "util/hash.h"
+#include "util/mem_budget.h"
 #include "value/relation.h"
 
 namespace dynamite {
@@ -72,6 +74,66 @@ TEST(ColumnarStorage, InsertRowAndInsertTupleAreInterchangeable) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.row_hash(i), a.TupleAt(i).Hash());
   }
+}
+
+TEST(ColumnarStorage, ReserveKeepsRowsAndChargesStorageOnce) {
+  // 3000 inserts of 1000 distinct rows (ints: interning a string would
+  // charge the budget too).
+  auto fill = [](Relation* r) {
+    std::vector<Value> row(2);
+    for (int i = 0; i < 3000; ++i) {
+      row[0] = Value::Int(i % 1000);
+      row[1] = Value::Int(i % 1000 * 7);
+      r->InsertRow(row);
+    }
+  };
+  Relation plain("r", {"x", "y"}), exact("r", {"x", "y"}), over("r", {"x", "y"});
+  MemoryBudget plain_budget(0), exact_budget(0), over_budget(0);
+  {
+    MemoryBudgetScope scope(&plain_budget);
+    fill(&plain);
+  }
+  {
+    MemoryBudgetScope scope(&exact_budget);
+    ASSERT_TRUE(exact.Reserve(1000));
+    fill(&exact);
+  }
+  {
+    MemoryBudgetScope scope(&over_budget);
+    ASSERT_TRUE(over.Reserve(3000));
+    fill(&over);
+  }
+  // Same rows, hashes and order whatever the reservation.
+  for (const Relation* r : {&exact, &over}) {
+    ASSERT_EQ(r->size(), plain.size());
+    for (size_t c = 0; c < plain.arity(); ++c) EXPECT_EQ(r->column(c), plain.column(c));
+    for (size_t i = 0; i < plain.size(); ++i) EXPECT_EQ(r->row_hash(i), plain.row_hash(i));
+  }
+  // Reserving exactly the rows charges what growing to them charges: the
+  // slot table's doublings add up to its final size, and reserved rows are
+  // not charged again as they are inserted.
+  const size_t row_bytes = 2 * sizeof(Value) + sizeof(size_t);
+  EXPECT_EQ(exact_budget.used(), plain_budget.used());
+  EXPECT_EQ(exact_budget.used(), 1000 * row_bytes + SlotsForEntries(1000) * sizeof(uint32_t));
+  // An over-reservation charges what it reserved, once.
+  EXPECT_EQ(over_budget.used(), 3000 * row_bytes + SlotsForEntries(3000) * sizeof(uint32_t));
+  // Rows past a reservation are charged as they come.
+  {
+    MemoryBudgetScope scope(&exact_budget);
+    const size_t before = exact_budget.used();
+    exact.Insert(Tuple({Value::Int(-1), Value::Int(-1)}));
+    EXPECT_EQ(exact_budget.used(), before + row_bytes);
+  }
+
+  // A budget that refuses the rows gets them refused: nothing is reserved,
+  // and the relation still takes rows one by one.
+  MemoryBudget tiny(64);
+  MemoryBudgetScope scope(&tiny);
+  Relation refused("r", {"x", "y"});
+  EXPECT_FALSE(refused.Reserve(1000));
+  EXPECT_TRUE(tiny.exhausted());
+  EXPECT_TRUE(refused.Insert(Tuple({Value::Int(1), Value::Int(2)})));
+  EXPECT_EQ(refused.size(), 1u);
 }
 
 TEST(ColumnarStorage, RowRefStaysValidAcrossAppends) {

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "migrate/facts.h"
 #include "api/session.h"
 #include "testing.h"
+#include "util/mem_budget.h"
+#include "workload/benchmarks.h"
 
 namespace dynamite {
 namespace {
@@ -70,6 +74,91 @@ TEST(ToFactsBuildForest, ChildIndexIsBuiltOncePerRelation) {
   // index build, one lookup per Univ root (2 roots in Example 4).
   EXPECT_EQ(stats.child_index_builds, 1u);
   EXPECT_EQ(stats.child_index_lookups, 2u);
+}
+
+/// `node` with its prims and child lists in reverse order, at every depth.
+RecordNode Reversed(RecordNode node) {
+  std::reverse(node.prims.begin(), node.prims.end());
+  std::reverse(node.children.begin(), node.children.end());
+  for (auto& [attr, kids] : node.children) {
+    for (RecordNode& kid : kids) kid = Reversed(std::move(kid));
+  }
+  return node;
+}
+
+/// Same relations, same rows (ids included) in the same order.
+void ExpectSameFacts(const FactDatabase& a, const FactDatabase& b) {
+  ASSERT_EQ(a.RelationNames(), b.RelationNames());
+  for (const std::string& name : a.RelationNames()) {
+    const Relation& ra = *a.Find(name).ValueOrDie();
+    const Relation& rb = *b.Find(name).ValueOrDie();
+    ASSERT_EQ(ra.attributes(), rb.attributes()) << name;
+    ASSERT_EQ(ra.size(), rb.size()) << name;
+    for (size_t c = 0; c < ra.arity(); ++c) {
+      EXPECT_EQ(ra.column(c), rb.column(c)) << name << " column " << c;
+    }
+  }
+}
+
+/// Same records in the same order, prims and child lists included.
+void ExpectSameNodes(const std::vector<RecordNode>& a, const std::vector<RecordNode>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].type, b[i].type);
+    ASSERT_EQ(a[i].prims, b[i].prims) << a[i].type;
+    ASSERT_EQ(a[i].children.size(), b[i].children.size()) << a[i].type;
+    for (size_t k = 0; k < a[i].children.size(); ++k) {
+      ASSERT_EQ(a[i].children[k].first, b[i].children[k].first);
+      ExpectSameNodes(a[i].children[k].second, b[i].children[k].second);
+    }
+  }
+}
+
+TEST(ToFacts, PrimAndChildOrderDoesNotMatter) {
+  // ToFacts reads each primitive attribute at its schema position first and
+  // by name after a miss; an instance listing everything in reverse takes
+  // the by-name path throughout and must convert and migrate the same.
+  for (const workload::Benchmark& bench : workload::AllBenchmarks()) {
+    SCOPED_TRACE(bench.name);
+    ASSERT_OK_AND_ASSIGN(RecordForest forest,
+                         workload::GenerateSource(bench, /*seed=*/21, /*scale=*/25));
+    RecordForest reversed;
+    for (const RecordNode& root : forest.roots) reversed.roots.push_back(Reversed(root));
+
+    uint64_t next_id = 1;
+    ASSERT_OK_AND_ASSIGN(FactDatabase in_order, ToFacts(forest, bench.source, &next_id));
+    uint64_t reversed_next_id = 1;
+    ASSERT_OK_AND_ASSIGN(FactDatabase out_of_order,
+                         ToFacts(reversed, bench.source, &reversed_next_id));
+    EXPECT_EQ(next_id, reversed_next_id);
+    ExpectSameFacts(in_order, out_of_order);
+
+    ASSERT_OK_AND_ASSIGN(Session session, Session::Create(bench.source, bench.target));
+    ASSERT_OK_AND_ASSIGN(RecordForest migrated, session.Migrate(bench.golden, forest));
+    ASSERT_OK_AND_ASSIGN(RecordForest migrated_reversed,
+                         session.Migrate(bench.golden, reversed));
+    ExpectSameNodes(migrated.roots, migrated_reversed.roots);
+  }
+}
+
+TEST(ToFacts, BudgetTooSmallForTheReservedRelationFailsTyped) {
+  // The first pass sizes every relation for its records before emitting
+  // any; a budget that cannot hold them ends the conversion with a typed
+  // error, not an exception, whether or not a RunContext carries it.
+  Example e = testing::MotivatingExample();
+  MemoryBudget budget(/*limit_bytes=*/16);
+  MemoryBudgetScope scope(&budget);
+  RunContext ctx;
+  ctx.memory = &budget;
+  for (const RunContext* context : {static_cast<const RunContext*>(nullptr),
+                                    static_cast<const RunContext*>(&ctx)}) {
+    uint64_t next_id = 1;
+    Status status;
+    EXPECT_NO_THROW(status = ToFacts(e.input, testing::UnivSchema(), &next_id, context).status());
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status.ToString();
+    EXPECT_NE(status.message().find("facts conversion"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(FactSignatures, CoverAllRecords) {
@@ -183,6 +272,50 @@ TEST(Migrator, ScalesToLargerInstances) {
   ASSERT_OK_AND_ASSIGN(RecordForest out, session.Migrate(golden, big, &stats));
   EXPECT_EQ(out.roots.size(), 1000u);  // 500 univs x 2 admits
   EXPECT_GT(stats.TotalSeconds(), 0.0);
+}
+
+TEST(Migrator, RecordCountsAgreeWithTheForestWalks) {
+  // MigrationStats' record counts come from the validation pass and the
+  // forest rebuild, not from walking the forests again; they must say what
+  // the walks say.
+  for (const workload::Benchmark& bench : workload::AllBenchmarks()) {
+    SCOPED_TRACE(bench.name);
+    ASSERT_OK_AND_ASSIGN(RecordForest source,
+                         workload::GenerateSource(bench, /*seed=*/5, /*scale=*/40));
+    ASSERT_OK_AND_ASSIGN(Session session, Session::Create(bench.source, bench.target));
+    MigrationStats stats;
+    ASSERT_OK_AND_ASSIGN(RecordForest migrated,
+                         session.Migrate(bench.golden, source, &stats));
+    EXPECT_EQ(stats.source_records, source.TotalRecords());
+    EXPECT_EQ(stats.target_records, migrated.TotalRecords());
+  }
+
+  // A flat relational instance with duplicate rows: records are counted
+  // one by one, facts after set semantics fold the duplicates.
+  ASSERT_OK_AND_ASSIGN(Schema src, RelationalSchemaBuilder()
+                                       .AddTable("Visit", {{"who", PrimitiveType::kString},
+                                                           {"day", PrimitiveType::kInt}})
+                                       .Build());
+  ASSERT_OK_AND_ASSIGN(Schema tgt, RelationalSchemaBuilder()
+                                       .AddTable("Seen", {{"person", PrimitiveType::kString}})
+                                       .Build());
+  RecordForest visits;
+  for (int i = 0; i < 5; ++i) {
+    RecordNode row;
+    row.type = "Visit";
+    row.prims = {{"who", Value::String(i < 3 ? "ann" : "bo")}, {"day", Value::Int(1)}};
+    visits.roots.push_back(row);
+  }
+  ASSERT_OK_AND_ASSIGN(Program copy, Program::Parse("Seen(p) :- Visit(p, d)."));
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(src, tgt));
+  MigrationStats stats;
+  ASSERT_OK_AND_ASSIGN(RecordForest seen, session.Migrate(copy, visits, &stats));
+  EXPECT_EQ(stats.source_records, 5u);
+  EXPECT_EQ(stats.source_facts, 2u);
+  EXPECT_LT(stats.source_facts, stats.source_records);
+  EXPECT_EQ(stats.target_facts, 2u);
+  EXPECT_EQ(stats.target_records, seen.TotalRecords());
+  EXPECT_EQ(stats.target_records, 2u);
 }
 
 }  // namespace

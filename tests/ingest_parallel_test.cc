@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/session.h"
@@ -87,6 +89,31 @@ std::vector<size_t> BreakForest(RecordForest* forest) {
   return broken;
 }
 
+/// The error ValidateForest reports for `instance` is the one ToFacts and
+/// Session::Migrate (as kSchemaMismatch, at threads {1, 2, 8}) report.
+void ExpectFirstErrorOnEveryPath(const workload::Benchmark& bench,
+                                 const RecordForest& instance) {
+  Status expected = ValidateForest(instance, bench.source);
+  ASSERT_FALSE(expected.ok()) << bench.name;
+  SCOPED_TRACE(bench.name);
+
+  uint64_t next_id = 1;
+  auto facts = ToFacts(instance, bench.source, &next_id, nullptr);
+  EXPECT_EQ(facts.status().ToString(), expected.ToString());
+  for (size_t threads : {1u, 2u, 8u}) {
+    SessionOptions options;
+    options.num_threads = threads;
+    auto session = Session::Create(bench.source, bench.target, options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto migrated = session.ValueOrDie().Migrate(bench.golden, instance);
+    EXPECT_EQ(migrated.status().ToString(),
+              Status::SchemaMismatch("source instance vs source schema: " +
+                                     expected.message())
+                  .ToString())
+        << "threads=" << threads;
+  }
+}
+
 TEST(Ingest, FirstValidationErrorIsTheSameOnEveryPath) {
   for (const char* name : kShapeBenchmarks) {
     const workload::Benchmark* bench = workload::FindBenchmark(name);
@@ -98,26 +125,20 @@ TEST(Ingest, FirstValidationErrorIsTheSameOnEveryPath) {
     RecordForest pristine = BigInstance(*bench);
     for (size_t fixed = 0; fixed < broken.size(); ++fixed) {
       if (fixed > 0) instance.roots[broken[fixed - 1]] = pristine.roots[broken[fixed - 1]];
-      Status expected = ValidateForest(instance, bench->source);
-      ASSERT_FALSE(expected.ok()) << name;
-      SCOPED_TRACE(name);
-
-      uint64_t next_id = 1;
-      auto facts = ToFacts(instance, bench->source, &next_id, nullptr);
-      EXPECT_EQ(facts.status().ToString(), expected.ToString());
-      for (size_t threads : {1u, 2u, 8u}) {
-        SessionOptions options;
-        options.num_threads = threads;
-        auto session = Session::Create(bench->source, bench->target, options);
-        ASSERT_TRUE(session.ok()) << session.status().ToString();
-        auto migrated = session.ValueOrDie().Migrate(bench->golden, instance);
-        EXPECT_EQ(migrated.status().ToString(),
-                  Status::SchemaMismatch("source instance vs source schema: " +
-                                         expected.message())
-                      .ToString())
-            << "threads=" << threads;
-      }
+      ExpectFirstErrorOnEveryPath(*bench, instance);
     }
+
+    // Prims out of schema order with one attribute missing: the lookup at
+    // schema position misses from the second attribute on, and the by-name
+    // fallback must find the rest and report the same missing attribute.
+    RecordForest shuffled = BigInstance(*bench);
+    auto wide = std::find_if(shuffled.roots.begin() + shuffled.roots.size() / 4,
+                             shuffled.roots.end(),
+                             [](const RecordNode& r) { return r.prims.size() >= 3; });
+    ASSERT_NE(wide, shuffled.roots.end()) << name;
+    std::swap(wide->prims[1], wide->prims[2]);
+    wide->prims.pop_back();
+    ExpectFirstErrorOnEveryPath(*bench, shuffled);
   }
 }
 

@@ -193,6 +193,35 @@ TEST(JoinIndex, IncrementalRefreshMatchesFromScratch) {
   EXPECT_EQ(incremental.Lookup(r, &missing, 1), nullptr);
 }
 
+TEST(JoinIndex, FirstBuildIsSizedOnceAndChargedOnce) {
+  // A first build sizes its group table for the rows it indexes; with one
+  // group per row that is the table incremental growth ends at, so both
+  // charge the budget the same and answer every lookup the same.
+  Relation r("edge", {"s", "t"});
+  JoinIndex incremental({0});
+  MemoryBudget incremental_budget(0);
+  for (int i = 0; i < 1000; ++i) {
+    r.Insert(Tuple({Value::Int(i), Value::Int(i % 7)}));
+    MemoryBudgetScope scope(&incremental_budget);
+    incremental.Refresh(r);
+  }
+  JoinIndex first({0});
+  MemoryBudget first_budget(0);
+  {
+    MemoryBudgetScope scope(&first_budget);
+    first.Refresh(r);
+  }
+  EXPECT_EQ(first_budget.used(), incremental_budget.used());
+  for (int i = 0; i < 1000; ++i) {
+    Value key = Value::Int(i);
+    const PostingList* a = first.Lookup(r, &key, 1);
+    const PostingList* b = incremental.Lookup(r, &key, 1);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(*a, *b);
+  }
+}
+
 TEST(IndexCache, ReusesByUidAndExtends) {
   Relation r("edge", {"s", "t"});
   r.Insert(Tuple({Value::Int(1), Value::Int(2)}));
