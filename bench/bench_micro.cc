@@ -604,9 +604,15 @@ int main(int argc, char** argv) {
   dynamite::JsonTeeReporter reporter(&writer);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  // JSON goes only where DYNAMITE_BENCH_JSON points: a default path in the
+  // working directory would let a filtered run from the repository root
+  // replace the tracked BENCH_micro.json with the few benchmarks it ran.
   const char* path = std::getenv("DYNAMITE_BENCH_JSON");
   const char* label = std::getenv("DYNAMITE_BENCH_LABEL");
-  if (path == nullptr) path = "BENCH_micro.json";
+  if (path == nullptr) {
+    std::fprintf(stderr, "DYNAMITE_BENCH_JSON is not set; no JSON written\n");
+    return 0;
+  }
   if (label == nullptr) label = "";
   if (writer.empty()) {
     std::fprintf(stderr, "no benchmark results; %s not written\n", path);

@@ -101,7 +101,8 @@ struct SessionOptions {
   bool fail_on_ambiguity = false;
   /// Per-call byte budget covering every pipeline stage (fact conversion,
   /// evaluation — relation growth, join indexes, interned strings, parallel
-  /// emit buffers — and forest reconstruction); exceeding it fails the call
+  /// emit buffers — and forest reconstruction: the child indexes and the
+  /// output records, cell entries and child lists); exceeding it fails the call
   /// with kResourceExhausted instead of OOM-killing the process. 0 (the
   /// default) disables the check. A budget already carried by the call's
   /// RunContext (ctx.memory) wins — one budget per run, never one per

@@ -81,28 +81,44 @@ Json ValueToJson(const Value& v) {
   return Json::Null();
 }
 
-Result<RecordNode> DocToNode(const Json& doc, const std::string& type, const Schema& schema) {
+Result<RecordNode> DocToNode(const Json& doc, const RecordTypeTable::Type& type,
+                             const RecordTypeTable& types) {
   RecordNode node;
-  node.type = type;
-  for (const std::string& attr : schema.AttrsOf(type)) {
-    const Json* field = doc.Find(attr);
-    if (schema.IsPrimitive(attr)) {
+  node.type = type.name;
+  node.prims.reserve(type.attrs.size() - type.record_attrs.size());
+  node.children.reserve(type.record_attrs.size());
+  size_t next_record = 0;  // position in type.record_attrs
+  for (size_t i = 0; i < type.attrs.size(); ++i) {
+    const Name attr = type.attrs[i];
+    const Json* field = doc.Find(attr.str());
+    if (type.is_prim[i]) {
       if (field == nullptr) {
-        return Status::InvalidArgument("document of type " + type + " missing field " + attr);
+        return Status::InvalidArgument("document of type " + type.name.str() + " missing field " +
+                                       attr.str());
       }
-      DYNAMITE_ASSIGN_OR_RETURN(Value v, JsonToValue(*field, schema.PrimitiveOf(attr), attr));
+      DYNAMITE_ASSIGN_OR_RETURN(Value v, JsonToValue(*field, type.prim_type[i], attr));
       node.prims.push_back({attr, std::move(v)});
     } else {
+      // Null only in a schema that never passed Schema::Validate.
+      const RecordTypeTable::Type* kid_type = nullptr;
+      if (next_record < type.record_attrs.size() && type.record_attrs[next_record] == i) {
+        kid_type = &types.types()[type.record_types[next_record++]];
+      }
       std::vector<RecordNode> kids;
       if (field != nullptr) {
         if (!field->is_array()) {
-          return Status::InvalidArgument("nested field " + attr + " must be an array");
+          return Status::InvalidArgument("nested field " + attr.str() + " must be an array");
         }
         for (const Json& sub : field->AsArray()) {
           if (!sub.is_object()) {
-            return Status::InvalidArgument("nested field " + attr + " contains a non-object");
+            return Status::InvalidArgument("nested field " + attr.str() +
+                                           " contains a non-object");
           }
-          DYNAMITE_ASSIGN_OR_RETURN(RecordNode kid, DocToNode(sub, attr, schema));
+          if (kid_type == nullptr) {
+            return Status::InvalidArgument("record " + type.name.str() + " has children under " +
+                                           attr.str() + " which is not a record type");
+          }
+          DYNAMITE_ASSIGN_OR_RETURN(RecordNode kid, DocToNode(sub, *kid_type, types));
           kids.push_back(std::move(kid));
         }
       }
@@ -112,15 +128,17 @@ Result<RecordNode> DocToNode(const Json& doc, const std::string& type, const Sch
   return node;
 }
 
-Json NodeToDoc(const RecordNode& node, const Schema& schema) {
+Json NodeToDoc(const RecordNode& node, const RecordTypeTable& types) {
+  const RecordTypeTable::Type& type = *types.Find(node.type);
   Json doc = Json::MakeObject();
-  for (const std::string& attr : schema.AttrsOf(node.type)) {
-    if (schema.IsPrimitive(attr)) {
+  for (size_t i = 0; i < type.attrs.size(); ++i) {
+    const Name attr = type.attrs[i];
+    if (type.is_prim[i]) {
       doc.Set(attr, ValueToJson(node.Prim(attr)));
     } else {
       Json arr = Json::MakeArray();
       for (const RecordNode& kid : node.Children(attr)) {
-        arr.Append(NodeToDoc(kid, schema));
+        arr.Append(NodeToDoc(kid, types));
       }
       doc.Set(attr, std::move(arr));
     }
@@ -131,26 +149,29 @@ Json NodeToDoc(const RecordNode& node, const Schema& schema) {
 }  // namespace
 
 Result<RecordForest> DocumentInstance::ToForest(const Schema& schema) const {
+  const RecordTypeTable types(schema);
   RecordForest forest;
   for (const auto& [name, docs] : collections_) {
-    if (!schema.IsRecord(name)) {
+    const RecordTypeTable::Type* type = types.Find(name);
+    if (type == nullptr) {
       return Status::InvalidArgument("collection " + name + " not in schema");
     }
     for (const Json& doc : docs) {
-      DYNAMITE_ASSIGN_OR_RETURN(RecordNode node, DocToNode(doc, name, schema));
+      DYNAMITE_ASSIGN_OR_RETURN(RecordNode node, DocToNode(doc, *type, types));
       forest.roots.push_back(std::move(node));
     }
   }
-  DYNAMITE_RETURN_NOT_OK(ValidateForest(forest, schema));
+  DYNAMITE_RETURN_NOT_OK(types.Validate(forest));
   return forest;
 }
 
 Result<DocumentInstance> DocumentInstance::FromForest(const RecordForest& forest,
                                                       const Schema& schema) {
-  DYNAMITE_RETURN_NOT_OK(ValidateForest(forest, schema));
+  const RecordTypeTable types(schema);
+  DYNAMITE_RETURN_NOT_OK(types.Validate(forest));
   DocumentInstance inst;
   for (const RecordNode& root : forest.roots) {
-    inst.Add(root.type, NodeToDoc(root, schema));
+    inst.Add(root.type, NodeToDoc(root, types));
   }
   return inst;
 }

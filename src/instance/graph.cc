@@ -5,34 +5,43 @@
 namespace dynamite {
 
 Result<RecordForest> GraphInstance::ToForest(const Schema& schema) const {
+  const RecordTypeTable types(schema);
   RecordForest forest;
   for (const GraphNode& n : nodes_) {
-    if (!schema.IsRecord(n.label)) {
+    const RecordTypeTable::Type* type = types.Find(n.label);
+    if (type == nullptr) {
       return Status::InvalidArgument("node label " + n.label + " not in schema");
     }
     RecordNode rec;
-    rec.type = n.label;
-    for (const auto& [attr, value] : n.properties) rec.prims.push_back({attr, value});
+    rec.type = type->name;
+    rec.prims.reserve(n.properties.size());
+    for (const auto& [attr, value] : n.properties) {
+      rec.prims.push_back({type->AttrName(attr), value});
+    }
     forest.roots.push_back(std::move(rec));
   }
   for (const GraphEdge& e : edges_) {
-    if (!schema.IsRecord(e.label)) {
+    const RecordTypeTable::Type* type = types.Find(e.label);
+    if (type == nullptr) {
       return Status::InvalidArgument("edge label " + e.label + " not in schema");
     }
     RecordNode rec;
-    rec.type = e.label;
+    rec.type = type->name;
     // The schema's first two attributes of an edge record are, by
     // construction in GraphSchemaBuilder, the source and target attributes.
-    const auto& attrs = schema.AttrsOf(e.label);
+    const std::vector<Name>& attrs = type->attrs;
     if (attrs.size() < 2) {
       return Status::InvalidArgument("edge record " + e.label + " lacks source/target");
     }
+    rec.prims.reserve(2 + e.properties.size());
     rec.prims.push_back({attrs[0], Value::Int(e.source)});
     rec.prims.push_back({attrs[1], Value::Int(e.target)});
-    for (const auto& [attr, value] : e.properties) rec.prims.push_back({attr, value});
+    for (const auto& [attr, value] : e.properties) {
+      rec.prims.push_back({type->AttrName(attr), value});
+    }
     forest.roots.push_back(std::move(rec));
   }
-  DYNAMITE_RETURN_NOT_OK(ValidateForest(forest, schema));
+  DYNAMITE_RETURN_NOT_OK(types.Validate(forest));
   return forest;
 }
 
@@ -41,36 +50,43 @@ Result<GraphInstance> GraphInstance::FromForest(
     const std::vector<std::pair<std::string, std::string>>& edge_prefixes) {
   DYNAMITE_RETURN_NOT_OK(ValidateForest(forest, schema));
   GraphInstance g;
-  auto find_prefix = [&](const std::string& type) -> const std::string* {
-    for (const auto& [rec, prefix] : edge_prefixes) {
-      if (rec == type) return &prefix;
+  // Each edge record type with its source and target attributes, resolved
+  // once for the whole forest.
+  struct EdgeNames {
+    Name type, source, target;
+  };
+  std::vector<EdgeNames> edge_names;
+  edge_names.reserve(edge_prefixes.size());
+  for (const auto& [rec, prefix] : edge_prefixes) {
+    edge_names.push_back({rec, GraphSchemaBuilder::SourceAttr(prefix),
+                          GraphSchemaBuilder::TargetAttr(prefix)});
+  }
+  auto find_edge = [&](Name type) -> const EdgeNames* {
+    for (const EdgeNames& edge : edge_names) {
+      if (edge.type == type) return &edge;
     }
     return nullptr;
   };
   for (const RecordNode& rec : forest.roots) {
-    const std::string* prefix = find_prefix(rec.type);
-    if (prefix != nullptr) {
+    if (const EdgeNames* edge = find_edge(rec.type); edge != nullptr) {
       GraphEdge e;
       e.label = rec.type;
-      const Value& src = rec.Prim(GraphSchemaBuilder::SourceAttr(*prefix));
-      const Value& tgt = rec.Prim(GraphSchemaBuilder::TargetAttr(*prefix));
+      const Value& src = rec.Prim(edge->source);
+      const Value& tgt = rec.Prim(edge->target);
       if (!src.is_int() || !tgt.is_int()) {
-        return Status::TypeError("edge record " + rec.type +
+        return Status::TypeError("edge record " + rec.type.str() +
                                  " has non-integer source/target");
       }
       e.source = src.AsInt();
       e.target = tgt.AsInt();
       for (const auto& [attr, value] : rec.prims) {
-        if (attr != GraphSchemaBuilder::SourceAttr(*prefix) &&
-            attr != GraphSchemaBuilder::TargetAttr(*prefix)) {
-          e.properties.push_back({attr, value});
-        }
+        if (attr != edge->source && attr != edge->target) e.properties.push_back({attr, value});
       }
       g.AddEdge(std::move(e));
     } else {
       GraphNode n;
       n.label = rec.type;
-      n.properties = rec.prims;
+      n.properties.assign(rec.prims.begin(), rec.prims.end());
       g.AddNode(std::move(n));
     }
   }

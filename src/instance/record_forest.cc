@@ -4,7 +4,7 @@
 
 namespace dynamite {
 
-const Value& RecordNode::Prim(const std::string& attr) const {
+const Value& RecordNode::Prim(Name attr) const {
   static const Value kNull;
   for (const auto& [name, value] : prims) {
     if (name == attr) return value;
@@ -12,7 +12,7 @@ const Value& RecordNode::Prim(const std::string& attr) const {
   return kNull;
 }
 
-const std::vector<RecordNode>& RecordNode::Children(const std::string& attr) const {
+const std::vector<RecordNode>& RecordNode::Children(Name attr) const {
   static const std::vector<RecordNode> kEmpty;
   for (const auto& [name, kids] : children) {
     if (name == attr) return kids;
@@ -20,7 +20,7 @@ const std::vector<RecordNode>& RecordNode::Children(const std::string& attr) con
   return kEmpty;
 }
 
-std::vector<const RecordNode*> RecordForest::RootsOfType(const std::string& type) const {
+std::vector<const RecordNode*> RecordForest::RootsOfType(Name type) const {
   std::vector<const RecordNode*> out;
   for (const RecordNode& r : roots) {
     if (r.type == type) out.push_back(&r);
@@ -47,21 +47,23 @@ size_t RecordForest::TotalRecords() const {
 RecordTypeTable::RecordTypeTable(const Schema& schema) {
   const std::vector<std::string>& names = schema.RecordNames();
   types_.resize(names.size());
-  for (size_t t = 0; t < names.size(); ++t) index_.emplace(names[t], t);
+  for (size_t t = 0; t < names.size(); ++t) {
+    types_[t].name = names[t];
+    index_.emplace(types_[t].name, t);
+  }
   for (size_t t = 0; t < names.size(); ++t) {
     Type& type = types_[t];
     type.index = t;
-    type.name = &names[t];
-    type.attrs = &schema.AttrsOf(names[t]);
+    const std::vector<std::string>& attrs = schema.AttrsOf(names[t]);
+    type.attrs.assign(attrs.begin(), attrs.end());
     type.nested = schema.IsNestedRecord(names[t]);
-    const std::vector<std::string>& attrs = *type.attrs;
     type.is_prim.resize(attrs.size());
     type.prim_type.resize(attrs.size(), PrimitiveType::kInt);
     for (size_t i = 0; i < attrs.size(); ++i) {
       if (schema.IsPrimitive(attrs[i])) {
         type.is_prim[i] = true;
         type.prim_type[i] = schema.PrimitiveOf(attrs[i]);
-      } else if (auto it = index_.find(attrs[i]); it != index_.end()) {
+      } else if (auto it = index_.find(type.attrs[i]); it != index_.end()) {
         type.record_attrs.push_back(i);
         type.record_types.push_back(it->second);
       }
@@ -69,7 +71,14 @@ RecordTypeTable::RecordTypeTable(const Schema& schema) {
   }
 }
 
-const RecordTypeTable::Type* RecordTypeTable::Find(const std::string& name) const {
+Name RecordTypeTable::Type::AttrName(std::string_view attr) const {
+  for (Name name : attrs) {
+    if (name == attr) return name;
+  }
+  return Name(attr);
+}
+
+const RecordTypeTable::Type* RecordTypeTable::Find(Name name) const {
   auto it = index_.find(name);
   return it == index_.end() ? nullptr : &types_[it->second];
 }
@@ -78,10 +87,10 @@ Result<const RecordTypeTable::Type*> RecordTypeTable::ValidateRoot(
     const RecordNode& root, std::vector<size_t>* records_by_type) const {
   const Type* type = Find(root.type);
   if (type == nullptr) {
-    return Status::InvalidArgument("unknown record type in instance: " + root.type);
+    return Status::InvalidArgument("unknown record type in instance: " + root.type.str());
   }
   if (type->nested) {
-    return Status::InvalidArgument("nested record type " + root.type +
+    return Status::InvalidArgument("nested record type " + root.type.str() +
                                    " cannot appear at the top level");
   }
   DYNAMITE_RETURN_NOT_OK(ValidateNode(root, *type, records_by_type));
@@ -91,16 +100,17 @@ Result<const RecordTypeTable::Type*> RecordTypeTable::ValidateRoot(
 Status RecordTypeTable::ValidateNode(const RecordNode& node, const Type& type,
                                      std::vector<size_t>* records_by_type) const {
   if (records_by_type != nullptr) ++(*records_by_type)[type.index];
-  const std::vector<std::string>& attrs = *type.attrs;
+  const std::vector<Name>& attrs = type.attrs;
   PrimReader prims(node);
   for (size_t i = 0; i < attrs.size(); ++i) {
     if (!type.is_prim[i]) continue;
     const Value& v = prims.Next(attrs[i]);
     if (v.is_null()) {
-      return Status::InvalidArgument("record " + node.type + " missing attribute " + attrs[i]);
+      return Status::InvalidArgument("record " + node.type.str() + " missing attribute " +
+                                     attrs[i].str());
     }
     if (!ValueMatchesType(v, type.prim_type[i])) {
-      return Status::TypeError("record " + node.type + " attribute " + attrs[i] +
+      return Status::TypeError("record " + node.type.str() + " attribute " + attrs[i].str() +
                                " has value " + v.ToString() + " incompatible with " +
                                PrimitiveTypeToString(type.prim_type[i]));
     }
@@ -108,13 +118,13 @@ Status RecordTypeTable::ValidateNode(const RecordNode& node, const Type& type,
   for (const auto& [attr, kids] : node.children) {
     const Type* kid_type = Find(attr);
     if (kid_type == nullptr) {
-      return Status::InvalidArgument("record " + node.type + " has children under " + attr +
-                                     " which is not a record type");
+      return Status::InvalidArgument("record " + node.type.str() + " has children under " +
+                                     attr.str() + " which is not a record type");
     }
     for (const RecordNode& k : kids) {
       if (k.type != attr) {
-        return Status::InvalidArgument("child of type " + k.type + " stored under attribute " +
-                                       attr);
+        return Status::InvalidArgument("child of type " + k.type.str() +
+                                       " stored under attribute " + attr.str());
       }
       DYNAMITE_RETURN_NOT_OK(ValidateNode(k, *kid_type, records_by_type));
     }
@@ -122,13 +132,16 @@ Status RecordTypeTable::ValidateNode(const RecordNode& node, const Type& type,
   return Status::OK();
 }
 
-Status ValidateForest(const RecordForest& forest, const Schema& schema) {
+Status RecordTypeTable::Validate(const RecordForest& forest) const {
   DYNAMITE_TRACE_SPAN("instance.validate");
-  RecordTypeTable table(schema);
   for (const RecordNode& r : forest.roots) {
-    DYNAMITE_RETURN_NOT_OK(table.ValidateRoot(r).status());
+    DYNAMITE_RETURN_NOT_OK(ValidateRoot(r).status());
   }
   return Status::OK();
+}
+
+Status ValidateForest(const RecordForest& forest, const Schema& schema) {
+  return RecordTypeTable(schema).Validate(forest);
 }
 
 }  // namespace dynamite

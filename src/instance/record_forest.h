@@ -5,17 +5,26 @@
 // record-typed attributes, lists of child records). The instance-to-facts
 // conversion (§3.3) and its inverse BuildRecord operate on this form, so
 // each concrete instance kind only needs a RecordForest adapter.
+//
+// A record's type and its attribute names are Names (value/name.h): 8-byte
+// handles to strings interned once for the life of the process, so a record
+// is 56 bytes and a primitive cell 24, not 80 and 48 with std::string
+// names. Name equality is identity (one pointer compare), which is how
+// Prim, Children and the RecordTypeTable below match names. The name table
+// is separate from Value's StringPool: names take no Value string id.
 
 #ifndef DYNAMITE_INSTANCE_RECORD_FOREST_H_
 #define DYNAMITE_INSTANCE_RECORD_FOREST_H_
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "schema/schema.h"
 #include "util/result.h"
+#include "value/name.h"
 #include "value/value.h"
 
 namespace dynamite {
@@ -23,15 +32,15 @@ namespace dynamite {
 /// One record instance: primitive attribute values plus child records per
 /// record-typed attribute.
 struct RecordNode {
-  std::string type;  ///< record type name in the schema
-  std::vector<std::pair<std::string, Value>> prims;  ///< attr -> value
-  std::vector<std::pair<std::string, std::vector<RecordNode>>> children;
+  Name type;  ///< record type name in the schema
+  std::vector<std::pair<Name, Value>> prims;  ///< attr -> value
+  std::vector<std::pair<Name, std::vector<RecordNode>>> children;
 
   /// Value of primitive attribute `attr`; Null if absent.
-  const Value& Prim(const std::string& attr) const;
+  const Value& Prim(Name attr) const;
 
   /// Children under record-typed attribute `attr` (empty list if absent).
-  const std::vector<RecordNode>& Children(const std::string& attr) const;
+  const std::vector<RecordNode>& Children(Name attr) const;
 };
 
 /// A forest of top-level records, possibly of several record types.
@@ -39,27 +48,32 @@ struct RecordForest {
   std::vector<RecordNode> roots;
 
   /// Roots of the given record type.
-  std::vector<const RecordNode*> RootsOfType(const std::string& type) const;
+  std::vector<const RecordNode*> RootsOfType(Name type) const;
 
   /// Total number of records (including nested ones).
   size_t TotalRecords() const;
 };
 
 /// A schema's record types resolved once for per-record work, so validation,
-/// fact emission and forest rebuild make no by-name schema lookup per cell.
-/// Holds pointers into `schema`, which must outlive the table.
+/// fact emission, forest rebuild and the instance adapters make no by-name
+/// schema lookup per cell and intern no name per record: each type and
+/// attribute name is held as a Name, compared and copied as a pointer.
 class RecordTypeTable {
  public:
   /// One record type, resolved.
   struct Type {
-    size_t index = 0;                                 ///< RecordNames() position
-    const std::string* name = nullptr;                ///< the schema's name
-    const std::vector<std::string>* attrs = nullptr;  ///< Schema::AttrsOf
-    std::vector<bool> is_prim;                        ///< parallel to *attrs
-    std::vector<PrimitiveType> prim_type;             ///< set where is_prim
-    std::vector<size_t> record_attrs;                 ///< indices of record attrs
-    std::vector<size_t> record_types;                 ///< their types' indexes
-    bool nested = false;                              ///< nested in another record
+    size_t index = 0;                      ///< RecordNames() position
+    Name name;                             ///< the schema's name
+    std::vector<Name> attrs;               ///< Schema::AttrsOf, in order
+    std::vector<bool> is_prim;             ///< parallel to attrs
+    std::vector<PrimitiveType> prim_type;  ///< set where is_prim
+    std::vector<size_t> record_attrs;      ///< indices of record attrs
+    std::vector<size_t> record_types;      ///< their types' indexes
+    bool nested = false;                   ///< nested in another record
+
+    /// This type's Name for attribute `attr`, found among `attrs` without
+    /// interning; `attr` interned when the type has no such attribute.
+    Name AttrName(std::string_view attr) const;
   };
 
   /// Reads a record's primitive values in its type's attribute order. Each
@@ -74,7 +88,7 @@ class RecordTypeTable {
     explicit PrimReader(const RecordNode& node) : node_(node) {}
 
     /// The value of `attr`, the type's next primitive attribute.
-    const Value& Next(const std::string& attr) {
+    const Value& Next(Name attr) {
       if (next_ < node_.prims.size() && node_.prims[next_].first == attr) {
         return node_.prims[next_++].second;
       }
@@ -92,7 +106,7 @@ class RecordTypeTable {
   const std::vector<Type>& types() const { return types_; }
 
   /// The record type named `name`; nullptr when `name` is not a record type.
-  const Type* Find(const std::string& name) const;
+  const Type* Find(Name name) const;
 
   /// Validates one top-level record and its subtree and returns its type;
   /// the error is the one ValidateForest reports when this root is the
@@ -101,12 +115,15 @@ class RecordTypeTable {
   Result<const Type*> ValidateRoot(const RecordNode& root,
                                    std::vector<size_t>* records_by_type = nullptr) const;
 
+  /// ValidateForest against this table's schema.
+  Status Validate(const RecordForest& forest) const;
+
  private:
   Status ValidateNode(const RecordNode& node, const Type& type,
                       std::vector<size_t>* records_by_type) const;
 
   std::vector<Type> types_;
-  std::unordered_map<std::string, size_t> index_;
+  std::unordered_map<Name, size_t> index_;
 };
 
 /// Validates that every record in the forest conforms to `schema`: known

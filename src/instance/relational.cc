@@ -38,28 +38,32 @@ Result<const Relation*> RelationalInstance::Table(const std::string& name) const
 }
 
 Result<RecordForest> RelationalInstance::ToForest(const Schema& schema) const {
+  const RecordTypeTable types(schema);
   RecordForest forest;
   for (const auto& [name, rel] : tables_) {
-    if (!schema.IsRecord(name)) {
+    const RecordTypeTable::Type* type = types.Find(name);
+    if (type == nullptr) {
       return Status::InvalidArgument("table " + name + " not in schema");
     }
-    const auto& attrs = schema.AttrsOf(name);
+    const std::vector<Name>& attrs = type->attrs;
     for (size_t r = 0; r < rel.size(); ++r) {
       RecordNode node;
-      node.type = name;
+      node.type = type->name;
+      node.prims.reserve(attrs.size());
       for (size_t i = 0; i < attrs.size(); ++i) {
         node.prims.push_back({attrs[i], rel.cell(r, i)});
       }
       forest.roots.push_back(std::move(node));
     }
   }
-  DYNAMITE_RETURN_NOT_OK(ValidateForest(forest, schema));
+  DYNAMITE_RETURN_NOT_OK(types.Validate(forest));
   return forest;
 }
 
 Result<RelationalInstance> RelationalInstance::FromForest(const RecordForest& forest,
                                                           const Schema& schema) {
-  DYNAMITE_RETURN_NOT_OK(ValidateForest(forest, schema));
+  const RecordTypeTable types(schema);
+  DYNAMITE_RETURN_NOT_OK(types.Validate(forest));
   RelationalInstance inst;
   for (const std::string& rec : schema.TopLevelRecords()) {
     DYNAMITE_RETURN_NOT_OK(inst.DeclareTable(schema, rec));
@@ -67,7 +71,7 @@ Result<RelationalInstance> RelationalInstance::FromForest(const RecordForest& fo
   std::vector<Value> row;
   for (const RecordNode& root : forest.roots) {
     row.clear();
-    for (const std::string& attr : schema.AttrsOf(root.type)) {
+    for (Name attr : types.Find(root.type)->attrs) {
       row.push_back(root.Prim(attr));
     }
     DYNAMITE_RETURN_NOT_OK(inst.InsertRow(root.type, row));

@@ -45,7 +45,7 @@ struct TreeEmitter {
     Value my_id = Value::Id((*next_id)++);
     row_buf.clear();
     if (parent_id != nullptr) row_buf.push_back(*parent_id);
-    const std::vector<std::string>& attrs = *type.attrs;
+    const std::vector<Name>& attrs = type.attrs;
     RecordTypeTable::PrimReader prims(node);
     for (size_t i = 0; i < attrs.size(); ++i) {
       row_buf.push_back(type.is_prim[i] ? prims.Next(attrs[i]) : my_id);
@@ -86,7 +86,7 @@ Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
   TreeEmitter emitter{table, {}, next_id, {}};
   for (const RecordTypeTable::Type& type : table.types()) {
     DYNAMITE_ASSIGN_OR_RETURN(Relation * rel,
-                              db.DeclareRelation(*type.name, FactSignature(schema, *type.name)));
+                              db.DeclareRelation(type.name, FactSignature(schema, type.name)));
     if (!rel->Reserve(counts[type.index])) {
       return MemoryBudget::Current()->ToStatus("facts conversion");
     }
@@ -139,19 +139,23 @@ class ChildIndex {
 /// each type's primitive attributes and child types come from the table,
 /// and each child relation's index lives in a slot indexed by the child's
 /// type (a child type has exactly one parent attribute), built on first
-/// use. Build then makes no Schema or by-name lookup per cell.
+/// use. Build then makes no Schema or by-name lookup per cell, and copies
+/// the table's Names into the records it builds.
 struct Rebuilder {
   const FactDatabase& db;
   const RecordTypeTable& table;
   IngestStats* stats;  // may be null
   std::vector<std::optional<ChildIndex>> child_indexes;  // by Type::index
   size_t built = 0;  // records built so far
+  /// Heap bytes of the records built since the last charge to the
+  /// MemoryBudget: cell entries, child lists and child records.
+  size_t uncharged_bytes = 0;
 
   const ChildIndex& IndexFor(const RecordTypeTable::Type& child) {
     std::optional<ChildIndex>& index = child_indexes[child.index];
     if (!index.has_value()) {
       const Relation* rel = nullptr;
-      auto found = db.Find(*child.name);
+      auto found = db.Find(child.name);
       if (found.ok()) rel = found.ValueOrDie();
       index.emplace(rel);
       if (stats != nullptr) ++stats->child_index_builds;
@@ -162,15 +166,17 @@ struct Rebuilder {
   /// BuildRecord (§3.3): reconstructs one record from its fact row.
   /// `offset` = 1 when the relation has a parent column.
   RecordNode Build(const RecordTypeTable::Type& type, RowRef fact, size_t offset) {
-    const std::vector<std::string>& attrs = *type.attrs;
+    const std::vector<Name>& attrs = type.attrs;
     ++built;
     RecordNode node;
-    node.type = *type.name;
+    node.type = type.name;
     node.prims.reserve(attrs.size() - type.record_attrs.size());
     for (size_t i = 0; i < attrs.size(); ++i) {
       if (type.is_prim[i]) node.prims.push_back({attrs[i], fact[offset + i]});
     }
     node.children.reserve(type.record_attrs.size());
+    uncharged_bytes += node.prims.capacity() * sizeof(node.prims[0]) +
+                       node.children.capacity() * sizeof(node.children[0]);
     for (size_t k = 0; k < type.record_attrs.size(); ++k) {
       const size_t i = type.record_attrs[k];
       const RecordTypeTable::Type& child = table.types()[type.record_types[k]];
@@ -179,6 +185,7 @@ struct Rebuilder {
       const PostingList& rows = index.Lookup(fact[offset + i]);
       std::vector<RecordNode> kids;
       kids.reserve(rows.size());
+      uncharged_bytes += kids.capacity() * sizeof(RecordNode);
       for (uint32_t child_row : rows) {
         kids.push_back(Build(child, index.relation()->row(child_row), 1));
       }
@@ -204,6 +211,14 @@ Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
   for (const std::string& rec : schema.TopLevelRecords()) {
     if (auto found = db.Find(rec); found.ok()) num_roots += found.ValueOrDie()->size();
   }
+  // The output forest is charged to the MemoryBudget like the child
+  // indexes: the root array before it is allocated, and each root's
+  // subtree in bulk, every 256 roots and at the end.
+  auto charge = [](size_t bytes) -> Status {
+    if (MemoryBudget::ChargeCurrent(bytes)) return Status::OK();
+    return MemoryBudget::Current()->ToStatus("forest reconstruction");
+  };
+  DYNAMITE_RETURN_NOT_OK(charge(num_roots * sizeof(RecordNode)));
   RecordForest forest;
   forest.roots.reserve(num_roots);
   size_t ticks = 0;
@@ -220,12 +235,15 @@ Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
     const RecordTypeTable::Type& type = *table.Find(rec);
     for (size_t r = 0; r < rel->size(); ++r) {
       DYNAMITE_FAILPOINT("facts.build");
-      if (ctx != nullptr && (++ticks & 0xff) == 0) {
-        DYNAMITE_RETURN_NOT_OK(ctx->Check("forest reconstruction"));
+      if ((++ticks & 0xff) == 0) {
+        DYNAMITE_RETURN_NOT_OK(charge(rb.uncharged_bytes));
+        rb.uncharged_bytes = 0;
+        if (ctx != nullptr) DYNAMITE_RETURN_NOT_OK(ctx->Check("forest reconstruction"));
       }
       forest.roots.push_back(rb.Build(type, rel->row(r), 0));
     }
   }
+  DYNAMITE_RETURN_NOT_OK(charge(rb.uncharged_bytes));
   if (stats != nullptr) {
     DYNAMITE_METRIC_ADD("ingest.child_index_builds",
                         stats->child_index_builds - builds_before);
@@ -239,10 +257,10 @@ Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
 namespace {
 
 std::string CanonicalNode(const RecordNode& node) {
-  std::string out = node.type + "{";
+  std::string out = node.type.str() + "{";
   std::vector<std::string> fields;
   for (const auto& [attr, value] : node.prims) {
-    fields.push_back(attr + "=" + value.ToString());
+    fields.push_back(attr.str() + "=" + value.ToString());
   }
   std::sort(fields.begin(), fields.end());
   for (const std::string& f : fields) {
@@ -256,7 +274,7 @@ std::string CanonicalNode(const RecordNode& node) {
     for (const RecordNode& k : kids) canon_kids.push_back(CanonicalNode(k));
     std::sort(canon_kids.begin(), canon_kids.end());
     canon_kids.erase(std::unique(canon_kids.begin(), canon_kids.end()), canon_kids.end());
-    std::string group = attr + ":[";
+    std::string group = attr.str() + ":[";
     for (const std::string& c : canon_kids) {
       group += c;
       group += ",";

@@ -68,7 +68,10 @@ Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
 /// Ignores relations not present in `db` (treated as empty). `ctx` as in
 /// ToFacts. `stats` (optional) accumulates child-index build/lookup counts.
 /// `records` (optional) receives the number of records built, nested ones
-/// included (the result's TotalRecords).
+/// included (the result's TotalRecords). The output forest (records, cell
+/// entries and child lists) is charged to the thread's MemoryBudget along
+/// with the child indexes; a refused charge ends the call with
+/// kResourceExhausted ("forest reconstruction"), with or without `ctx`.
 Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
                                  const RunContext* ctx = nullptr,
                                  IngestStats* stats = nullptr, size_t* records = nullptr);

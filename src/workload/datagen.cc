@@ -6,9 +6,9 @@
 namespace dynamite {
 namespace workload {
 
-RecordNode Rec(std::string type, std::vector<std::pair<std::string, Value>> prims) {
+RecordNode Rec(Name type, std::vector<std::pair<Name, Value>> prims) {
   RecordNode node;
-  node.type = std::move(type);
+  node.type = type;
   node.prims = std::move(prims);
   return node;
 }
@@ -17,7 +17,7 @@ std::string Pooled(const std::string& pool, size_t index) {
   return pool + "_" + std::to_string(index);
 }
 
-void AddChild(RecordNode* parent, const std::string& attr, RecordNode child) {
+void AddChild(RecordNode* parent, Name attr, RecordNode child) {
   for (auto& [name, kids] : parent->children) {
     if (name == attr) {
       kids.push_back(std::move(child));
@@ -58,17 +58,19 @@ RecordForest ZipfFlatInstance(const std::string& type, const std::vector<FlatCol
   std::vector<ZipfDist> dists;
   dists.reserve(cols.size());
   for (const FlatColumn& col : cols) dists.emplace_back(col.pool_size, s);
+  const Name type_name = type;
+  std::vector<Name> attrs(cols.size());
+  for (size_t c = 0; c < cols.size(); ++c) attrs[c] = cols[c].attr;
   RecordForest forest;
   forest.roots.reserve(rows);
   for (size_t r = 0; r < rows; ++r) {
     RecordNode rec;
-    rec.type = type;
+    rec.type = type_name;
     rec.prims.reserve(cols.size());
     for (size_t c = 0; c < cols.size(); ++c) {
       size_t rank = dists[c].Sample(rng);
-      rec.prims.push_back({cols[c].attr, cols[c].is_string
-                                             ? S(Pooled(cols[c].attr, rank))
-                                             : I(static_cast<int64_t>(rank))});
+      rec.prims.push_back({attrs[c], cols[c].is_string ? S(Pooled(cols[c].attr, rank))
+                                                       : I(static_cast<int64_t>(rank))});
     }
     forest.roots.push_back(std::move(rec));
   }

@@ -16,8 +16,9 @@
 namespace dynamite {
 namespace workload {
 
-/// Builds a flat record.
-RecordNode Rec(std::string type, std::vector<std::pair<std::string, Value>> prims);
+/// Builds a flat record. Generators pass Names resolved once per instance,
+/// not per record (a string argument is interned on every call).
+RecordNode Rec(Name type, std::vector<std::pair<Name, Value>> prims);
 
 /// Shorthand value constructors. S routes through TryIntern and carries an
 /// id-space overflow (kOutOfRange) out as an exception rather than aborting:
@@ -39,7 +40,7 @@ std::string Pooled(const std::string& pool, size_t index);
 
 /// Appends a child record to the first matching children group of `parent`
 /// (creating the group if absent).
-void AddChild(RecordNode* parent, const std::string& attr, RecordNode child);
+void AddChild(RecordNode* parent, Name attr, RecordNode child);
 
 /// Zipf(s) distribution over ranks {0..n-1}: P(k) proportional to
 /// 1/(k+1)^s. The CDF is precomputed at construction and sampled by binary

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "migrate/facts.h"
+#include "datalog/engine.h"
 #include "api/session.h"
 #include "testing.h"
 #include "util/mem_budget.h"
@@ -158,6 +159,63 @@ TEST(ToFacts, BudgetTooSmallForTheReservedRelationFailsTyped) {
     EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status.ToString();
     EXPECT_NE(status.message().find("facts conversion"), std::string::npos)
         << status.ToString();
+  }
+}
+
+TEST(BuildForest, BudgetTooSmallForTheOutputFailsTyped) {
+  // BuildForest charges the forest it builds, not only its child indexes.
+  // Each benchmark runs once under an unlimited budget to learn what the
+  // stages charge, then under a budget that holds the facts, the
+  // evaluation and the indexes but not the output forest: the rebuild ends
+  // with a typed error, whether or not BuildForest gets the RunContext
+  // that carries the budget.
+  DatalogEngine::Options options;
+  options.num_threads = 1;
+  for (const workload::Benchmark& bench : workload::AllBenchmarks()) {
+    SCOPED_TRACE(bench.name);
+    ASSERT_OK_AND_ASSIGN(RecordForest source,
+                         workload::GenerateSource(bench, /*seed=*/5, /*scale=*/40));
+    const auto signatures = FactSignatures(bench.target);
+    size_t before_build = 0;
+    size_t total = 0;
+    size_t records = 0;
+    {
+      MemoryBudget unlimited(/*limit_bytes=*/0);
+      MemoryBudgetScope scope(&unlimited);
+      RunContext ctx;
+      ctx.memory = &unlimited;
+      uint64_t next_id = 1;
+      ASSERT_OK_AND_ASSIGN(FactDatabase edb, ToFacts(source, bench.source, &next_id, &ctx));
+      ASSERT_OK_AND_ASSIGN(FactDatabase idb,
+                           DatalogEngine(options).Eval(bench.golden, edb, signatures, &ctx));
+      before_build = unlimited.used();
+      ASSERT_OK(BuildForest(idb, bench.target, &ctx, nullptr, &records).status());
+      total = unlimited.used();
+    }
+    ASSERT_GT(records, 0u);
+    // The forest costs at least one RecordNode per record, so this limit
+    // covers everything charged before the rebuild and the indexes, and
+    // falls short of the forest by half a node per record or more.
+    const size_t limit = total - records * sizeof(RecordNode) / 2;
+    ASSERT_GE(limit, before_build);
+    for (bool with_context : {false, true}) {
+      SCOPED_TRACE(with_context ? "with RunContext" : "without RunContext");
+      MemoryBudget budget(limit);
+      MemoryBudgetScope scope(&budget);
+      RunContext ctx;
+      ctx.memory = &budget;
+      uint64_t next_id = 1;
+      ASSERT_OK_AND_ASSIGN(FactDatabase edb, ToFacts(source, bench.source, &next_id, &ctx));
+      ASSERT_OK_AND_ASSIGN(FactDatabase idb,
+                           DatalogEngine(options).Eval(bench.golden, edb, signatures, &ctx));
+      ASSERT_FALSE(budget.exhausted());
+      Status status;
+      EXPECT_NO_THROW(
+          status = BuildForest(idb, bench.target, with_context ? &ctx : nullptr).status());
+      EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status.ToString();
+      EXPECT_NE(status.message().find("forest reconstruction"), std::string::npos)
+          << status.ToString();
+    }
   }
 }
 

@@ -128,7 +128,7 @@ struct AdversarialFixture {
               .ValueOrDie();
     for (int t = 0; t < 3; ++t) {
       for (int r = 0; r < 3; ++r) {
-        std::vector<std::pair<std::string, Value>> prims;
+        std::vector<std::pair<Name, Value>> prims;
         for (int c = 0; c < 3; ++c) {
           prims.push_back({"t" + std::to_string(t) + "c" + std::to_string(c),
                            Value::String("v_" + std::to_string(r))});

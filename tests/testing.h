@@ -90,8 +90,7 @@ inline Example MotivatingExample() {
 }
 
 /// Flat record builder for relational-style tests.
-inline RecordNode FlatRecord(const std::string& type,
-                             std::vector<std::pair<std::string, Value>> prims) {
+inline RecordNode FlatRecord(Name type, std::vector<std::pair<Name, Value>> prims) {
   RecordNode rec;
   rec.type = type;
   rec.prims = std::move(prims);
