@@ -1,5 +1,5 @@
 // Regenerates Figure 8 (user study, §6.3) — with simulated participants,
-// since a reproduction cannot run the original 10 humans (see DESIGN.md).
+// since a reproduction cannot run the original 10 humans.
 //
 // Dynamite arm (measured for real): five simulated users per benchmark run
 // interactive mode end-to-end; the "user" answers distinguishing queries
@@ -29,7 +29,7 @@ int main() {
   constexpr double kManualCorrectRate = 0.5;  // paper: 5/10 manual solutions buggy
 
   std::printf("Figure 8: user study (simulated participants; manual arm replayed from\n"
-              "the paper's calibrated parameters — see DESIGN.md)\n\n");
+              "the paper's calibrated parameters)\n\n");
   bench::TablePrinter table({{"Benchmark", 12},
                              {"Arm", 18},
                              {"AvgTime(s)", 12},

@@ -1,6 +1,6 @@
 // Regenerates Figure 9(a): Dynamite vs the Dynamite-Enum baseline (§6.4),
-// extended with a third arm for the Generalize-without-MDP ablation called
-// out in DESIGN.md. Prints cactus-plot data — time to solve the first n
+// extended with a third arm for the Generalize-without-MDP ablation
+// (`use_mdp = false`). Prints cactus-plot data — time to solve the first n
 // benchmarks, benchmarks sorted by per-config solve time — plus iteration
 // counts, which is where conflict-driven learning shows up most clearly.
 

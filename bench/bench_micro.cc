@@ -156,19 +156,16 @@ void BM_DatalogTransitiveClosure(benchmark::State& state) {
 }
 BENCHMARK(BM_DatalogTransitiveClosure)->Arg(50)->Arg(200);
 
-void BM_FixpointParallel(benchmark::State& state) {
-  // The parallel-fixpoint headline number: string TC at num_threads = 1 vs
-  // 4 (ISSUE 4). Results are bit-identical across thread counts, so the
-  // pair isolates pure engine scaling; CI gates on the 1-vs-4 ratio when
-  // the runner has >= 4 cores (see .github/workflows/ci.yml).
+void BM_Fixpoint(benchmark::State& state) {
+  // The semi-naive fixpoint headline number: string transitive closure
+  // over a cyclic fan-out-2 graph of state.range(0) nodes, whose closure is
+  // all pairs, so every round carries a fat delta. Items are derived facts.
   FactDatabase db = StringEdges(static_cast<int>(state.range(0)));
   Program p = Program::Parse(R"(
     tc(x, y) :- edge(x, y).
     tc(x, y) :- tc(x, z), edge(z, y).
   )").ValueOrDie();
-  DatalogEngine::Options opts;
-  opts.num_threads = static_cast<size_t>(state.range(1));
-  DatalogEngine engine(opts);
+  DatalogEngine engine;
   size_t derived = 0;
   for (auto _ : state) {
     auto out = engine.EvalAutoSignatures(p, db);
@@ -177,19 +174,14 @@ void BM_FixpointParallel(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(derived));
 }
-BENCHMARK(BM_FixpointParallel)
-    ->Args({200, 1})
-    ->Args({200, 4})
-    ->Args({400, 1})
-    ->Args({400, 4});
+BENCHMARK(BM_Fixpoint)->Arg(200)->Arg(400);
 
 void BM_FailpointOverhead(benchmark::State& state) {
-  // Cost of the fault-injection sites on the hot fixpoint path (ISSUE 6):
-  // identical workload to BM_FixpointParallel/200/1, so comparing against
-  // that entry measures the failpoint tax directly. Arg 0 runs disarmed —
-  // the shipping configuration, where each site is one relaxed atomic load
-  // (claim: <2% vs BM_FixpointParallel/200/1, i.e. within run-to-run
-  // noise). Arg 1 arms every engine-path site with an unreachable hit
+  // Cost of the fault-injection sites on the hot fixpoint path: identical
+  // workload to BM_Fixpoint/200, so comparing against that entry measures
+  // the failpoint tax directly. Arg 0 runs disarmed — the shipping
+  // configuration, where each site is one relaxed atomic load (claim: <2%
+  // vs BM_Fixpoint/200, i.e. within run-to-run noise). Arg 1 arms every engine-path site with an unreachable hit
   // target, forcing the armed slow path (counter increment, trigger check)
   // on every execution without ever firing — an upper bound on what a
   // fully armed but quiet production binary would pay.
@@ -197,10 +189,9 @@ void BM_FailpointOverhead(benchmark::State& state) {
   if (armed) {
     failpoint::Spec never;
     never.hit = uint64_t{1} << 62;
-    for (const char* site :
-         {"engine.compile", "engine.plan.entry", "engine.worker.chunk",
-          "engine.merge.alloc", "engine.fixpoint.round", "engine.index.refresh",
-          "relation.insert.alloc", "string_pool.intern", "thread_pool.worker"}) {
+    for (const char* site : {"engine.compile", "engine.plan.entry", "engine.fixpoint.round",
+                             "engine.index.refresh", "relation.insert.alloc",
+                             "string_pool.intern"}) {
       failpoint::Arm(site, never);
     }
   }
@@ -209,9 +200,7 @@ void BM_FailpointOverhead(benchmark::State& state) {
     tc(x, y) :- edge(x, y).
     tc(x, y) :- tc(x, z), edge(z, y).
   )").ValueOrDie();
-  DatalogEngine::Options opts;
-  opts.num_threads = 1;
-  DatalogEngine engine(opts);
+  DatalogEngine engine;
   for (auto _ : state) {
     auto out = engine.EvalAutoSignatures(p, db);
     benchmark::DoNotOptimize(out);
@@ -221,12 +210,12 @@ void BM_FailpointOverhead(benchmark::State& state) {
 BENCHMARK(BM_FailpointOverhead)->Arg(0)->Arg(1);
 
 void BM_TraceOverhead(benchmark::State& state) {
-  // Cost of the trace spans on the hot fixpoint path (ISSUE 10): identical
-  // workload to BM_FixpointParallel/200/1, so comparing against that entry
-  // measures the span tax directly. Arg 0 runs disarmed — the shipping
-  // configuration, where each span site is one relaxed atomic load (claim:
-  // <2% vs BM_FixpointParallel/200/1, i.e. within run-to-run noise; the
-  // acceptance number recorded in BENCH_micro.json). Arg 1 arms tracing, so
+  // Cost of the trace spans on the hot fixpoint path: identical workload to
+  // BM_Fixpoint/200, so comparing against that entry measures the span tax
+  // directly. Arg 0 runs disarmed — the shipping configuration, where each
+  // span site is one relaxed atomic load (claim: <2% vs BM_Fixpoint/200,
+  // i.e. within run-to-run noise; the acceptance number recorded in
+  // BENCH_micro.json). Arg 1 arms tracing, so
   // every span pays two steady_clock reads and a ring-buffer write — the
   // upper bound for a run with DYNAMITE_TRACE set. Ring contents are
   // cleared around the armed arm so the fixed-capacity rings never skew a
@@ -241,9 +230,7 @@ void BM_TraceOverhead(benchmark::State& state) {
     tc(x, y) :- edge(x, y).
     tc(x, y) :- tc(x, z), edge(z, y).
   )").ValueOrDie();
-  DatalogEngine::Options opts;
-  opts.num_threads = 1;
-  DatalogEngine engine(opts);
+  DatalogEngine engine;
   for (auto _ : state) {
     auto out = engine.EvalAutoSignatures(p, db);
     benchmark::DoNotOptimize(out);
@@ -291,7 +278,6 @@ void BM_ProbeVectorized(benchmark::State& state) {
   Program p =
       Program::Parse("lives(n, c) :- person(n, t), city(t, c).").ValueOrDie();
   DatalogEngine::Options opts;
-  opts.num_threads = 1;
   opts.probe_block_rows = static_cast<size_t>(state.range(0));
   DatalogEngine engine(opts);
   size_t derived = 0;
@@ -328,9 +314,7 @@ void BM_GuardedJoin(benchmark::State& state) {
   )")
                   .ValueOrDie();
   const auto signatures = FactSignatures(bench->target);
-  DatalogEngine::Options opts;
-  opts.num_threads = 1;
-  DatalogEngine engine(opts);
+  DatalogEngine engine;
   size_t derived = 0;
   for (auto _ : state) {
     auto out = engine.Eval(p, edb, signatures);
@@ -457,10 +441,10 @@ void BM_EndToEndSynthesisMotivating(benchmark::State& state) {
 BENCHMARK(BM_EndToEndSynthesisMotivating)->Unit(benchmark::kMillisecond);
 
 void BM_SynthesizeEndToEnd(benchmark::State& state) {
-  // The synthesis-portfolio headline number (ISSUE 7): enumeration at
-  // synth_threads = 1 vs 4 on a workload where candidate *evaluation* — the
-  // part the portfolio parallelizes — dominates the per-iteration SAT
-  // solve. One target table whose golden rule is the Yelp-1 two-atom join,
+  // The synthesis-portfolio headline number: enumeration at
+  // SessionOptions::num_threads = 1 vs 4 on a workload where candidate
+  // *evaluation* — the part the portfolio parallelizes — dominates the
+  // per-iteration SAT solve. One target table whose golden rule is the Yelp-1 two-atom join,
   // over a migration-scale instance: every candidate runs a real join on
   // thousands of facts (and the two-atom body gives shared-prefix
   // memoization its batch structure), while the sketch's SAT queries stay
@@ -493,7 +477,7 @@ void BM_SynthesizeEndToEnd(benchmark::State& state) {
   options.synthesis.use_analysis = false;  // Dynamite-Enum: deterministic scout replay
   options.synthesis.use_mdp = false;
   options.synthesis.max_iterations = 192;
-  options.synth_threads = static_cast<size_t>(state.range(0));
+  options.num_threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     // A fresh session per run, so each run also starts its own portfolio.
     Session session = Session::Create(bench->source, tgt, options).ValueOrDie();

@@ -1,5 +1,5 @@
 // Regenerates Table 1: the dataset inventory. Our datasets are synthetic
-// substitutes with matching schema shape (DESIGN.md §2); this harness
+// substitutes with matching schema shape; this harness
 // reports both the paper's raw sizes and the generated-instance statistics
 // at the default reproduction scale.
 

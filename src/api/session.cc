@@ -65,21 +65,9 @@ Session::Session(Schema source, Schema target, SessionOptions options)
   // interactive probes. Budgets come from RunContext deadlines (see
   // Bounded()).
   SynthesisOptions synth = options_.synthesis;
-  // One thread-count knob for both engines; the stage-level options stay
-  // authoritative when the session-level knob is left at 0.
-  DatalogEngine::Options engine = options_.engine;
-  if (options_.num_threads != 0) {
-    engine.num_threads = options_.num_threads;
-    synth.eval_num_threads = options_.num_threads;
-  }
-  // Enumeration portfolio width: the explicit knob wins, else it follows
-  // the session-wide thread count (one knob scales the whole pipeline).
-  if (options_.synth_threads != 0) {
-    synth.synth_threads = options_.synth_threads;
-  } else if (options_.num_threads != 0) {
-    synth.synth_threads = options_.num_threads;
-  }
-  migrator_ = std::make_unique<Migrator>(source_, target_, engine);
+  // The session's one thread knob sizes the synthesis portfolio.
+  synth.synth_threads = options_.num_threads;
+  migrator_ = std::make_unique<Migrator>(source_, target_, options_.engine);
   synthesizer_ = std::make_unique<Synthesizer>(source_, target_, synth);
 }
 

@@ -70,30 +70,18 @@ struct SessionOptions {
   /// Budget applied when a call's RunContext deadline is infinite; <= 0
   /// means unbounded. One knob instead of four scattered ones.
   double default_budget_seconds = 600;
-  /// Engine worker threads for Datalog evaluation, applied (when non-zero)
-  /// to both the shared migration engine and the synthesis stage's
-  /// candidate-evaluation engine. 0 (default) defers to the engine-level
-  /// settings (whose own default is "auto": DYNAMITE_NUM_THREADS or
-  /// sequential); 1 forces the exact sequential behavior; > 1 fans out
-  /// plan evaluation over the engine's pool, the only pool Migrate uses:
-  /// fact ingest and forest reconstruction run on the calling thread.
-  /// The Session itself stays one-per-thread; the engines fan out
-  /// internally and their results are bit-identical at any thread count,
-  /// so this is purely a throughput knob. Values above kMaxNumThreads
-  /// (256, src/util/thread_pool.h) are clamped to it, so a pool never
-  /// holds more than 255 spawned threads.
+  /// Threads for the synthesis portfolio, the Session's one thread knob:
+  /// copied into SynthesisOptions::synth_threads (replacing whatever
+  /// `synthesis` holds there). 0 (default) means "auto":
+  /// DYNAMITE_NUM_THREADS when it holds a whole number in [2, 256], else
+  /// sequential; 1 is the exact sequential enumeration; > 1 fans candidate
+  /// evaluation across a worker portfolio, with values above
+  /// kMaxNumThreads (256, src/util/thread_pool.h) clamped to it. The
+  /// synthesized program, stats and error codes are identical at any
+  /// value, so this is purely a throughput knob. Datalog evaluation,
+  /// fact ingest and forest reconstruction always run on the calling
+  /// thread; the Session itself stays one-per-thread.
   size_t num_threads = 0;
-  /// Portfolio threads for synthesis candidate *enumeration* (see
-  /// SynthesisOptions::synth_threads — the control plane; num_threads above
-  /// is the data plane within one Datalog evaluation). 0 (default) follows
-  /// num_threads when that is set, else defers to the synthesis-level knob
-  /// (whose own default is "auto": DYNAMITE_NUM_THREADS or sequential); 1
-  /// forces the exact sequential enumeration; > 1 fans candidate
-  /// evaluation across a worker portfolio. The synthesized program, stats,
-  /// and error codes are identical at any value, so like num_threads this
-  /// is purely a throughput knob, clamped to kMaxNumThreads (256) the same
-  /// way.
-  size_t synth_threads = 0;
   /// When true, SynthesizeInteractive fails with kAmbiguous if the
   /// validation pool cannot distinguish the remaining candidates (instead
   /// of silently accepting the first). The cheap Synthesize call is

@@ -28,16 +28,15 @@
 //     orders are chosen with the cardinalities seen at first compile; stale
 //     statistics trigger a re-plan (EDB drift at cache-hit time, IDB drift
 //     after round 0 of the fixpoint) but never cost correctness.
-//   * With Options::num_threads > 1 the engine fans plan evaluation out
-//     across a persistent internal worker pool (src/util/thread_pool.h):
-//     each plan's first-atom scan range is partitioned into chunks, workers
-//     emit into per-chunk buffers against frozen relations, and a
-//     single-threaded merge replays the buffers in canonical chunk order —
-//     so results (relation contents *and* row insertion order, stats
-//     counters, error codes) are bit-identical to num_threads=1.
+//   * The first join step of a plan runs block-at-a-time
+//     (Options::probe_block_rows): columnar filters and batched index
+//     probes, with the same candidate visit order as the row-at-a-time
+//     path.
 //
-// The engine's public API stays single-threaded and move-only (one engine
-// per thread; it owns the caches above and fans out internally).
+// Every plan runs on the calling thread, in one deterministic emission
+// order. The engine is single-threaded and move-only (one engine per
+// thread; it owns the caches above). Parallelism lives above it: the
+// synthesis portfolio runs one engine per worker (src/synth/README.md).
 
 #ifndef DYNAMITE_DATALOG_ENGINE_H_
 #define DYNAMITE_DATALOG_ENGINE_H_
@@ -71,9 +70,7 @@ class DatalogEngine {
     /// Composed (Deadline::Earliest) with the RunContext deadline when one
     /// is passed; either expiring aborts with kTimeout. Polled every 1024
     /// join-candidate inspections (a fixed stride independent of how many
-    /// tuples happen to be derived); with num_threads > 1 every worker
-    /// polls on its own 1024-tick stride, so interruption latency does not
-    /// scale with the worker count.
+    /// tuples happen to be derived).
     double timeout_seconds = 0;
     /// Reorder body atoms by estimated selectivity at compile time.
     bool reorder_joins = true;
@@ -87,23 +84,19 @@ class DatalogEngine {
     /// the synthesizer's candidate engines turn it off, since each
     /// candidate rule is evaluated once.
     bool cache_compiled_rules = true;
-    /// Worker threads for plan evaluation. 0 (the default) means "auto":
-    /// the DYNAMITE_NUM_THREADS environment variable when it holds a whole
-    /// number in [2, 256] (see ResolveNumThreads; the lever the TSan CI job
-    /// uses to push the whole test suite through the parallel path), else
-    /// sequential. 1 is *always* the exact sequential code path — an
-    /// explicit request for no threads is never overridden.
-    /// Values > 1 partition each plan's first-atom scan range across a
-    /// persistent pool of num_threads workers (the calling thread
-    /// participates); values above 256 are clamped to 256. Results are
-    /// bit-identical for every value.
+    /// Inert: nothing reads it, and every Eval runs on the calling thread.
+    /// It remains only because perfbench/perfbench.cc still assigns it,
+    /// and goes when perfbench stops. The one thread knob is
+    /// SessionOptions::num_threads, which sizes the synthesis portfolio.
     size_t num_threads = 0;
     /// Per-Eval byte budget covering relation growth, join-index posting
-    /// lists, interned strings, and the parallel emit buffers; exceeding it
-    /// aborts with kResourceExhausted instead of OOM-killing the process.
-    /// 0 disables the check. When the caller's RunContext already carries a
+    /// lists and interned strings; exceeding it aborts with
+    /// kResourceExhausted instead of OOM-killing the process. 0 disables
+    /// the check. When the caller's RunContext already carries a
     /// MemoryBudget (a Session run), that budget is charged instead and
-    /// this knob is ignored — one budget per run, not per stage.
+    /// this knob is ignored — one budget per run, not per stage. With
+    /// neither, Eval charges the budget the caller installed on the thread
+    /// (MemoryBudgetScope), if any.
     size_t max_memory_bytes = 0;
     /// Block size (rows) for the vectorized matcher: the first-atom scan is
     /// processed in blocks of this many rows — constant/bound columns are
@@ -118,7 +111,7 @@ class DatalogEngine {
   };
 
   /// Counters accumulated across Eval calls on this engine. Deterministic:
-  /// identical for the same Eval sequence at any num_threads.
+  /// identical for the same Eval sequence at any probe_block_rows.
   struct Stats {
     /// Cached rules recompiled because their join-order statistics went
     /// stale: ≥4x cardinality drift on an EDB body relation (checked at
@@ -126,11 +119,6 @@ class DatalogEngine {
     /// round-0 size (checked after pass 0 of each fixpoint, against the
     /// sizes recorded on the rule's first Eval).
     size_t plan_refreshes = 0;
-    /// Plan evaluations that failed on the parallel path (a worker threw —
-    /// real bad_alloc or injected fault) and were retried to completion on
-    /// the exact sequential path. Graceful degradation, not an error: the
-    /// Eval's results are unaffected.
-    size_t parallel_fallbacks = 0;
     /// Join indexes currently held in this engine's private EDB index
     /// cache — a level, not a running total. Indexes over an EDB that
     /// outlives many Evals (the synthesizer's example) are meant to stay;

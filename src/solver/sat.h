@@ -1,8 +1,8 @@
 // A CDCL (conflict-driven clause learning) SAT solver.
 //
 // This is the propositional core of the SMT substrate (the paper uses Z3;
-// see DESIGN.md §2 for why a finite-domain encoding over CDCL decides the
-// same formulas). Features: two-watched-literal propagation, first-UIP
+// every sketch hole has a finite domain, so the finite-domain encoding of
+// src/solver/fd.h over CDCL decides the same formulas). Features: two-watched-literal propagation, first-UIP
 // clause learning, VSIDS-style activity, phase saving, and Luby restarts.
 // The solver is incremental in the way sketch completion needs: clauses
 // (blocking clauses) may be added between Solve() calls. There is no

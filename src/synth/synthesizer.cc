@@ -193,9 +193,6 @@ class PortfolioRuntime {
       DatalogEngine::Options eval_opts;
       eval_opts.timeout_seconds = options.eval_timeout_seconds;
       eval_opts.max_derived_tuples = options.eval_max_tuples;
-      // Workers are the parallelism; nesting a fixpoint pool inside each
-      // would oversubscribe every core.
-      eval_opts.num_threads = 1;
       engines_.emplace_back(eval_opts);
       engines_.back().ShareEdbIndexes(shared_indexes_);
     }
@@ -388,7 +385,6 @@ class RuleSynthesizer {
     DatalogEngine::Options eval_opts;
     eval_opts.timeout_seconds = options.eval_timeout_seconds;
     eval_opts.max_derived_tuples = options.eval_max_tuples;
-    eval_opts.num_threads = options.eval_num_threads;
     eval_opts.cache_compiled_rules = false;
     return DatalogEngine(eval_opts);
   }

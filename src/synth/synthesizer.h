@@ -48,14 +48,9 @@ struct SynthesisOptions {
   /// Budget for evaluating one candidate program on the example.
   double eval_timeout_seconds = 5.0;
   size_t eval_max_tuples = 500'000;
-  /// Worker threads for the candidate-evaluation engine (see
-  /// DatalogEngine::Options::num_threads; 0 = auto/env, 1 = sequential,
-  /// results are bit-identical at any value). Set from
-  /// SessionOptions::num_threads by the Session API.
-  size_t eval_num_threads = 0;
-  /// Portfolio threads for candidate *enumeration* — the control plane,
-  /// independent of eval_num_threads (the data plane within one
-  /// evaluation). 0 = auto: DYNAMITE_NUM_THREADS (see ResolveNumThreads),
+  /// Portfolio threads for candidate enumeration; the Session sets it from
+  /// SessionOptions::num_threads. Each candidate evaluation runs on one
+  /// thread. 0 = auto: DYNAMITE_NUM_THREADS (see ResolveNumThreads),
   /// else sequential; 1 = the exact sequential enumeration loop, never
   /// overridden; > 1 = speculative portfolio search (workers pre-evaluate
   /// upcoming candidates on private engine/solver clones while the
@@ -83,8 +78,7 @@ struct SynthPortfolioStats {
   /// prefix_memo_hits).
   size_t speculative_hits = 0;
   /// Speculation batches abandoned after a worker fault; the enumeration
-  /// degrades to the sequential path with identical results (the synthesis
-  /// analogue of DatalogEngine::Stats::parallel_fallbacks).
+  /// degrades to the sequential path with identical results.
   size_t parallel_fallbacks = 0;
 };
 
@@ -156,7 +150,7 @@ class Synthesizer {
 
   /// The portfolio worker pool (synth_threads - 1 spawned threads; the
   /// calling thread participates), created lazily on the first portfolio
-  /// call and reused across calls, like the engine's fixpoint pool.
+  /// call and reused across calls.
   /// Nullptr when synthesis resolves to sequential.
   ThreadPool* PortfolioPool(size_t synth_threads) const;
 

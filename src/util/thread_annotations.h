@@ -1,8 +1,8 @@
 // Compile-time concurrency contracts: Clang thread-safety attributes and the
 // annotated synchronization primitives every component in this tree uses.
 //
-// The parallel fixpoint (engine.cc) and the synthesis portfolio
-// (synthesizer.cc) promise bit-identical results at any thread count. That
+// The synthesis portfolio (synthesizer.cc) promises bit-identical results
+// at any thread count. That
 // guarantee rests on a locking protocol spread across a dozen files, and
 // until this header it was checked only dynamically — TSan on whatever
 // interleavings CI happened to hit. Clang's -Wthread-safety analysis turns

@@ -1,32 +1,32 @@
-// ThreadPool: a small persistent worker pool for the parallel fixpoint.
+// ThreadPool: a small persistent worker pool for the synthesis portfolio.
 //
-// The Datalog engine partitions a join plan's first-atom scan range into
-// chunks and evaluates them on this pool (see src/datalog/engine.cc). The
-// pool is created once per engine and reused across every Eval call — the
-// synthesizer evaluates thousands of candidate programs, so per-call thread
-// spawn/join would dwarf the work being parallelized.
+// The synthesizer evaluates speculative candidate batches on this pool
+// (see src/synth/synthesizer.cc). The pool is created once per Synthesizer
+// and reused across every call — synthesis runs thousands of candidate
+// evaluations, so per-batch thread spawn/join would dwarf the work being
+// parallelized.
 //
 // The calling thread participates: a pool constructed with `num_spawned`
 // threads executes Run() callbacks with `num_spawned + 1`-way parallelism
-// (worker index 0 is the caller). This keeps num_threads semantics exact —
-// an engine configured with num_threads=4 holds a pool of 3 spawned threads
-// — and means a pool of 0 spawned threads degenerates to a plain call.
+// (worker index 0 is the caller). This keeps thread-count semantics exact
+// — synth_threads=4 holds a pool of 3 spawned threads — and means a pool
+// of 0 spawned threads degenerates to a plain call.
 //
 // All hand-off is mutex/condvar based (no lock-free queues): Run() is
-// invoked at most a few times per fixpoint round, so dispatch latency is
-// irrelevant next to the chunk work, and the simple protocol is trivially
-// clean under TSan. Run() is not reentrant and must only be called from one
-// thread at a time (the engine's evaluator is the only caller).
+// invoked once per speculation batch, so dispatch latency is irrelevant
+// next to the batch's work, and the simple protocol is trivially clean
+// under TSan. Run() is not reentrant and must only be called from one
+// thread at a time.
 //
 // Callbacks MAY throw: every invocation runs inside a noexcept trampoline
 // that converts escaping exceptions (a real bad_alloc, an injected
 // failpoint, anything else) into a Status instead of letting a worker
 // thread std::terminate the process. Run() merges per-worker failures and
-// returns the first one; the engine uses a non-OK return to fall back to
-// the sequential path (see EvalPlanParallel).
+// returns the first one; the synthesizer uses a non-OK return to stop
+// speculating and continue on its sequential path.
 //
-// ResolveNumThreads, below, turns the "0 = auto" thread knobs of the engine
-// and the synthesis portfolio into a count, from DYNAMITE_NUM_THREADS.
+// ResolveNumThreads, below, turns the "0 = auto" thread knob of the
+// synthesis portfolio into a count, from DYNAMITE_NUM_THREADS.
 
 #ifndef DYNAMITE_UTIL_THREAD_POOL_H_
 #define DYNAMITE_UTIL_THREAD_POOL_H_
@@ -66,12 +66,12 @@ inline size_t ParseNumThreadsEnv(const char* text) {
   return value >= 2 ? value : 1;
 }
 
-/// Resolves a "0 = auto" thread-count knob (DatalogEngine::Options::
-/// num_threads, SynthesisOptions::synth_threads): an explicit value, 1
+/// Resolves a "0 = auto" thread-count knob (SynthesisOptions::
+/// synth_threads): an explicit value, 1
 /// included, is kept up to kMaxNumThreads and clamped to it above; 0
 /// becomes ParseNumThreadsEnv of the DYNAMITE_NUM_THREADS environment
 /// variable — how the TSan CI job pushes the whole test suite through the
-/// parallel paths without per-test plumbing. Pure for an explicit knob:
+/// portfolio without per-test plumbing. Pure for an explicit knob:
 /// starts no thread.
 inline size_t ResolveNumThreads(size_t knob) {
   if (knob != 0) return knob < kMaxNumThreads ? knob : kMaxNumThreads;

@@ -6,7 +6,7 @@
 //
 //   * DISARMED (the default) a span costs one relaxed atomic load — the
 //     same budget as a disarmed failpoint, pinned by BM_TraceOverhead
-//     against BM_FixpointParallel (<2%). No allocation, no clock read, no
+//     against BM_Fixpoint/200 (<2%). No allocation, no clock read, no
 //     branch beyond the flag test.
 //   * ARMED, every span costs two steady_clock reads plus one 64-byte write
 //     into the calling thread's private ring buffer. Rings are
@@ -24,9 +24,9 @@
 // Trace ids: Session entry points stamp RunContext::trace_id with a fresh
 // process-unique id and install it as the calling thread's ambient id
 // (TraceIdScope). ThreadPool::Run forwards the caller's ambient id to every
-// worker invocation, so pool-side spans — and the sequential retry after a
-// parallel fallback, which runs on the caller's thread under the same scope
-// — all carry the id of the run that spawned them.
+// worker invocation, so pool-side spans — and the portfolio's sequential
+// continuation after a worker fault, which runs on the caller's thread
+// under the same scope — all carry the id of the run that spawned them.
 //
 // Concurrency contract: recording is thread-safe and lock-free.
 // WriteChromeTrace / CollectEvents / Clear read the rings with acquire loads

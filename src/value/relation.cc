@@ -127,15 +127,9 @@ bool Relation::RowEqualsValues(size_t idx, const Value* vals) const {
 }
 
 bool Relation::InsertRow(const Value* vals, size_t count) {
-  return InsertRowPrehashed(vals, count, HashValueRange(vals, count));
-}
-
-bool Relation::InsertRowPrehashed(const Value* vals, size_t count, size_t h) {
   // A mismatched arity scribbles past column ends — abort in release too.
-  // The hash recomputation stays debug-only: it re-hashes every row.
   DYNAMITE_CHECK(count == arity(), "InsertRow arity mismatch");
-  DYNAMITE_DCHECK(h == HashValueRange(vals, count));
-  (void)count;
+  const size_t h = HashValueRange(vals, count);
   DYNAMITE_FAILPOINT_THROW("relation.insert.alloc");
   // Grow at 3/4 load (slot count is a power of two).
   if (slots_.empty()) {

@@ -1,6 +1,5 @@
 // Helpers for deterministic synthetic data generation (the Table 1 dataset
-// substitutes; see DESIGN.md §2 on why generation preserves the relevant
-// behaviour).
+// substitutes, which keep each dataset's schema shape).
 
 #ifndef DYNAMITE_WORKLOAD_DATAGEN_H_
 #define DYNAMITE_WORKLOAD_DATAGEN_H_

@@ -237,11 +237,10 @@ TEST(CacheOffParity, FirstCandidatesOfEveryTable3RuleEvaluateIdentically) {
     const workload::Benchmark& bench = *workload::FindBenchmark(b.name);
     uint64_t next_id = 1;
     ASSERT_OK_AND_ASSIGN(FactDatabase edb, ToFacts(b.example.input, bench.source, &next_id));
-    // The synthesizer's per-candidate budgets, on one thread.
+    // The synthesizer's per-candidate budgets.
     DatalogEngine::Options options;
     options.timeout_seconds = 5.0;
     options.max_derived_tuples = 500'000;
-    options.num_threads = 1;
     options.cache_compiled_rules = true;
     DatalogEngine cached(options);
     options.cache_compiled_rules = false;

@@ -388,11 +388,9 @@ const char* const kGuardShapes[] = {
 TEST(ExistenceOnlyJoins, MatchesNestedLoopOracleOnRandomInstances) {
   struct Config {
     bool reorder;
-    size_t threads;
     size_t block_rows;
   };
-  const Config configs[] = {{false, 1, 1}, {false, 1, 1024}, {false, 4, 3},
-                            {true, 1, 1}, {true, 4, 1024}};
+  const Config configs[] = {{false, 1}, {false, 1024}, {false, 3}, {true, 1}, {true, 1024}};
   size_t nonempty = 0;
   for (const char* shape : kGuardShapes) {
     ASSERT_OK_AND_ASSIGN(Program p, Program::Parse(shape));
@@ -402,7 +400,6 @@ TEST(ExistenceOnlyJoins, MatchesNestedLoopOracleOnRandomInstances) {
       for (const Config& config : configs) {
         DatalogEngine::Options opts;
         opts.reorder_joins = config.reorder;
-        opts.num_threads = config.threads;
         opts.probe_block_rows = config.block_rows;
         ASSERT_OK_AND_ASSIGN(FactDatabase out,
                              DatalogEngine(opts).EvalAutoSignatures(p, db));
@@ -412,8 +409,8 @@ TEST(ExistenceOnlyJoins, MatchesNestedLoopOracleOnRandomInstances) {
             EXPECT_EQ(Sorted(got), Sorted(rows)) << shape << " seed " << seed;
           } else {
             // Body order is the nested-loop order: same rows, same order.
-            EXPECT_EQ(got, rows) << shape << " seed " << seed << " threads "
-                                 << config.threads << " block " << config.block_rows;
+            EXPECT_EQ(got, rows) << shape << " seed " << seed << " block "
+                                 << config.block_rows;
           }
           nonempty += rows.empty() ? 0 : 1;
         }
@@ -461,9 +458,8 @@ constexpr const char* kGuardedRule =
     "Org(_, _).";
 constexpr const char* kUnguardedRule = "UserT(u, n) :- User(u, n), Review(_, b, u, _).";
 
-DatalogEngine ConfiguredEngine(size_t threads, size_t block_rows) {
+DatalogEngine ConfiguredEngine(size_t block_rows) {
   DatalogEngine::Options opts;
-  opts.num_threads = threads;
   opts.probe_block_rows = block_rows;
   return DatalogEngine(opts);
 }
@@ -473,19 +469,15 @@ TEST(ExistenceOnlyJoins, SatisfiedGuardsKeepTheUnguardedRowOrder) {
   ASSERT_OK_AND_ASSIGN(Program guarded, Program::Parse(kGuardedRule));
   ASSERT_OK_AND_ASSIGN(Program unguarded, Program::Parse(kUnguardedRule));
   ASSERT_OK_AND_ASSIGN(FactDatabase reference,
-                       ConfiguredEngine(1, 1).EvalAutoSignatures(unguarded, db));
+                       ConfiguredEngine(1).EvalAutoSignatures(unguarded, db));
   Rows expected = RowsOf(*reference.Find("UserT").ValueOrDie());
   ASSERT_EQ(expected.size(), 600u);
-  // Row-for-row parity at every thread count and block size (600 users
-  // clear the parallel threshold, so 4 and 8 threads split the scan).
-  for (size_t threads : {1u, 4u, 8u}) {
-    for (size_t block : {1u, 3u, 1024u}) {
-      for (const Program* p : {&guarded, &unguarded}) {
-        ASSERT_OK_AND_ASSIGN(FactDatabase out,
-                             ConfiguredEngine(threads, block).EvalAutoSignatures(*p, db));
-        EXPECT_EQ(RowsOf(*out.Find("UserT").ValueOrDie()), expected)
-            << p->ToString() << " threads " << threads << " block " << block;
-      }
+  // Row-for-row parity at every block size.
+  for (size_t block : {1u, 3u, 1024u}) {
+    for (const Program* p : {&guarded, &unguarded}) {
+      ASSERT_OK_AND_ASSIGN(FactDatabase out, ConfiguredEngine(block).EvalAutoSignatures(*p, db));
+      EXPECT_EQ(RowsOf(*out.Find("UserT").ValueOrDie()), expected)
+          << p->ToString() << " block " << block;
     }
   }
 }
@@ -501,21 +493,17 @@ TEST(ExistenceOnlyJoins, TrailingSemiJoinsKeepRowOrderAcrossConfigs) {
   FactDatabase small = ReviewDb(80, /*orphan_businesses=*/false);
   ASSERT_OK_AND_ASSIGN(FactDatabase small_out, DatalogEngine().EvalAutoSignatures(p, small));
   std::map<std::string, Rows> oracle = OracleEval(p, small);
-  ASSERT_OK_AND_ASSIGN(FactDatabase reference, ConfiguredEngine(1, 1).EvalAutoSignatures(p, db));
+  ASSERT_OK_AND_ASSIGN(FactDatabase reference, ConfiguredEngine(1).EvalAutoSignatures(p, db));
   for (const char* rel : {"Rated", "Pair", "Seen"}) {
     ASSERT_GT(oracle.at(rel).size(), 0u) << rel;
     EXPECT_EQ(Sorted(RowsOf(*small_out.Find(rel).ValueOrDie())), Sorted(oracle.at(rel)))
         << rel;
   }
-  for (size_t threads : {1u, 4u, 8u}) {
-    for (size_t block : {1u, 3u, 1024u}) {
-      ASSERT_OK_AND_ASSIGN(FactDatabase out,
-                           ConfiguredEngine(threads, block).EvalAutoSignatures(p, db));
-      for (const char* rel : {"Rated", "Pair", "Seen"}) {
-        EXPECT_EQ(RowsOf(*out.Find(rel).ValueOrDie()),
-                  RowsOf(*reference.Find(rel).ValueOrDie()))
-            << rel << " threads " << threads << " block " << block;
-      }
+  for (size_t block : {1u, 3u, 1024u}) {
+    ASSERT_OK_AND_ASSIGN(FactDatabase out, ConfiguredEngine(block).EvalAutoSignatures(p, db));
+    for (const char* rel : {"Rated", "Pair", "Seen"}) {
+      EXPECT_EQ(RowsOf(*out.Find(rel).ValueOrDie()), RowsOf(*reference.Find(rel).ValueOrDie()))
+          << rel << " block " << block;
     }
   }
 }
@@ -530,20 +518,18 @@ TEST(ExistenceOnlyJoins, UnsatisfiedGuardsYieldAnEmptyHead) {
       "UserT(u, n) :- User(u, n), Business(b, _), Review(_, b, _, _)."));
   ASSERT_OK_AND_ASSIGN(Program empty_guard, Program::Parse(
       "UserT(u, n) :- User(u, n), Org(_, _)."));
-  for (size_t threads : {1u, 4u}) {
-    for (size_t block : {1u, 1024u}) {
-      DatalogEngine engine = ConfiguredEngine(threads, block);
-      ASSERT_OK_AND_ASSIGN(FactDatabase a, engine.EvalAutoSignatures(multi_atom, orphans));
-      EXPECT_EQ(a.Find("UserT").ValueOrDie()->size(), 0u) << threads << "/" << block;
-      ASSERT_OK_AND_ASSIGN(FactDatabase b, engine.EvalAutoSignatures(empty_guard, no_orgs));
-      EXPECT_EQ(b.Find("UserT").ValueOrDie()->size(), 0u) << threads << "/" << block;
-      // Sanity: with the guard satisfiable, the same rules derive every user.
-      FactDatabase joined = ReviewDb(600, /*orphan_businesses=*/false);
-      ASSERT_OK_AND_ASSIGN(FactDatabase c, engine.EvalAutoSignatures(multi_atom, joined));
-      EXPECT_EQ(c.Find("UserT").ValueOrDie()->size(), 600u);
-      ASSERT_OK_AND_ASSIGN(FactDatabase d, engine.EvalAutoSignatures(empty_guard, joined));
-      EXPECT_EQ(d.Find("UserT").ValueOrDie()->size(), 600u);
-    }
+  for (size_t block : {1u, 1024u}) {
+    DatalogEngine engine = ConfiguredEngine(block);
+    ASSERT_OK_AND_ASSIGN(FactDatabase a, engine.EvalAutoSignatures(multi_atom, orphans));
+    EXPECT_EQ(a.Find("UserT").ValueOrDie()->size(), 0u) << "block " << block;
+    ASSERT_OK_AND_ASSIGN(FactDatabase b, engine.EvalAutoSignatures(empty_guard, no_orgs));
+    EXPECT_EQ(b.Find("UserT").ValueOrDie()->size(), 0u) << "block " << block;
+    // Sanity: with the guard satisfiable, the same rules derive every user.
+    FactDatabase joined = ReviewDb(600, /*orphan_businesses=*/false);
+    ASSERT_OK_AND_ASSIGN(FactDatabase c, engine.EvalAutoSignatures(multi_atom, joined));
+    EXPECT_EQ(c.Find("UserT").ValueOrDie()->size(), 600u);
+    ASSERT_OK_AND_ASSIGN(FactDatabase d, engine.EvalAutoSignatures(empty_guard, joined));
+    EXPECT_EQ(d.Find("UserT").ValueOrDie()->size(), 600u);
   }
 }
 
@@ -583,19 +569,16 @@ TEST(ExistenceOnlyJoins, RecursiveRuleWithDeltaAtomInAGuard) {
   )"));
   std::set<std::pair<int64_t, int64_t>> expected = ReferenceClosure(edges);
   Rows reference;
-  for (size_t threads : {1u, 4u, 8u}) {
-    for (size_t block : {1u, 3u, 1024u}) {
-      ASSERT_OK_AND_ASSIGN(FactDatabase out,
-                           ConfiguredEngine(threads, block).EvalAutoSignatures(p, db));
-      const Relation* tc = out.Find("tc").ValueOrDie();
-      std::set<std::pair<int64_t, int64_t>> got;
-      for (size_t r = 0; r < tc->size(); ++r) {
-        got.insert({tc->cell(r, 0).AsInt(), tc->cell(r, 1).AsInt()});
-      }
-      EXPECT_EQ(got, expected) << "threads " << threads << " block " << block;
-      if (reference.empty()) reference = RowsOf(*tc);
-      EXPECT_EQ(RowsOf(*tc), reference) << "threads " << threads << " block " << block;
+  for (size_t block : {1u, 3u, 1024u}) {
+    ASSERT_OK_AND_ASSIGN(FactDatabase out, ConfiguredEngine(block).EvalAutoSignatures(p, db));
+    const Relation* tc = out.Find("tc").ValueOrDie();
+    std::set<std::pair<int64_t, int64_t>> got;
+    for (size_t r = 0; r < tc->size(); ++r) {
+      got.insert({tc->cell(r, 0).AsInt(), tc->cell(r, 1).AsInt()});
     }
+    EXPECT_EQ(got, expected) << "block " << block;
+    if (reference.empty()) reference = RowsOf(*tc);
+    EXPECT_EQ(RowsOf(*tc), reference) << "block " << block;
   }
 }
 
@@ -619,27 +602,24 @@ TEST(ExistenceOnlyJoins, CancelAndDeadlineLandInsideAHeadDependentProduct) {
   // kEvalBudget instead.
   FactDatabase db = CrossProductDb(2000);
   ASSERT_OK_AND_ASSIGN(Program p, Program::Parse("H(x, y) :- A(x), G(_), B(y)."));
-  for (size_t threads : {1u, 4u}) {
-    DatalogEngine::Options opts;
-    opts.num_threads = threads;
-    opts.max_derived_tuples = 3'000'000;
-    CancelSource source;
-    RunContext ctx;
-    ctx.cancel = source.token();
-    std::thread canceller([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      source.RequestCancel();
-    });
-    auto cancelled = DatalogEngine(opts).EvalAutoSignatures(p, db, &ctx);
-    canceller.join();
-    ASSERT_FALSE(cancelled.ok()) << "threads " << threads;
-    EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled) << "threads " << threads;
+  DatalogEngine::Options opts;
+  opts.max_derived_tuples = 3'000'000;
+  CancelSource source;
+  RunContext ctx;
+  ctx.cancel = source.token();
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    source.RequestCancel();
+  });
+  auto cancelled = DatalogEngine(opts).EvalAutoSignatures(p, db, &ctx);
+  canceller.join();
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
 
-    opts.timeout_seconds = 0.02;
-    auto timed_out = DatalogEngine(opts).EvalAutoSignatures(p, db);
-    ASSERT_FALSE(timed_out.ok()) << "threads " << threads;
-    EXPECT_EQ(timed_out.status().code(), StatusCode::kTimeout) << "threads " << threads;
-  }
+  opts.timeout_seconds = 0.02;
+  auto timed_out = DatalogEngine(opts).EvalAutoSignatures(p, db);
+  ASSERT_FALSE(timed_out.ok());
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kTimeout);
 }
 
 }  // namespace

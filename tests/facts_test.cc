@@ -169,8 +169,6 @@ TEST(BuildForest, BudgetTooSmallForTheOutputFailsTyped) {
   // evaluation and the indexes but not the output forest: the rebuild ends
   // with a typed error, whether or not BuildForest gets the RunContext
   // that carries the budget.
-  DatalogEngine::Options options;
-  options.num_threads = 1;
   for (const workload::Benchmark& bench : workload::AllBenchmarks()) {
     SCOPED_TRACE(bench.name);
     ASSERT_OK_AND_ASSIGN(RecordForest source,
@@ -187,7 +185,7 @@ TEST(BuildForest, BudgetTooSmallForTheOutputFailsTyped) {
       uint64_t next_id = 1;
       ASSERT_OK_AND_ASSIGN(FactDatabase edb, ToFacts(source, bench.source, &next_id, &ctx));
       ASSERT_OK_AND_ASSIGN(FactDatabase idb,
-                           DatalogEngine(options).Eval(bench.golden, edb, signatures, &ctx));
+                           DatalogEngine().Eval(bench.golden, edb, signatures, &ctx));
       before_build = unlimited.used();
       ASSERT_OK(BuildForest(idb, bench.target, &ctx, nullptr, &records).status());
       total = unlimited.used();
@@ -207,7 +205,7 @@ TEST(BuildForest, BudgetTooSmallForTheOutputFailsTyped) {
       uint64_t next_id = 1;
       ASSERT_OK_AND_ASSIGN(FactDatabase edb, ToFacts(source, bench.source, &next_id, &ctx));
       ASSERT_OK_AND_ASSIGN(FactDatabase idb,
-                           DatalogEngine(options).Eval(bench.golden, edb, signatures, &ctx));
+                           DatalogEngine().Eval(bench.golden, edb, signatures, &ctx));
       ASSERT_FALSE(budget.exhausted());
       Status status;
       EXPECT_NO_THROW(

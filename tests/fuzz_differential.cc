@@ -273,14 +273,12 @@ FuzzCase MakeWorkloadCase(Rng* rng) {
   return fc;
 }
 
-/// `synth_threads` = 0 follows `threads` (the Session default: one knob
-/// scales the whole pipeline, so threads > 1 also turns on the enumeration
-/// portfolio); pass 1 to pin the exact sequential enumeration loop.
+/// `threads` sizes the synthesis portfolio (SessionOptions::num_threads):
+/// > 1 turns it on, 1 pins the exact sequential enumeration loop.
 Session MakeSession(const FuzzCase& fc, size_t threads, size_t max_memory_bytes = 0,
-                    size_t synth_threads = 0, size_t probe_block_rows = 0) {
+                    size_t probe_block_rows = 0) {
   SessionOptions so;
   so.num_threads = threads;
-  so.synth_threads = synth_threads;
   so.max_memory_bytes = max_memory_bytes;
   so.engine.probe_block_rows = probe_block_rows;
   auto session = Session::Create(fc.source, fc.target, so);
@@ -373,7 +371,7 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
               fc.label.c_str(), threads);
   // Vectorized vs scalar matcher: probe_block_rows=1 pins the exact
   // row-at-a-time path; the default (1024) must migrate identically.
-  Session scalar = MakeSession(fc, threads, 0, 0, /*probe_block_rows=*/1);
+  Session scalar = MakeSession(fc, threads, 0, /*probe_block_rows=*/1);
   Program scalar_program;
   RecordForest scalar_out;
   st = RunPipeline(scalar, fc, &scalar_program, &scalar_out);
@@ -483,8 +481,8 @@ int RunFuzz(const CliOptions& cli) {
 int RunSmoke(const CliOptions& cli) {
   std::printf("fuzz_differential --smoke seed=%" PRIu64 "\n", cli.seed);
   {
-    // Baseline pipeline, threads=4 and a parallel-scale instance, so every
-    // site — including the pool/merge ones — registers before enumeration.
+    // Baseline pipeline, threads=4 and a 300-root instance, so every site —
+    // the portfolio's pool included — registers before enumeration.
     Rng rng(cli.seed);
     FuzzCase fc = MakeProjectionCase(&rng);
     while (fc.instance.roots.size() < 300) {
@@ -517,14 +515,14 @@ int RunSmoke(const CliOptions& cli) {
       Status armed = failpoint::ArmFromString(site, spec);
       FUZZ_ASSERT(armed.ok(), "ArmFromString(%s, %s): %s", site.c_str(), spec.c_str(),
                   armed.ToString().c_str());
-      // Sequential enumeration (synth_threads=1): with the speculation
+      // Sequential enumeration (threads=1): with the speculation
       // portfolio on, a worker thread could consume a hit_1 trigger inside
       // a speculative candidate evaluation whose outcome is then discarded
       // (by design — non-deterministic outcomes never enter the memo), and
       // the must-fire assertion below would see a clean pipeline. The
       // portfolio's own fault path gets a dedicated deterministic section
       // after this matrix.
-      Session session = MakeSession(fc, 4, 0, /*synth_threads=*/1);
+      Session session = MakeSession(fc, 1);
       Program program;
       RecordForest output;
       Status st = RunPipeline(session, fc, &program, &output);
@@ -563,9 +561,9 @@ int RunSmoke(const CliOptions& cli) {
       }
       // A first-hit injection of the default kind must be *observable*: the
       // pipeline executes every site, so the run either fails typed or the
-      // fault was absorbed by design (a worker-thread fault falls back to
-      // the sequential path and succeeds). synth.worker only executes in
-      // portfolio runs (synth_threads > 1), which this matrix pins off —
+      // fault was absorbed by design. thread_pool.worker and synth.worker
+      // only execute in portfolio runs (threads > 1), which this matrix
+      // pins off —
       // its degradation contract is asserted in the dedicated section below.
       if (std::strcmp(kind, "resource") == 0 && site != "thread_pool.worker" &&
           site != "synth.worker") {

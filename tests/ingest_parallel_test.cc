@@ -1,9 +1,10 @@
 // Determinism suite for ingest and the vectorized matcher: ToFacts declares
 // relations in schema order and fails a malformed forest with exactly
 // ValidateForest's error; full migrations must agree on outputs, stats, and
-// engine counters across Session threads {1, 2, 8} on relational, document,
-// and graph instances; and the engine's vectorized matcher must be
-// bit-identical across probe block sizes (1 == scalar, 1024 == default).
+// engine counters across the migration engine's probe block sizes on
+// relational, document, and graph instances; and the engine's vectorized
+// matcher must be bit-identical across probe block sizes (1 == scalar,
+// 1024 == default).
 
 #include <gtest/gtest.h>
 
@@ -90,7 +91,7 @@ std::vector<size_t> BreakForest(RecordForest* forest) {
 }
 
 /// The error ValidateForest reports for `instance` is the one ToFacts and
-/// Session::Migrate (as kSchemaMismatch, at threads {1, 2, 8}) report.
+/// Session::Migrate (as kSchemaMismatch) report.
 void ExpectFirstErrorOnEveryPath(const workload::Benchmark& bench,
                                  const RecordForest& instance) {
   Status expected = ValidateForest(instance, bench.source);
@@ -100,18 +101,12 @@ void ExpectFirstErrorOnEveryPath(const workload::Benchmark& bench,
   uint64_t next_id = 1;
   auto facts = ToFacts(instance, bench.source, &next_id, nullptr);
   EXPECT_EQ(facts.status().ToString(), expected.ToString());
-  for (size_t threads : {1u, 2u, 8u}) {
-    SessionOptions options;
-    options.num_threads = threads;
-    auto session = Session::Create(bench.source, bench.target, options);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    auto migrated = session.ValueOrDie().Migrate(bench.golden, instance);
-    EXPECT_EQ(migrated.status().ToString(),
-              Status::SchemaMismatch("source instance vs source schema: " +
-                                     expected.message())
-                  .ToString())
-        << "threads=" << threads;
-  }
+  auto session = Session::Create(bench.source, bench.target);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto migrated = session.ValueOrDie().Migrate(bench.golden, instance);
+  EXPECT_EQ(migrated.status().ToString(),
+            Status::SchemaMismatch("source instance vs source schema: " + expected.message())
+                .ToString());
 }
 
 TEST(Ingest, FirstValidationErrorIsTheSameOnEveryPath) {
@@ -144,28 +139,28 @@ TEST(Ingest, FirstValidationErrorIsTheSameOnEveryPath) {
 
 // ------------------------------------- end-to-end migration parity --------
 
-TEST(Ingest, MigrationOutputsAndStatsAgreeAcrossIngestThreads) {
+TEST(Ingest, MigrationOutputsAndStatsAgreeAcrossBlockSizes) {
   for (const char* name : kShapeBenchmarks) {
     const workload::Benchmark* bench = workload::FindBenchmark(name);
     ASSERT_NE(bench, nullptr);
     RecordForest instance = BigInstance(*bench);
 
     SessionOptions seq_opts;
-    seq_opts.engine.num_threads = 1;
+    seq_opts.engine.probe_block_rows = 1;
     Session seq = Session::Create(bench->source, bench->target, seq_opts).ValueOrDie();
     MigrationStats seq_stats;
     auto seq_out = seq.Migrate(bench->golden, instance, &seq_stats);
     ASSERT_TRUE(seq_out.ok()) << name << ": " << seq_out.status().ToString();
 
-    for (size_t threads : {2u, 8u}) {
+    for (size_t block : {3u, 1024u}) {
       SessionOptions par_opts;
-      par_opts.engine.num_threads = threads;
+      par_opts.engine.probe_block_rows = block;
       Session par = Session::Create(bench->source, bench->target, par_opts).ValueOrDie();
       MigrationStats par_stats;
       auto par_out = par.Migrate(bench->golden, instance, &par_stats);
       ASSERT_TRUE(par_out.ok()) << name << ": " << par_out.status().ToString();
       EXPECT_TRUE(ForestEquals(seq_out.ValueOrDie(), par_out.ValueOrDie()))
-          << name << " threads=" << threads;
+          << name << " block=" << block;
       // Everything except timings is part of the bit-identity contract.
       EXPECT_EQ(seq_stats.source_records, par_stats.source_records) << name;
       EXPECT_EQ(seq_stats.source_facts, par_stats.source_facts) << name;
@@ -177,7 +172,6 @@ TEST(Ingest, MigrationOutputsAndStatsAgreeAcrossIngestThreads) {
           << name;
       EXPECT_EQ(seq.engine_stats().plan_refreshes, par.engine_stats().plan_refreshes)
           << name;
-      EXPECT_EQ(par.engine_stats().parallel_fallbacks, 0u) << name;
     }
   }
 }
@@ -199,9 +193,8 @@ FactDatabase SkewedEdges(int n) {
   return db;
 }
 
-DatalogEngine BlockEngine(size_t block_rows, size_t threads) {
+DatalogEngine BlockEngine(size_t block_rows) {
   DatalogEngine::Options opts;
-  opts.num_threads = threads;
   opts.probe_block_rows = block_rows;
   return DatalogEngine(opts);
 }
@@ -209,17 +202,15 @@ DatalogEngine BlockEngine(size_t block_rows, size_t threads) {
 TEST(VectorizedProbes, BlockSizeInvariantJoin) {
   FactDatabase db = SkewedEdges(600);
   Program join = Program::Parse("j(x, z) :- edge(x, y), edge(y, z).").ValueOrDie();
-  auto baseline = BlockEngine(/*block_rows=*/1, /*threads=*/1).EvalAutoSignatures(join, db);
+  auto baseline = BlockEngine(/*block_rows=*/1).EvalAutoSignatures(join, db);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const Relation* j1 = baseline.ValueOrDie().Find("j").ValueOrDie();
   ASSERT_GT(j1->size(), 0u);
 
   for (size_t block : {3u, 64u, 1024u}) {
-    for (size_t threads : {1u, 4u}) {
-      auto out = BlockEngine(block, threads).EvalAutoSignatures(join, db);
-      ASSERT_TRUE(out.ok()) << "block=" << block << ": " << out.status().ToString();
-      ExpectBitIdentical(*j1, *out.ValueOrDie().Find("j").ValueOrDie());
-    }
+    auto out = BlockEngine(block).EvalAutoSignatures(join, db);
+    ASSERT_TRUE(out.ok()) << "block=" << block << ": " << out.status().ToString();
+    ExpectBitIdentical(*j1, *out.ValueOrDie().Find("j").ValueOrDie());
   }
 }
 
@@ -230,16 +221,14 @@ TEST(VectorizedProbes, BlockSizeInvariantRecursiveFixpoint) {
     tc(x, y) :- tc(x, z), edge(z, y).
   )")
                    .ValueOrDie();
-  auto baseline = BlockEngine(1, 1).EvalAutoSignatures(tc, db);
+  auto baseline = BlockEngine(1).EvalAutoSignatures(tc, db);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const Relation* tc1 = baseline.ValueOrDie().Find("tc").ValueOrDie();
 
   for (size_t block : {2u, 1024u}) {
-    for (size_t threads : {1u, 8u}) {
-      auto out = BlockEngine(block, threads).EvalAutoSignatures(tc, db);
-      ASSERT_TRUE(out.ok()) << "block=" << block << ": " << out.status().ToString();
-      ExpectBitIdentical(*tc1, *out.ValueOrDie().Find("tc").ValueOrDie());
-    }
+    auto out = BlockEngine(block).EvalAutoSignatures(tc, db);
+    ASSERT_TRUE(out.ok()) << "block=" << block << ": " << out.status().ToString();
+    ExpectBitIdentical(*tc1, *out.ValueOrDie().Find("tc").ValueOrDie());
   }
 }
 

@@ -1,6 +1,6 @@
-// Observability suite (ISSUE 10): trace spans must nest well-formed at
-// every thread count, trace ids must survive parallel-fallback retries,
-// metrics::Snapshot() must agree with the legacy per-object stats() structs
+// Observability suite: trace spans must nest well-formed on every thread,
+// the synthesis portfolio's included, metrics::Snapshot() must agree with
+// the legacy per-object stats() structs
 // (delta-for-delta — the registry is process-cumulative), the disarmed path
 // must record nothing and cost next to nothing, spans must close on
 // injected faults, and progress observers must never fire after their
@@ -68,12 +68,6 @@ Program TcProgram() {
       .ValueOrDie();
 }
 
-DatalogEngine MakeEngine(size_t num_threads) {
-  DatalogEngine::Options opts;
-  opts.num_threads = num_threads;
-  return DatalogEngine(opts);
-}
-
 /// Per-thread laminarity sweep: on one thread, any two recorded spans must
 /// be disjoint or properly nested (RAII guarantees it; a partial overlap
 /// means a span leaked across scopes). Holds for any subset of a well-nested
@@ -118,18 +112,20 @@ bool HasSpan(const std::vector<trace::Event>& events, const std::string& name) {
 
 TEST_F(ObservabilityTest, SpansNestWellFormedAcrossThreadCounts) {
   trace::Arm();
-  FactDatabase db = IntEdges(100);
-  Program p = TcProgram();
-  for (size_t threads : {1u, 4u, 8u}) {
-    auto out = MakeEngine(threads).EvalAutoSignatures(p, db);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-  }
+  auto out = DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(100));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  // A 4-way synthesis portfolio records spans on its worker threads too.
+  SessionOptions options;
+  options.num_threads = 4;
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(testing::UnivSchema(),
+                                                        testing::AdmissionSchema(), options));
+  ASSERT_OK(session.Synthesize(testing::MotivatingExample()).status());
   std::vector<trace::Event> events = trace::CollectEvents();
   ExpectWellNested(events);
   EXPECT_TRUE(HasSpan(events, "engine.eval"));
   EXPECT_TRUE(HasSpan(events, "engine.compile"));
   EXPECT_TRUE(HasSpan(events, "engine.fixpoint.round"));
-  EXPECT_TRUE(HasSpan(events, "pool.run"));  // threads > 1 ran the pool
+  EXPECT_TRUE(HasSpan(events, "pool.run"));  // the portfolio ran its pool
 }
 
 TEST_F(ObservabilityTest, SessionPipelineEmitsRootAndStageSpans) {
@@ -174,76 +170,64 @@ TEST_F(ObservabilityTest, SessionPipelineEmitsRootAndStageSpans) {
 
 // --------------------------------------------------------------- trace ids
 
-TEST_F(ObservabilityTest, TraceIdStableAcrossParallelFallbackRetry) {
+TEST_F(ObservabilityTest, PortfolioWorkerSpansCarryTheRunsTraceId) {
+  // ThreadPool::Run forwards the caller's ambient trace id to every worker
+  // invocation, so the synthesis portfolio's worker-side spans carry the
+  // id the Session stamped on the run's root span.
   trace::Arm();
-  // First pool task dies (injected), the engine retries sequentially on the
-  // calling thread: every span of the run — pool-side before the fault,
-  // caller-side after — must still carry the ambient id installed here.
-  failpoint::Spec first;
-  first.hit = 1;
-  failpoint::Arm("thread_pool.worker", first);
-
-  trace::TraceIdScope scope(42);
-  DatalogEngine engine = MakeEngine(4);
-  auto out = engine.EvalAutoSignatures(TcProgram(), IntEdges(100));
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_GT(engine.stats().parallel_fallbacks, 0u);
+  SessionOptions options;
+  options.num_threads = 4;
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(testing::UnivSchema(),
+                                                        testing::AdmissionSchema(), options));
+  ASSERT_OK(session.Synthesize(testing::MotivatingExample()).status());
 
   std::vector<trace::Event> events = trace::CollectEvents();
-  ASSERT_FALSE(events.empty());
+  const trace::Event* root = nullptr;
   for (const trace::Event& e : events) {
-    EXPECT_EQ(e.trace_id, 42u) << "span " << e.name << " lost the trace id";
+    if (e.kind == 'X' && std::string("session.synthesize") == e.name) root = &e;
   }
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(root->trace_id, 0u);
+  size_t worker_spans = 0;
+  for (const trace::Event& e : events) {
+    if (e.kind != 'X' || e.tid == root->tid) continue;
+    ++worker_spans;
+    EXPECT_EQ(e.trace_id, root->trace_id) << "span " << e.name << " lost the trace id";
+  }
+  EXPECT_GT(worker_spans, 0u);
 }
 
 // ---------------------------------------------------- metrics/stats parity
 
-TEST_F(ObservabilityTest, EngineMetricsMatchStatsAcrossThreadCounts) {
-  // The IDB-drift replan scenario of the PR-4 determinism suite at 1/4/8
-  // threads: the registry delta must equal the fresh engine's stats() after
-  // each run. Deltas, not absolutes — the registry is process-cumulative.
+TEST_F(ObservabilityTest, EngineMetricsMatchStats) {
+  // The IDB-drift replan scenario: the registry delta must equal the fresh
+  // engine's stats() after the run. Deltas, not absolutes — the registry
+  // is process-cumulative.
   Program p = Program::Parse(R"(
     p(x, y) :- base(x, y).
     p(x, y) :- p(x, z), link(z, y).
   )")
                   .ValueOrDie();
-  for (size_t threads : {1u, 4u, 8u}) {
-    FactDatabase db;
-    db.DeclareRelation("base", {"x", "y"}).ValueOrDie();
-    db.DeclareRelation("link", {"z", "y"}).ValueOrDie();
-    for (int i = 0; i < 3; ++i) {
-      db.AddFact("link", Tuple({Value::Int(i), Value::Int(i + 1)}));
-    }
-    for (int i = 0; i < 40; ++i) {
-      db.AddFact("base", Tuple({Value::Int(i), Value::Int(i % 4)}));
-    }
-    const uint64_t refreshes_before =
-        metrics::Snapshot().counter("engine.plan_refreshes");
-    DatalogEngine engine = MakeEngine(threads);
-    ASSERT_OK(engine.EvalAutoSignatures(p, db).status());
-    for (int i = 40; i < 640; ++i) {
-      db.AddFact("base", Tuple({Value::Int(i), Value::Int(i % 4)}));
-    }
-    ASSERT_OK(engine.EvalAutoSignatures(p, db).status());
-    const uint64_t delta =
-        metrics::Snapshot().counter("engine.plan_refreshes") - refreshes_before;
-    EXPECT_EQ(delta, engine.stats().plan_refreshes) << "threads " << threads;
-    EXPECT_GT(engine.stats().plan_refreshes, 0u);  // the drift happened
+  FactDatabase db;
+  db.DeclareRelation("base", {"x", "y"}).ValueOrDie();
+  db.DeclareRelation("link", {"z", "y"}).ValueOrDie();
+  for (int i = 0; i < 3; ++i) {
+    db.AddFact("link", Tuple({Value::Int(i), Value::Int(i + 1)}));
   }
-}
-
-TEST_F(ObservabilityTest, EngineFallbackMetricMatchesStats) {
-  failpoint::Spec first;
-  first.hit = 1;
-  failpoint::Arm("thread_pool.worker", first);
-  const uint64_t before =
-      metrics::Snapshot().counter("engine.parallel_fallbacks");
-  DatalogEngine engine = MakeEngine(4);
-  ASSERT_OK(engine.EvalAutoSignatures(TcProgram(), IntEdges(100)).status());
+  for (int i = 0; i < 40; ++i) {
+    db.AddFact("base", Tuple({Value::Int(i), Value::Int(i % 4)}));
+  }
+  const uint64_t refreshes_before = metrics::Snapshot().counter("engine.plan_refreshes");
+  DatalogEngine engine;
+  ASSERT_OK(engine.EvalAutoSignatures(p, db).status());
+  for (int i = 40; i < 640; ++i) {
+    db.AddFact("base", Tuple({Value::Int(i), Value::Int(i % 4)}));
+  }
+  ASSERT_OK(engine.EvalAutoSignatures(p, db).status());
   const uint64_t delta =
-      metrics::Snapshot().counter("engine.parallel_fallbacks") - before;
-  EXPECT_EQ(delta, engine.stats().parallel_fallbacks);
-  EXPECT_GT(delta, 0u);
+      metrics::Snapshot().counter("engine.plan_refreshes") - refreshes_before;
+  EXPECT_EQ(delta, engine.stats().plan_refreshes);
+  EXPECT_GT(engine.stats().plan_refreshes, 0u);  // the drift happened
 }
 
 TEST_F(ObservabilityTest, FixpointRoundsHistogramObservesEvals) {
@@ -252,7 +236,7 @@ TEST_F(ObservabilityTest, FixpointRoundsHistogramObservesEvals) {
   const metrics::HistogramSnapshot* before_snap =
       before_metrics.histogram("engine.fixpoint.rounds_per_eval");
   const uint64_t before = before_snap != nullptr ? before_snap->count : 0;
-  ASSERT_OK(MakeEngine(1).EvalAutoSignatures(TcProgram(), IntEdges(60)).status());
+  ASSERT_OK(DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(60)).status());
   const metrics::MetricsSnapshot after_metrics = metrics::Snapshot();
   const metrics::HistogramSnapshot* after =
       after_metrics.histogram("engine.fixpoint.rounds_per_eval");
@@ -266,7 +250,7 @@ TEST_F(ObservabilityTest, SynthPortfolioMetricsMatchStats) {
   // speculation): registry deltas must equal the per-call portfolio stats.
   metrics::MetricsSnapshot before = metrics::Snapshot();
   SessionOptions options;
-  options.synth_threads = 4;
+  options.num_threads = 4;
   ASSERT_OK_AND_ASSIGN(Session session, Session::Create(testing::UnivSchema(),
                                                         testing::AdmissionSchema(), options));
   ASSERT_OK_AND_ASSIGN(SynthesisResult result,
@@ -327,13 +311,13 @@ TEST_F(ObservabilityTest, IngestMetricsMatchStats) {
 
 TEST_F(ObservabilityTest, DisarmedRunRecordsNothing) {
   ASSERT_FALSE(trace::Enabled());
-  ASSERT_OK(MakeEngine(4).EvalAutoSignatures(TcProgram(), IntEdges(80)).status());
+  ASSERT_OK(DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(80)).status());
   EXPECT_TRUE(trace::CollectEvents().empty());
   EXPECT_EQ(trace::DroppedEvents(), 0u);
 }
 
 TEST_F(ObservabilityTest, DisarmedSpanCostIsNanoseconds) {
-  // The real overhead pin is BM_TraceOverhead vs BM_FixpointParallel/200/1
+  // The real overhead pin is BM_TraceOverhead vs BM_Fixpoint/200
   // (<2%, recorded in BENCH_micro.json); this is the in-tree backstop: a
   // disarmed span must stay within nanoseconds — one relaxed load, no
   // clock read, no allocation. The bound is deliberately loose (5µs/span)
@@ -358,20 +342,24 @@ TEST_F(ObservabilityTest, DisarmedSpanCostIsNanoseconds) {
 
 TEST_F(ObservabilityTest, SpansCloseOnInjectedFault) {
   trace::Arm();
-  // The merge site sits on the parallel path (single-threaded merge after
-  // the worker barrier), so drive a parallel engine at a scale the chunker
-  // engages; the merge fault is the engine's own, not a worker's, so no
-  // sequential fallback absorbs it and the Eval genuinely fails mid-span.
-  failpoint::Arm("engine.merge.alloc", failpoint::Spec());  // every execution
-  auto out = MakeEngine(4).EvalAutoSignatures(TcProgram(), IntEdges(100));
-  ASSERT_FALSE(out.ok());
-  failpoint::DisarmAll();
+  // The third hit of either site lands inside the fixpoint, with the eval
+  // span (and at the plan site, a round span) still open, so the Eval
+  // genuinely fails mid-span.
+  for (const char* site : {"engine.plan.entry", "engine.fixpoint.round"}) {
+    failpoint::Spec third;
+    third.hit = 3;
+    failpoint::Arm(site, third);
+    auto out = DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(100));
+    ASSERT_FALSE(out.ok()) << site;
+    failpoint::DisarmAll();
+  }
 
   // RAII unwinding must have closed every open span: the rings only ever
   // hold closed spans, so the sweep and the dump stay well-formed.
   std::vector<trace::Event> events = trace::CollectEvents();
   ExpectWellNested(events);
   EXPECT_TRUE(HasSpan(events, "engine.eval"));
+  EXPECT_TRUE(HasSpan(events, "engine.fixpoint.round"));
   const std::string path = ::testing::TempDir() + "observability_fault.json";
   ASSERT_OK(trace::WriteChromeTrace(path));
 }

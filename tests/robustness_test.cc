@@ -1,8 +1,8 @@
-// Failure-semantics suite (ISSUE 6): injected faults must surface as typed
-// Statuses — never crashes — and must leave the engine reusable; worker
-// faults degrade to the sequential path with bit-identical results; memory
-// budgets trip kResourceExhausted with the documented precedence (a budget in
-// RunContext::memory wins over Options::max_memory_bytes); overflow paths
+// Failure-semantics suite: injected faults must surface as typed Statuses —
+// never crashes — and must leave the engine reusable; memory budgets trip
+// kResourceExhausted with the documented precedence (a budget in
+// RunContext::memory wins over Options::max_memory_bytes, which wins over
+// the budget installed on the thread); overflow paths
 // that used to abort now return kOutOfRange; DYNAMITE_CHECK aborts in every
 // build type. Each test arms failpoints programmatically and DisarmAll()s in
 // teardown so tests stay independent.
@@ -15,6 +15,8 @@
 #include "api/run_context.h"
 #include "api/session.h"
 #include "datalog/engine.h"
+#include "migrate/facts.h"
+#include "testing.h"
 #include "util/cancel.h"
 #include "util/failpoint.h"
 #include "util/mem_budget.h"
@@ -27,9 +29,8 @@
 namespace dynamite {
 namespace {
 
-// Fixtures mirror tests/parallel_test.cc: a cyclic fan-out-2 edge relation
-// whose transitive closure is all-pairs — 300 EDB rows at n=150, fat enough
-// that every round takes the parallel chunked path when num_threads > 1.
+// A cyclic fan-out-2 edge relation whose transitive closure is all-pairs:
+// 300 EDB rows at n=150, so the fixpoint runs many rounds with fat deltas.
 FactDatabase IntEdges(int n) {
   FactDatabase db;
   db.DeclareRelation("edge", {"s", "t"}).ValueOrDie();
@@ -46,12 +47,6 @@ Program TcProgram() {
     tc(x, y) :- tc(x, z), edge(z, y).
   )")
       .ValueOrDie();
-}
-
-DatalogEngine MakeEngine(size_t num_threads) {
-  DatalogEngine::Options opts;
-  opts.num_threads = num_threads;
-  return DatalogEngine(opts);
 }
 
 void ExpectBitIdentical(const Relation& a, const Relation& b) {
@@ -90,28 +85,24 @@ TEST_F(RobustnessTest, ArmFromStringRejectsMalformedSpecs) {
 
 // ---------------------------------------- typed injection + engine reuse --
 
+// The engine's surviving mid-run sites: once per plan evaluation, and once
+// per fixpoint round.
+constexpr const char* kEngineSites[] = {"engine.plan.entry", "engine.fixpoint.round"};
+
 // An injected cancellation mid-run must come back as kCancelled, and after
-// disarming, the SAME engine (caches warm, pool alive) must evaluate to the
-// bit-identical clean result. threads=1 trips the sequential-path sites,
-// threads>1 trips the site between chunk evaluation and the canonical merge.
+// disarming, the SAME engine (caches warm) must evaluate to the
+// bit-identical clean result.
 TEST_F(RobustnessTest, InjectedCancelMidRunLeavesEngineReusable) {
   FactDatabase db = IntEdges(150);
   Program p = TcProgram();
-  auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
+  auto baseline = DatalogEngine().EvalAutoSignatures(p, db);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const Relation* tc0 = baseline.ValueOrDie().Find("tc").ValueOrDie();
 
-  struct Case {
-    size_t threads;
-    const char* site;
-  };
-  for (const Case& c : {Case{1, "engine.plan.entry"},
-                        Case{1, "engine.fixpoint.round"},
-                        Case{4, "engine.merge.alloc"},
-                        Case{8, "engine.merge.alloc"}}) {
-    SCOPED_TRACE(std::string(c.site) + " @threads=" + std::to_string(c.threads));
-    DatalogEngine engine = MakeEngine(c.threads);
-    ASSERT_TRUE(failpoint::ArmFromString(c.site, "hit_1:cancel").ok());
+  for (const char* site : kEngineSites) {
+    SCOPED_TRACE(site);
+    DatalogEngine engine;
+    ASSERT_TRUE(failpoint::ArmFromString(site, "hit_1:cancel").ok());
     auto faulted = engine.EvalAutoSignatures(p, db);
     ASSERT_FALSE(faulted.ok());
     EXPECT_EQ(faulted.status().code(), StatusCode::kCancelled);
@@ -120,59 +111,31 @@ TEST_F(RobustnessTest, InjectedCancelMidRunLeavesEngineReusable) {
     auto recovered = engine.EvalAutoSignatures(p, db);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     ExpectBitIdentical(*tc0, *recovered.ValueOrDie().Find("tc").ValueOrDie());
-    // The injected cancel is a typed outcome, not a worker failure — it must
-    // not be counted (or masked) as a parallel fallback.
-    EXPECT_EQ(engine.stats().parallel_fallbacks, 0u);
   }
 }
 
 TEST_F(RobustnessTest, InjectedResourceExhaustionIsTypedAndRecoverable) {
   FactDatabase db = IntEdges(150);
   Program p = TcProgram();
-  DatalogEngine engine = MakeEngine(4);
-  ASSERT_TRUE(failpoint::ArmFromString("engine.merge.alloc", "hit_1").ok());
-  auto faulted = engine.EvalAutoSignatures(p, db);
-  ASSERT_FALSE(faulted.ok());
-  EXPECT_EQ(faulted.status().code(), StatusCode::kResourceExhausted);
-
-  failpoint::DisarmAll();
-  auto recovered = engine.EvalAutoSignatures(p, db);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-}
-
-// ------------------------------------------------- graceful degradation --
-
-// A worker that dies (simulated OOM inside the pool task) must not fail the
-// Eval: the engine retries the plan on the exact sequential path, counts the
-// fallback, and the results stay bit-identical to a sequential run.
-TEST_F(RobustnessTest, WorkerBadAllocFallsBackToSequential) {
-  FactDatabase db = IntEdges(150);
-  Program p = TcProgram();
-  auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
-  ASSERT_TRUE(baseline.ok());
+  auto baseline = DatalogEngine().EvalAutoSignatures(p, db);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const Relation* tc0 = baseline.ValueOrDie().Find("tc").ValueOrDie();
 
-  DatalogEngine engine = MakeEngine(4);
-  ASSERT_TRUE(failpoint::ArmFromString("thread_pool.worker", "hit_1:badalloc").ok());
-  auto result = engine.EvalAutoSignatures(p, db);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectBitIdentical(*tc0, *result.ValueOrDie().Find("tc").ValueOrDie());
-  EXPECT_GE(engine.stats().parallel_fallbacks, 1u);
-}
+  for (const char* site : kEngineSites) {
+    SCOPED_TRACE(site);
+    DatalogEngine engine;
+    // The third hit lands mid-run: after pass 0's plans at the plan site,
+    // after two fixpoint rounds at the round site.
+    ASSERT_TRUE(failpoint::ArmFromString(site, "hit_3").ok());
+    auto faulted = engine.EvalAutoSignatures(p, db);
+    ASSERT_FALSE(faulted.ok());
+    EXPECT_EQ(faulted.status().code(), StatusCode::kResourceExhausted);
 
-// The fallback retries the work, not the budget: if the run also exceeds
-// max_derived_tuples, the typed kEvalBudget still wins after degradation.
-TEST_F(RobustnessTest, EvalBudgetStillTrippedAfterWorkerFallback) {
-  FactDatabase db = IntEdges(150);
-  Program p = TcProgram();
-  DatalogEngine::Options opts;
-  opts.num_threads = 4;
-  opts.max_derived_tuples = 1000;  // closure is 22500 tuples
-  DatalogEngine engine{opts};
-  ASSERT_TRUE(failpoint::ArmFromString("thread_pool.worker", "hit_1:badalloc").ok());
-  auto result = engine.EvalAutoSignatures(p, db);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kEvalBudget);
+    failpoint::DisarmAll();
+    auto recovered = engine.EvalAutoSignatures(p, db);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    ExpectBitIdentical(*tc0, *recovered.ValueOrDie().Find("tc").ValueOrDie());
+  }
 }
 
 // -------------------------------------------------------- memory budgets --
@@ -181,7 +144,6 @@ TEST_F(RobustnessTest, EngineMemoryBudgetReturnsResourceExhausted) {
   FactDatabase db = IntEdges(150);
   Program p = TcProgram();
   DatalogEngine::Options opts;
-  opts.num_threads = 1;
   opts.max_memory_bytes = 4096;  // the closure alone allocates ~700 KiB
   DatalogEngine engine{opts};
   auto result = engine.EvalAutoSignatures(p, db);
@@ -203,6 +165,34 @@ TEST_F(RobustnessTest, EngineMemoryBudgetReturnsResourceExhausted) {
   auto again = engine.EvalAutoSignatures(p, db);
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), StatusCode::kResourceExhausted);
+}
+
+// Without a RunContext budget or Options::max_memory_bytes, Eval charges the
+// budget the caller installed on the thread: exactly what the same Eval
+// charges when a RunContext carries that budget.
+TEST_F(RobustnessTest, EvalChargesTheAmbientBudgetWithoutARunContext) {
+  const workload::Benchmark* bench = workload::FindBenchmark("Tencent-1");
+  ASSERT_NE(bench, nullptr);
+  ASSERT_OK_AND_ASSIGN(RecordForest source,
+                       workload::GenerateSource(*bench, /*seed=*/5, /*scale=*/40));
+  uint64_t next_id = 1;
+  ASSERT_OK_AND_ASSIGN(FactDatabase edb, ToFacts(source, bench->source, &next_id));
+  const auto signatures = FactSignatures(bench->target);
+
+  MemoryBudget via_context(/*limit_bytes=*/0);
+  {
+    MemoryBudgetScope scope(&via_context);
+    RunContext ctx;
+    ctx.memory = &via_context;
+    ASSERT_OK(DatalogEngine().Eval(bench->golden, edb, signatures, &ctx).status());
+  }
+  MemoryBudget ambient(/*limit_bytes=*/0);
+  {
+    MemoryBudgetScope scope(&ambient);
+    ASSERT_OK(DatalogEngine().Eval(bench->golden, edb, signatures).status());
+  }
+  EXPECT_GT(via_context.used(), 0u);
+  EXPECT_EQ(ambient.used(), via_context.used());
 }
 
 TEST_F(RobustnessTest, SessionMemoryBudgetGovernsWholePipeline) {
@@ -263,30 +253,26 @@ TEST_F(RobustnessTest, InternFailpointSurfacesThroughTryString) {
 TEST_F(RobustnessTest, CancelRacingInjectedTimeoutStaysTyped) {
   FactDatabase db = IntEdges(150);
   Program p = TcProgram();
-  auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
+  auto baseline = DatalogEngine().EvalAutoSignatures(p, db);
   ASSERT_TRUE(baseline.ok());
   const Relation* tc0 = baseline.ValueOrDie().Find("tc").ValueOrDie();
 
-  for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    DatalogEngine engine = MakeEngine(threads);
-    ASSERT_TRUE(
-        failpoint::ArmFromString("engine.fixpoint.round", "p=0.5@42:timeout").ok());
-    CancelSource cancel;
-    cancel.RequestCancel();
-    RunContext ctx;
-    ctx.cancel = cancel.token();
-    auto raced = engine.EvalAutoSignatures(p, db, &ctx);
-    ASSERT_FALSE(raced.ok());
-    EXPECT_TRUE(raced.status().code() == StatusCode::kCancelled ||
-                raced.status().code() == StatusCode::kTimeout)
-        << raced.status().ToString();
+  DatalogEngine engine;
+  ASSERT_TRUE(failpoint::ArmFromString("engine.fixpoint.round", "p=0.5@42:timeout").ok());
+  CancelSource cancel;
+  cancel.RequestCancel();
+  RunContext ctx;
+  ctx.cancel = cancel.token();
+  auto raced = engine.EvalAutoSignatures(p, db, &ctx);
+  ASSERT_FALSE(raced.ok());
+  EXPECT_TRUE(raced.status().code() == StatusCode::kCancelled ||
+              raced.status().code() == StatusCode::kTimeout)
+      << raced.status().ToString();
 
-    failpoint::DisarmAll();
-    auto recovered = engine.EvalAutoSignatures(p, db);
-    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    ExpectBitIdentical(*tc0, *recovered.ValueOrDie().Find("tc").ValueOrDie());
-  }
+  failpoint::DisarmAll();
+  auto recovered = engine.EvalAutoSignatures(p, db);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ExpectBitIdentical(*tc0, *recovered.ValueOrDie().Find("tc").ValueOrDie());
 }
 
 // ------------------------------------------------------- hard invariants --

@@ -520,7 +520,7 @@ TEST(Session, InteractiveUniqueFirstRoundSearchesOnce) {
   RelationalFixture fixture;
   Example example = fixture.MakeExample();
   SessionOptions options;
-  options.synth_threads = 1;
+  options.num_threads = 1;
   ASSERT_OK_AND_ASSIGN(Session session, Session::Create(fixture.src, fixture.tgt, options));
   Oracle oracle = [&](const RecordForest& input) -> Result<RecordForest> {
     return fixture.GoldenOutput(input);

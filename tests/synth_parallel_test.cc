@@ -1,6 +1,6 @@
-// Determinism suite for the parallel synthesis portfolio (ISSUE 7): the
-// synthesized program, iteration counts, per-rule stats, and error codes
-// must be identical across synth_threads ∈ {1, 2, 8} on all three data
+// Determinism suite for the parallel synthesis portfolio: the synthesized
+// program, iteration counts, per-rule stats, and error codes must be
+// identical across SessionOptions::num_threads ∈ {1, 2, 8} on all three data
 // models; the first-success rule (lowest enumeration index wins) must hold
 // on a multi-solution sketch regardless of which worker finishes first;
 // mid-search cancellation must land promptly at 8 threads; and shared-prefix
@@ -143,9 +143,9 @@ struct AdversarialFixture {
   }
 };
 
-SessionOptions PortfolioOptions(size_t synth_threads) {
+SessionOptions PortfolioOptions(size_t threads) {
   SessionOptions options;
-  options.synthesis.synth_threads = synth_threads;
+  options.num_threads = threads;
   return options;
 }
 
@@ -202,12 +202,12 @@ void ExpectBitIdenticalAcrossThreadCounts(const Schema& src, const Schema& tgt,
                          SynthesizeWith(src, tgt, PortfolioOptions(threads), example));
     RunSnapshot par_snap = Snapshot(par);
     ExpectSameRun(seq_snap, par_snap,
-                  ("synth_threads=" + std::to_string(threads)).c_str());
+                  ("num_threads=" + std::to_string(threads)).c_str());
     // The portfolio really ran: the canonical loop consumed speculated
     // outcomes (the first candidate of every batch is the canonical model,
     // so at least one hit is structural, not timing-dependent).
     EXPECT_GT(par_snap.portfolio.speculative_hits, 0u)
-        << "synth_threads=" << threads;
+        << "num_threads=" << threads;
   }
 }
 
@@ -271,7 +271,9 @@ TEST(SynthPortfolio, FirstSuccessDeterminismOnMultiSolutionSketch) {
 
   // SynthesizeDistinct is a synthesis-stage call (Session has none), so
   // this test drives the Synthesizer stage directly.
-  Synthesizer baseline(src, tgt, PortfolioOptions(1).synthesis);
+  SynthesisOptions options;
+  options.synth_threads = 1;
+  Synthesizer baseline(src, tgt, options);
   ASSERT_OK_AND_ASSIGN(SynthesisResult seq, baseline.Synthesize(example, RunContext()));
   // The sketch really admits several solutions: ask for distinct programs.
   ASSERT_OK_AND_ASSIGN(SynthesisResult distinct,
@@ -279,7 +281,8 @@ TEST(SynthPortfolio, FirstSuccessDeterminismOnMultiSolutionSketch) {
   ASSERT_FALSE(distinct.alternatives.empty()) << "fixture lost its ambiguity";
 
   for (size_t threads : {2u, 8u}) {
-    Synthesizer synth(src, tgt, PortfolioOptions(threads).synthesis);
+    options.synth_threads = threads;
+    Synthesizer synth(src, tgt, options);
     ASSERT_OK_AND_ASSIGN(SynthesisResult par, synth.Synthesize(example, RunContext()));
     EXPECT_EQ(par.program.ToString(), seq.program.ToString()) << "threads " << threads;
     EXPECT_EQ(par.iterations, seq.iterations) << "threads " << threads;
@@ -303,28 +306,25 @@ TEST(SynthPortfolio, SessionThreadKnobsReachTheSynthesizer) {
   RelationalFixture fixture;
   Example example = fixture.MakeExample();
 
+  // num_threads is the Session's one thread knob: it replaces whatever the
+  // synthesis options hold, so this session enumerates sequentially.
   SessionOptions seq_opts;
-  seq_opts.synth_threads = 1;
+  seq_opts.num_threads = 1;
+  seq_opts.synthesis.synth_threads = 4;
   ASSERT_OK_AND_ASSIGN(Session seq_session,
                        Session::Create(fixture.src, fixture.tgt, seq_opts));
   ASSERT_OK_AND_ASSIGN(SynthesisResult seq, seq_session.Synthesize(example));
+  EXPECT_EQ(seq.stats().speculative_hits, 0u);
 
-  // Explicit synth_threads and the session-wide num_threads default both
-  // activate the portfolio; results match the sequential run.
-  for (int mode = 0; mode < 2; ++mode) {
-    SessionOptions options;
-    if (mode == 0) {
-      options.synth_threads = 4;
-    } else {
-      options.num_threads = 4;  // synth_threads follows when unset
-    }
-    ASSERT_OK_AND_ASSIGN(Session session,
-                         Session::Create(fixture.src, fixture.tgt, options));
-    ASSERT_OK_AND_ASSIGN(SynthesisResult par, session.Synthesize(example));
-    EXPECT_EQ(par.program.ToString(), seq.program.ToString()) << "mode " << mode;
-    EXPECT_EQ(par.iterations, seq.iterations) << "mode " << mode;
-    EXPECT_GT(par.stats().speculative_hits, 0u) << "mode " << mode;
-  }
+  // num_threads = 4 activates the portfolio; results match the sequential
+  // run.
+  SessionOptions options;
+  options.num_threads = 4;
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(fixture.src, fixture.tgt, options));
+  ASSERT_OK_AND_ASSIGN(SynthesisResult par, session.Synthesize(example));
+  EXPECT_EQ(par.program.ToString(), seq.program.ToString());
+  EXPECT_EQ(par.iterations, seq.iterations);
+  EXPECT_GT(par.stats().speculative_hits, 0u);
 }
 
 // ------------------------------------------------ error-code determinism --
@@ -442,7 +442,7 @@ TEST(SynthPortfolio, PrefixMemoHitsAndMemoOffIdentity) {
 
   // And both match the plain sequential run.
   SessionOptions seq = on;
-  seq.synthesis.synth_threads = 1;
+  seq.num_threads = 1;
   ASSERT_OK_AND_ASSIGN(SynthesisResult seq_result,
                        SynthesizeWith(fixture.src, fixture.tgt, seq, example));
   ExpectSameRun(Snapshot(seq_result), Snapshot(memo_on), "sequential vs memo");

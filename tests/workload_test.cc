@@ -105,7 +105,8 @@ TEST(Benchmarks, AttributeMappingCoversTargets) {
 }
 
 TEST(Benchmarks, SchemaStatisticsRoughlyMatchTable2Shape) {
-  // Not the paper's absolute numbers (see DESIGN.md) but the pattern:
+  // Not the paper's absolute numbers (the datasets are generated
+  // substitutes) but the pattern:
   // sources have several record types and a few dozen attributes total.
   for (const auto& b : AllBenchmarks()) {
     EXPECT_GE(b.source.RecordNames().size(), 2u) << b.name;

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """CI speedup gate: assert a parallel benchmark arm beats its sequential arm.
 
-One script for the two parallel gates (fixpoint, synthesis) that used to
-live as near-identical heredocs in ci.yml. Protocol, shared by all
-callers:
+CI has one such gate, the synthesis portfolio's (ci.yml, "Check parallel
+synthesis speedup"); the script keeps the protocol out of ci.yml. Protocol:
 
   * The benchmark binary is run with --benchmark_repetitions=N and its JSON
     (DYNAMITE_BENCH_JSON) is handed to this script.
