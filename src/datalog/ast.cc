@@ -106,7 +106,6 @@ std::string Rule::ToString() const {
 }
 
 std::vector<std::string> Rule::HeadVariables() const { return DistinctVars(heads); }
-std::vector<std::string> Rule::BodyVariables() const { return DistinctVars(body); }
 
 Status Rule::Validate() const {
   if (heads.empty()) return Status::InvalidArgument("rule with no head: " + ToString());
@@ -130,25 +129,6 @@ std::string Program::ToString() const {
   for (const Rule& r : rules) {
     out += r.ToString();
     out += "\n";
-  }
-  return out;
-}
-
-std::set<std::string> Program::IntensionalRelations() const {
-  std::set<std::string> out;
-  for (const Rule& r : rules) {
-    for (const Atom& h : r.heads) out.insert(h.relation);
-  }
-  return out;
-}
-
-std::set<std::string> Program::ExtensionalRelations() const {
-  std::set<std::string> idb = IntensionalRelations();
-  std::set<std::string> out;
-  for (const Rule& r : rules) {
-    for (const Atom& b : r.body) {
-      if (idb.count(b.relation) == 0) out.insert(b.relation);
-    }
   }
   return out;
 }

@@ -12,7 +12,6 @@
 #ifndef DYNAMITE_DATALOG_AST_H_
 #define DYNAMITE_DATALOG_AST_H_
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -81,9 +80,6 @@ struct Rule {
   /// Distinct head variable names, in order of first occurrence.
   std::vector<std::string> HeadVariables() const;
 
-  /// Distinct body variable names, in order of first occurrence.
-  std::vector<std::string> BodyVariables() const;
-
   /// Checks range restriction: every head variable occurs in the body and
   /// the rule has at least one head and one body atom.
   Status Validate() const;
@@ -95,12 +91,6 @@ struct Program {
 
   std::string ToString() const;
   bool operator==(const Program& o) const { return rules == o.rules; }
-
-  /// Relations appearing in rule heads (intensional relations).
-  std::set<std::string> IntensionalRelations() const;
-
-  /// Relations appearing only in rule bodies (extensional relations).
-  std::set<std::string> ExtensionalRelations() const;
 
   /// Validates every rule.
   Status Validate() const;

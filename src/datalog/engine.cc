@@ -40,14 +40,6 @@ struct PlanAtom {
   // Positions to verify after a candidate tuple is fetched (repeated
   // variables within this atom).
   std::vector<size_t> check_positions;
-  // Parallel to check_positions: the position *within this atom* whose bind
-  // established the variable being checked. A checked variable is always
-  // bound in the same atom (one bound by an earlier atom would have made
-  // this position a key instead), so every check is equivalent to the
-  // column-vs-column predicate cell(r, check) == cell(r, partner) — which is
-  // what lets the vectorized matcher evaluate checks as columnar filters
-  // without materializing an environment per row.
-  std::vector<size_t> check_partners;
   // Positions that bind a fresh variable.
   std::vector<size_t> bind_positions;
   // Set on every atom after the last one that binds a head variable: the
@@ -151,12 +143,11 @@ JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& o
         pa.key_positions.push_back(i);
         continue;
       }
-      // The position in this atom that bound the variable, if any.
-      auto partner = std::find_if(pa.bind_positions.begin(), pa.bind_positions.end(),
-                                  [&](size_t p) { return pa.slots[p].var == s.var; });
-      if (partner != pa.bind_positions.end()) {
+      // Repeated within this atom: an earlier position here bound it.
+      bool bound_here = std::any_of(pa.bind_positions.begin(), pa.bind_positions.end(),
+                                    [&](size_t p) { return pa.slots[p].var == s.var; });
+      if (bound_here) {
         pa.check_positions.push_back(i);
-        pa.check_partners.push_back(*partner);
       } else {
         pa.bind_positions.push_back(i);
         if (head_vars[static_cast<size_t>(s.var)]) existential_from = plan.atoms.size() + 1;
@@ -272,7 +263,7 @@ std::vector<std::vector<size_t>> BodyComponents(const std::vector<RawAtom>& raws
 ///     of the plan (MakePlan, MatchPlan).
 ///
 /// Both keep derived relations, their row insertion order and error codes
-/// bit-identical to enumerating every atom, at every probe_block_rows:
+/// bit-identical to enumerating every atom:
 ///
 ///   * Guards share no variable with the main atoms, so no main atom's
 ///     score in SelectivityOrder (constants plus variables bound by main
@@ -529,9 +520,7 @@ class Evaluator {
             Deadline::AfterOrInfinite(options.timeout_seconds),
             ctx != nullptr ? ctx->deadline : Deadline::Infinite())),
         cancel_(ctx != nullptr ? ctx->cancel : CancelToken()),
-        budget_(budget),
-        block_rows_(options.probe_block_rows == 0 ? kDefaultProbeBlockRows
-                                                  : options.probe_block_rows) {}
+        budget_(budget) {}
 
   Status Run(std::vector<std::shared_ptr<CompiledRule>>& rules, const EdbView& edb,
              const std::map<std::string, std::vector<std::string>>& idb_sigs,
@@ -566,8 +555,8 @@ class Evaluator {
     // cardinality signal recursive rules ever get (their EDB stats don't
     // move when only the derived relations grow): record them on the
     // rule's first Eval, and on later Evals replan when they have drifted
-    // ≥4x. Deterministic — round-0 output does not depend on
-    // probe_block_rows — so stats().plan_refreshes is too.
+    // ≥4x. Round-0 output is deterministic, so stats().plan_refreshes is
+    // too.
     if (any_recursive) {
       std::map<std::string, size_t> idb_sizes;
       for (const auto& [name, range] : delta) idb_sizes[name] = range.second;
@@ -637,23 +626,13 @@ class Evaluator {
     size_t hi = 0;
   };
 
-  /// Resolved block size for Options::probe_block_rows == 0 ("auto").
-  static constexpr size_t kDefaultProbeBlockRows = 1024;
-
   /// Fixed-stride interruption poll: counts every join candidate and head
-  /// emission, probing the cancel token and deadline every 1024 ticks
-  /// regardless of how many tuples are derived (the old check keyed off the
-  /// derived count and skipped the clock 1023/1024 of the time). On
+  /// emission, probing the cancel token, the deadline and the byte budget
+  /// every 1024 ticks regardless of how many tuples are derived. On
   /// interruption fills `*out` — kCancelled beats kTimeout — and returns
   /// true.
-  bool Interrupted(Status* out) { return InterruptedN(1, out); }
-
-  /// Interrupted for `n` candidates at once — the vectorized matcher ticks
-  /// once per block instead of once per row, keeping the total tick count
-  /// (and hence interruption latency) the same as the scalar path.
-  bool InterruptedN(size_t n, Status* out) {
-    ticks_ += n;
-    if (ticks_ < 1024) return false;
+  bool Interrupted(Status* out) {
+    if (++ticks_ < 1024) return false;
     ticks_ = 0;
     if (cancel_.cancelled()) {
       *out = Status::Cancelled("evaluation cancelled");
@@ -670,17 +649,6 @@ class Evaluator {
     return false;
   }
 
-  /// Per-block scratch for the vectorized matcher: the selection vector of
-  /// surviving first-atom rows, the row-major gathered probe keys for the
-  /// second atom, and the batch-probe outputs. Reused across blocks and
-  /// plans so a steady-state block allocates nothing.
-  struct BlockScratch {
-    std::vector<uint32_t> sel;
-    std::vector<Value> probe_keys;
-    std::vector<size_t> probe_hashes;
-    std::vector<const PostingList*> postings;
-  };
-
   /// Plan sink: inserts head rows directly into the output relations
   /// (immediate dedup, derived-tuple budget checked per successful insert,
   /// one interruption tick per match).
@@ -693,7 +661,6 @@ class Evaluator {
 
     bool Stopped() const { return !status.ok(); }
     bool OnCandidate() { return ev->Interrupted(&status); }
-    bool OnCandidates(size_t n) { return ev->InterruptedN(n, &status); }
 
     void OnMatch(const std::vector<Value>& env) {
       for (size_t h = 0; h < rule->heads.size(); ++h) {
@@ -721,7 +688,6 @@ class Evaluator {
 
     bool Stopped() const { return satisfied || !status.ok(); }
     bool OnCandidate() { return ev->Interrupted(&status); }
-    bool OnCandidates(size_t n) { return ev->InterruptedN(n, &status); }
     void OnMatch(const std::vector<Value>&) { satisfied = true; }
   };
 
@@ -729,47 +695,13 @@ class Evaluator {
   /// scanning its view's range [lo, hi). Shared verbatim by main plans and
   /// guards via the Sink parameter.
   ///
-  /// With block_rows > 1, the first atom is driven block-at-a-time
-  /// (Options::probe_block_rows): candidates are collected into a selection
-  /// vector, repeated-variable checks are evaluated as columnar
-  /// column==column filters (see PlanAtom::check_partners), and — when the
-  /// second atom is indexed — survivors' join keys are gathered from the
-  /// first atom's columns and batch-probed via JoinIndex::LookupBatch.
-  /// Survivors then descend through the identical scalar recursion, in
-  /// ascending row order, so the emission sequence (and therefore every
-  /// output) is bit-identical to block_rows == 1; only
-  /// the memory-access pattern changes.
-  ///
   /// Each step returns whether its subtree reached the end of the plan; an
   /// existential atom (PlanAtom::existential) stops at its first row that
-  /// did — in the scalar loops, at atom 1 of the multi-probe descent, and
-  /// at atom 0 of the blocked driver.
+  /// did.
   template <typename Sink>
   static void MatchPlan(const JoinPlan& plan, const std::vector<AtomView>& views,
                         std::vector<Value>& env, std::vector<std::vector<Value>>& key_bufs,
-                        size_t block_rows, BlockScratch& block, Sink& sink) {
-    // Inspects row `ti` of atom `atom_idx`, reading only the bind/check
-    // columns (columnar storage: the other columns are never touched).
-    // cell() re-fetches column storage on every read: the sink appends to
-    // IDB relations mid-scan, which can reallocate the column vectors (the
-    // pre-rewrite engine held references across the append and crashed on
-    // recursive programs at bench scale).
-    // `self` is the `match` recursion below (passed in so the blocked
-    // driver can enter the scalar path at atom 1).
-    auto try_row_at = [&](auto&& self, size_t atom_idx, size_t ti) -> bool {
-      const PlanAtom& pa = plan.atoms[atom_idx];
-      const AtomView& v = views[atom_idx];
-      if (sink.Stopped()) return false;
-      if (sink.OnCandidate()) return false;
-      for (size_t p : pa.bind_positions) {
-        env[static_cast<size_t>(pa.slots[p].var)] = v.rel->cell(ti, p);
-      }
-      for (size_t p : pa.check_positions) {
-        if (v.rel->cell(ti, p) != env[static_cast<size_t>(pa.slots[p].var)]) return false;
-      }
-      return self(self, atom_idx + 1);
-    };
-
+                        Sink& sink) {
     auto match = [&](auto&& self, size_t atom_idx) -> bool {
       if (sink.Stopped()) return false;
       if (atom_idx == plan.atoms.size()) {
@@ -783,10 +715,27 @@ class Evaluator {
       const size_t lo = v.lo;
       const size_t hi = v.hi;
 
+      // Inspects row `ti`, reading only the bind/check columns (columnar
+      // storage: the other columns are never touched). cell() re-fetches
+      // column storage on every read: the sink appends to IDB relations
+      // mid-scan, which can reallocate the column vectors (the pre-rewrite
+      // engine held references across the append and crashed on recursive
+      // programs at bench scale).
+      auto try_row = [&](size_t ti) -> bool {
+        if (sink.OnCandidate()) return false;
+        for (size_t p : pa.bind_positions) {
+          env[static_cast<size_t>(pa.slots[p].var)] = v.rel->cell(ti, p);
+        }
+        for (size_t p : pa.check_positions) {
+          if (v.rel->cell(ti, p) != env[static_cast<size_t>(pa.slots[p].var)]) return false;
+        }
+        return self(self, atom_idx + 1);
+      };
+
       bool reached = false;
       if (v.index == nullptr) {
         for (size_t ti = lo; ti < hi && !sink.Stopped(); ++ti) {
-          reached |= try_row_at(self, atom_idx, ti);
+          reached |= try_row(ti);
           if (reached && pa.existential) break;
         }
       } else {
@@ -803,181 +752,13 @@ class Evaluator {
         auto it = std::lower_bound(matches->begin(), matches->end(),
                                    static_cast<uint32_t>(lo));
         for (; it != matches->end() && *it < hi && !sink.Stopped(); ++it) {
-          reached |= try_row_at(self, atom_idx, *it);
+          reached |= try_row(*it);
           if (reached && pa.existential) break;
         }
       }
       return reached;
     };
-
-    if (block_rows <= 1 || plan.atoms.empty()) {
-      match(match, 0);
-      return;
-    }
-
-    // ---- Blocked (vectorized) drive of atom 0. ----
-    //
-    // Raw column pointers (column_data) are read only in the filter and
-    // gather steps, which complete before any survivor descends: descents
-    // may emit, and a sequential emit into the scanned relation (recursive
-    // rules) can reallocate its columns. Per-survivor binds go through
-    // cell(), which re-fetches storage. Posting-list pointers from the
-    // batch probe stay valid across emits — indexes are refreshed at plan
-    // entry, never mid-plan — and a Lookup after an append returns exactly
-    // what it returned before, so pre-probing cannot change results.
-    const PlanAtom& pa0 = plan.atoms[0];
-    const AtomView& v0 = views[0];
-
-    // Atom-1 multi-probe plumbing: applicable when atom 1 exists, is
-    // indexed, and every one of its key positions is a constant or a
-    // variable bound by an atom-0 bind position (true for any indexed
-    // second atom — only atom 0 precedes it; the fallback below keeps
-    // degenerate shapes on the per-survivor scalar path, which is exactly
-    // equivalent).
-    struct KeySrc {
-      bool is_const;
-      Value constant;
-      size_t bind_col;
-    };
-    std::vector<KeySrc> key_src;
-    bool multiprobe = plan.atoms.size() >= 2 && views[1].index != nullptr;
-    if (multiprobe) {
-      const PlanAtom& pa1 = plan.atoms[1];
-      key_src.reserve(pa1.key_positions.size());
-      for (size_t p : pa1.key_positions) {
-        const Slot& s = pa1.slots[p];
-        KeySrc src{s.is_const, s.constant, 0};
-        if (!s.is_const) {
-          bool found = false;
-          for (size_t q : pa0.bind_positions) {
-            if (pa0.slots[q].var == s.var) {
-              src.bind_col = q;
-              found = true;
-              break;
-            }
-          }
-          if (!found) {
-            multiprobe = false;
-            break;
-          }
-        }
-        key_src.push_back(src);
-      }
-    }
-    const size_t key_arity1 = multiprobe ? plan.atoms[1].key_positions.size() : 0;
-
-    // Binds one surviving atom-0 row's fresh variables (its checks already
-    // passed the columnar filter) and recurses into the rest of the plan.
-    auto descend = [&](size_t r0) -> bool {
-      for (size_t p : pa0.bind_positions) {
-        env[static_cast<size_t>(pa0.slots[p].var)] = v0.rel->cell(r0, p);
-      }
-      return match(match, 1);
-    };
-
-    // Multi-probe descent: atom 1's posting list is already in hand, so the
-    // scalar key gather + Lookup at depth 1 is skipped; each posting row
-    // goes through the identical per-row tick/bind/check/recurse.
-    auto descend_with_postings = [&](size_t r0, const PostingList* rows) -> bool {
-      for (size_t p : pa0.bind_positions) {
-        env[static_cast<size_t>(pa0.slots[p].var)] = v0.rel->cell(r0, p);
-      }
-      bool reached = false;
-      auto it = std::lower_bound(rows->begin(), rows->end(),
-                                 static_cast<uint32_t>(views[1].lo));
-      for (; it != rows->end() && *it < views[1].hi && !sink.Stopped(); ++it) {
-        reached |= try_row_at(match, 1, *it);
-        if (reached && plan.atoms[1].existential) break;
-      }
-      return reached;
-    };
-
-    // Atom-0 candidate source: a posting list when atom 0 is indexed (its
-    // keys are constants — nothing is bound before the first atom), else
-    // the positional range [v0.lo, v0.hi).
-    const PostingList* postings0 = nullptr;
-    size_t pos0 = 0, pos0_end = 0;
-    size_t next_row = v0.lo;
-    if (v0.index != nullptr) {
-      std::vector<Value>& key_vals = key_bufs[0];
-      key_vals.clear();
-      for (size_t p : pa0.key_positions) {
-        const Slot& s = pa0.slots[p];
-        key_vals.push_back(s.is_const ? s.constant : env[static_cast<size_t>(s.var)]);
-      }
-      postings0 = v0.index->Lookup(*v0.rel, key_vals.data(), key_vals.size());
-      if (postings0 == nullptr) return;
-      pos0 = static_cast<size_t>(
-          std::lower_bound(postings0->begin(), postings0->end(),
-                           static_cast<uint32_t>(v0.lo)) -
-          postings0->begin());
-      pos0_end = static_cast<size_t>(
-          std::lower_bound(postings0->begin() + pos0, postings0->end(),
-                           static_cast<uint32_t>(v0.hi)) -
-          postings0->begin());
-    }
-
-    for (;;) {
-      if (sink.Stopped()) return;
-      std::vector<uint32_t>& sel = block.sel;
-      sel.clear();
-      if (postings0 != nullptr) {
-        if (pos0 >= pos0_end) break;
-        size_t bn = std::min(block_rows, pos0_end - pos0);
-        sel.assign(postings0->begin() + pos0, postings0->begin() + pos0 + bn);
-        pos0 += bn;
-      } else {
-        if (next_row >= v0.hi) break;
-        size_t bn = std::min(block_rows, v0.hi - next_row);
-        sel.resize(bn);
-        for (size_t i = 0; i < bn; ++i) sel[i] = static_cast<uint32_t>(next_row + i);
-        next_row += bn;
-      }
-      // One tick per candidate row — the same total as the scalar path, so
-      // interruption latency does not depend on the block size.
-      if (sink.OnCandidates(sel.size())) return;
-      // Columnar check filter: keep rows whose repeated-variable columns
-      // agree — exactly the scalar bind-then-check predicate (the scalar
-      // path's binds for failing rows are dead writes: every later read is
-      // preceded by a rebind).
-      for (size_t ci = 0; ci < pa0.check_positions.size() && !sel.empty(); ++ci) {
-        const Value* cp = v0.rel->column_data(pa0.check_positions[ci]);
-        const Value* qp = v0.rel->column_data(pa0.check_partners[ci]);
-        size_t kept = 0;
-        for (size_t i = 0; i < sel.size(); ++i) {
-          uint32_t r = sel[i];
-          if (cp[r] == qp[r]) sel[kept++] = r;
-        }
-        sel.resize(kept);
-      }
-      if (sel.empty()) continue;
-      if (multiprobe) {
-        // Gather each survivor's atom-1 key straight from atom-0 columns
-        // (identical values to the env the scalar path would have built),
-        // then resolve the whole block against the index in one batch.
-        std::vector<Value>& keys = block.probe_keys;
-        keys.clear();
-        for (uint32_t r : sel) {
-          for (const KeySrc& src : key_src) {
-            keys.push_back(src.is_const ? src.constant
-                                        : v0.rel->column_data(src.bind_col)[r]);
-          }
-        }
-        block.probe_hashes.resize(sel.size());
-        block.postings.resize(sel.size());
-        views[1].index->LookupBatch(*views[1].rel, keys.data(), key_arity1,
-                                    sel.size(), block.probe_hashes.data(),
-                                    block.postings.data());
-        for (size_t i = 0; i < sel.size() && !sink.Stopped(); ++i) {
-          if (block.postings[i] == nullptr) continue;
-          if (descend_with_postings(sel[i], block.postings[i]) && pa0.existential) return;
-        }
-      } else {
-        for (size_t i = 0; i < sel.size() && !sink.Stopped(); ++i) {
-          if (descend(sel[i]) && pa0.existential) return;
-        }
-      }
-    }
+    match(match, 0);
   }
 
   Status EvalPlan(const CompiledRule& rule, const JoinPlan& plan,
@@ -998,7 +779,7 @@ class Evaluator {
       std::vector<Value> env(static_cast<size_t>(rule.num_slots));
       std::vector<std::vector<Value>> key_bufs(guard.atoms.size());
       GuardSink sink{this, Status::OK()};
-      MatchPlan(guard, guard_views, env, key_bufs, block_rows_, block_, sink);
+      MatchPlan(guard, guard_views, env, key_bufs, sink);
       DYNAMITE_RETURN_NOT_OK(sink.status);
       if (!sink.satisfied) return Status::OK();
     }
@@ -1019,7 +800,7 @@ class Evaluator {
       key_bufs[i].reserve(plan.atoms[i].key_positions.size());
     }
     DirectSink sink{this, &rule, &head_rels, {}, Status::OK()};
-    MatchPlan(plan, views, env, key_bufs, block_rows_, block_, sink);
+    MatchPlan(plan, views, env, key_bufs, sink);
     return sink.status;
   }
 
@@ -1073,8 +854,6 @@ class Evaluator {
   Deadline deadline_;         // options timeout composed with RunContext
   CancelToken cancel_;
   MemoryBudget* budget_ = nullptr;   // run-wide byte budget (may be null)
-  size_t block_rows_ = 1;            // resolved Options::probe_block_rows
-  BlockScratch block_;               // vectorized matcher's block scratch
   size_t derived_ = 0;
   size_t ticks_ = 0;
 };

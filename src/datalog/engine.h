@@ -28,15 +28,12 @@
 //     orders are chosen with the cardinalities seen at first compile; stale
 //     statistics trigger a re-plan (EDB drift at cache-hit time, IDB drift
 //     after round 0 of the fixpoint) but never cost correctness.
-//   * The first join step of a plan runs block-at-a-time
-//     (Options::probe_block_rows): columnar filters and batched index
-//     probes, with the same candidate visit order as the row-at-a-time
-//     path.
 //
-// Every plan runs on the calling thread, in one deterministic emission
-// order. The engine is single-threaded and move-only (one engine per
-// thread; it owns the caches above). Parallelism lives above it: the
-// synthesis portfolio runs one engine per worker (src/synth/README.md).
+// Every plan runs row at a time on the calling thread, in one
+// deterministic emission order. The engine is single-threaded and
+// move-only (one engine per thread; it owns the caches above).
+// Parallelism lives above it: the synthesis portfolio runs one engine per
+// worker (src/synth/README.md).
 
 #ifndef DYNAMITE_DATALOG_ENGINE_H_
 #define DYNAMITE_DATALOG_ENGINE_H_
@@ -98,20 +95,15 @@ class DatalogEngine {
     /// neither, Eval charges the budget the caller installed on the thread
     /// (MemoryBudgetScope), if any.
     size_t max_memory_bytes = 0;
-    /// Block size (rows) for the vectorized matcher: the first-atom scan is
-    /// processed in blocks of this many rows — constant/bound columns are
-    /// filtered over whole column slices into a selection vector, key
-    /// columns of the next atom are gathered and batch-probed against its
-    /// join index (JoinIndex::LookupBatch) — before candidates flow through
-    /// the scalar emit path. 0 (the default) means "auto" (currently 1024).
-    /// 1 selects the exact row-at-a-time scalar path. Results are
-    /// bit-identical for every value: blocking changes memory-access order,
-    /// never candidate visit order.
+    /// Inert: nothing reads it, and every plan is matched row at a time.
+    /// It remains only because perfbench/perfbench.cc still assigns it,
+    /// and goes when perfbench stops. The engine has one matcher and no
+    /// block-size knob.
     size_t probe_block_rows = 0;
   };
 
   /// Counters accumulated across Eval calls on this engine. Deterministic:
-  /// identical for the same Eval sequence at any probe_block_rows.
+  /// identical for the same Eval sequence.
   struct Stats {
     /// Cached rules recompiled because their join-order statistics went
     /// stale: ≥4x cardinality drift on an EDB body relation (checked at

@@ -119,49 +119,7 @@ class JoinIndex {
     return nullptr;
   }
 
-  /// Multi-probe: Lookup for `count` keys at once, writing one posting-list
-  /// pointer (or nullptr) per key into `out[0..count)`. Keys are row-major:
-  /// key i occupies `keys[i*key_arity .. (i+1)*key_arity)` and `key_arity`
-  /// must equal key_positions().size(). `hash_scratch` is caller-provided
-  /// storage for `count` hashes, so a hot loop reuses one buffer.
-  ///
-  /// Equivalent to `count` Lookup calls — same results in the same slots —
-  /// but amortizes the open-addressing walk: all key hashes are computed
-  /// first, every key's home slot is prefetched, and only then are the
-  /// probes resolved, so the dependent cache misses of consecutive lookups
-  /// overlap instead of serializing. Const and concurrent-safe like Lookup.
-  void LookupBatch(const Relation& rel, const Value* keys, size_t key_arity,
-                   size_t count, size_t* hash_scratch,
-                   const PostingList** out) const {
-    if (group_slots_.empty()) {
-      for (size_t i = 0; i < count; ++i) out[i] = nullptr;
-      return;
-    }
-    size_t mask = group_slots_.size() - 1;
-    for (size_t i = 0; i < count; ++i) {
-      hash_scratch[i] = HashValueRange(keys + i * key_arity, key_arity);
-    }
-    for (size_t i = 0; i < count; ++i) {
-      __builtin_prefetch(&group_slots_[hash_scratch[i] & mask]);
-    }
-    for (size_t i = 0; i < count; ++i) {
-      size_t seed = hash_scratch[i];
-      size_t s = seed & mask;
-      const Value* key = keys + i * key_arity;
-      out[i] = nullptr;
-      while (group_slots_[s] != kEmptySlot) {
-        const Group& g = groups_[group_slots_[s]];
-        if (g.hash == seed && KeysEqualValues(rel, g.head_row, key)) {
-          out[i] = &g.rows;
-          break;
-        }
-        s = (s + 1) & mask;
-      }
-    }
-  }
-
   size_t indexed_upto() const { return indexed_upto_; }
-  const std::vector<size_t>& key_positions() const { return key_positions_; }
 
  private:
   static constexpr uint32_t kEmptySlot = UINT32_MAX;

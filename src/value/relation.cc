@@ -202,16 +202,6 @@ Result<RelationView> Relation::Project(const std::vector<std::string>& attrs) co
   return RelationView(this, std::move(cols), attrs);
 }
 
-RelationView Relation::ViewColumns(std::vector<size_t> columns,
-                                   std::vector<std::string> new_attrs) const {
-  return RelationView(this, std::move(columns), std::move(new_attrs));
-}
-
-Relation Relation::ProjectColumns(const std::vector<size_t>& columns,
-                                  std::vector<std::string> new_attrs) const {
-  return ViewColumns(columns, std::move(new_attrs)).Materialize();
-}
-
 bool Relation::RowsEqual(size_t idx, const Relation& other, size_t other_row) const {
   for (size_t c = 0; c < columns_.size(); ++c) {
     if (columns_[c][idx] != other.columns_[c][other_row]) return false;

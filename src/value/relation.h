@@ -111,18 +111,6 @@ class Relation {
   /// being appended to (the engine's emit path).
   const Value& cell(size_t row, size_t col) const { return columns_[col][row]; }
 
-  /// Raw slice of column `c`: a dense array of size() Values in insertion
-  /// order. The block accessor for the engine's vectorized matcher — a
-  /// selection-vector filter reads whole column slices through this instead
-  /// of per-row cell() calls. INVALIDATED by any insert (columns may
-  /// reallocate): hold it only across code that provably does not append,
-  /// e.g. within one block's filter/gather step, never across an emit.
-  const Value* column_data(size_t c) const { return columns_[c].data(); }
-
-  /// Raw slice of the memoized per-row hashes, parallel to the columns.
-  /// Same invalidation rule as column_data().
-  const size_t* row_hash_data() const { return row_hashes_.data(); }
-
   /// Memoized hash of row `i` (same algorithm as Tuple::Hash, never 0).
   size_t row_hash(size_t i) const { return row_hashes_[i]; }
 
@@ -142,15 +130,6 @@ class Relation {
   /// required; RelationView::SetEquals compares with set semantics without
   /// materializing.
   Result<RelationView> Project(const std::vector<std::string>& attrs) const;
-
-  /// Zero-copy projection onto column indices.
-  RelationView ViewColumns(std::vector<size_t> columns,
-                           std::vector<std::string> new_attrs) const;
-
-  /// Materialized projection onto column indices (set semantics: duplicates
-  /// fold). Equivalent to ViewColumns(...).Materialize().
-  Relation ProjectColumns(const std::vector<size_t>& columns,
-                          std::vector<std::string> new_attrs) const;
 
   /// Set equality with another relation.
   ///
@@ -210,7 +189,6 @@ class RowRef {
   RowRef(const Relation* rel, size_t row) : rel_(rel), row_(row) {}
 
   size_t arity() const { return rel_->arity(); }
-  size_t row_index() const { return row_; }
   const Value& operator[](size_t col) const { return rel_->cell(row_, col); }
 
   /// Memoized row hash (same algorithm as Tuple::Hash).

@@ -67,8 +67,8 @@ struct FlatColumn {
 /// Column specs for an n-column wide table: attributes "w0".."w{n-1}",
 /// every third column int, the rest strings, all drawing from pools of
 /// `pool_size` values. Wide rows are adversarial for columnar code: every
-/// row touches many column vectors, so gather/filter layout bugs that a
-/// 3-column table hides surface here.
+/// row touches many column vectors, so column layout bugs that a 3-column
+/// table hides surface here.
 std::vector<FlatColumn> WideColumns(size_t n, size_t pool_size);
 
 /// Flat instance of `rows` records of `type` whose cell values are drawn
@@ -76,8 +76,8 @@ std::vector<FlatColumn> WideColumns(size_t n, size_t pool_size);
 /// columns take Pooled(attr, rank), int columns take Int(rank). Skewed
 /// pools concentrate most cells on a handful of values — duplicate-heavy
 /// rows (dedup stress) and giant hash groups (join-probe posting lists far
-/// from uniform), the distributions the vectorized matcher and sharded
-/// ingest must stay bit-identical on.
+/// from uniform), the shapes the differential fuzzer drives the join
+/// matcher and ingest with.
 RecordForest ZipfFlatInstance(const std::string& type, const std::vector<FlatColumn>& cols,
                               size_t rows, double s, Rng* rng);
 

@@ -6,9 +6,9 @@
 //     N rounds of seeded random pipelines. Each round builds either a random
 //     flat relational schema pair (synthesized end-to-end) or one of the 28
 //     workload benchmarks (golden program), then checks three invariants:
-//       1. Parity: Session(threads=1), Session(threads=T) and a Session
-//          on the scalar (block=1) matcher produce identical target
-//          instances (and, for synthesized cases, identical programs).
+//       1. Parity: Session(threads=1) and Session(threads=T) produce
+//          identical target instances (and, for synthesized cases,
+//          identical programs).
 //       2. Fault tolerance: re-running with a randomly armed failpoint
 //          (random site, kind, trigger) either reproduces the baseline
 //          bit-identically or fails with a typed Status from the injected
@@ -154,8 +154,6 @@ FuzzCase MakeProjectionCase(Rng* rng) {
     make_row(&cells);
     add_pair(&fc.example.input, &fc.example.output, cells);
   }
-  // Instance sized to cross the engine's parallel threshold (256 first-atom
-  // rows) about half the time, so both code paths see fuzz traffic.
   const size_t instance_rows = 20 + rng->NextIndex(500);
   for (size_t r = 0; r < instance_rows; ++r) {
     make_row(&cells);
@@ -212,10 +210,9 @@ void FinishFlatCase(FuzzCase* fc, const std::vector<workload::FlatColumn>& src_c
 
 /// Zipf-skewed case: projection schema, but the migration instance draws
 /// every cell from small Zipf-skewed pools — duplicate-heavy rows and hash
-/// groups with giant posting lists. Adversarial for the vectorized matcher
-/// (selection vectors that are nearly all-pass or nearly empty) and for
-/// ingest dedup (duplicate rows fold into one fact). Instance sized past the
-/// engine's parallel threshold.
+/// groups with giant posting lists. Adversarial for the join matcher
+/// (posting lists that hold nearly every row) and for ingest dedup
+/// (duplicate rows fold into one fact).
 FuzzCase MakeSkewedCase(Rng* rng) {
   FuzzCase fc;
   fc.synthesized = true;
@@ -236,7 +233,7 @@ FuzzCase MakeSkewedCase(Rng* rng) {
 }
 
 /// Wide-row case: 24-40 columns. Every row touches many column vectors, so
-/// columnar filter/gather layout bugs that narrow tables hide surface here.
+/// column layout bugs that narrow tables hide surface here.
 FuzzCase MakeWideRowCase(Rng* rng) {
   FuzzCase fc;
   fc.synthesized = true;
@@ -275,12 +272,10 @@ FuzzCase MakeWorkloadCase(Rng* rng) {
 
 /// `threads` sizes the synthesis portfolio (SessionOptions::num_threads):
 /// > 1 turns it on, 1 pins the exact sequential enumeration loop.
-Session MakeSession(const FuzzCase& fc, size_t threads, size_t max_memory_bytes = 0,
-                    size_t probe_block_rows = 0) {
+Session MakeSession(const FuzzCase& fc, size_t threads, size_t max_memory_bytes = 0) {
   SessionOptions so;
   so.num_threads = threads;
   so.max_memory_bytes = max_memory_bytes;
-  so.engine.probe_block_rows = probe_block_rows;
   auto session = Session::Create(fc.source, fc.target, so);
   FUZZ_ASSERT(session.ok(), "Session::Create(%s): %s", fc.label.c_str(),
               session.status().ToString().c_str());
@@ -352,8 +347,7 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
       break;
   }
 
-  // --- invariant 1: parity across thread counts and the scalar (block=1)
-  // matcher -----------------------------------------------------------------
+  // --- invariant 1: parity across thread counts ---------------------------
   Session seq = MakeSession(fc, 1);
   Session par = MakeSession(fc, threads);
   Program seq_program, par_program;
@@ -369,16 +363,6 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
               par_program.ToString().c_str());
   FUZZ_ASSERT(ForestEquals(seq_out, par_out), "[%s] threads=1 vs threads=%zu outputs diverge",
               fc.label.c_str(), threads);
-  // Vectorized vs scalar matcher: probe_block_rows=1 pins the exact
-  // row-at-a-time path; the default (1024) must migrate identically.
-  Session scalar = MakeSession(fc, threads, 0, /*probe_block_rows=*/1);
-  Program scalar_program;
-  RecordForest scalar_out;
-  st = RunPipeline(scalar, fc, &scalar_program, &scalar_out);
-  FUZZ_ASSERT(st.ok(), "[%s] probe_block_rows=1 run failed: %s", fc.label.c_str(),
-              st.ToString().c_str());
-  FUZZ_ASSERT(scalar_program == seq_program && ForestEquals(scalar_out, seq_out),
-              "[%s] scalar (block=1) vs vectorized outputs diverge", fc.label.c_str());
 
   // --- invariant 2: a fault-injected rerun is bit-identical or typed ------
   std::string fault = ArmRandomFault(rng, /*include_timeout=*/!fc.synthesized);

@@ -1,10 +1,7 @@
-// Determinism suite for ingest and the vectorized matcher: ToFacts declares
-// relations in schema order and fails a malformed forest with exactly
-// ValidateForest's error; full migrations must agree on outputs, stats, and
-// engine counters across the migration engine's probe block sizes on
-// relational, document, and graph instances; and the engine's vectorized
-// matcher must be bit-identical across probe block sizes (1 == scalar,
-// 1024 == default).
+// Ingest tests: ToFacts declares relations in schema order, and on
+// relational, document, and graph instances it and Session::Migrate fail a
+// malformed forest with exactly ValidateForest's error. Also sanity checks
+// for the skewed and wide instance generators in workload/datagen.h.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +11,6 @@
 #include <vector>
 
 #include "api/session.h"
-#include "datalog/engine.h"
 #include "migrate/facts.h"
 #include "util/rng.h"
 #include "value/database.h"
@@ -24,26 +20,13 @@
 namespace dynamite {
 namespace {
 
-/// Bit-identity: same rows in the same insertion order (strictly stronger
-/// than SetEquals).
-void ExpectBitIdentical(const Relation& a, const Relation& b) {
-  ASSERT_EQ(a.arity(), b.arity());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t r = 0; r < a.size(); ++r) {
-    ASSERT_EQ(a.row_hash(r), b.row_hash(r)) << a.name() << " row " << r;
-    for (size_t c = 0; c < a.arity(); ++c) {
-      ASSERT_EQ(a.cell(r, c), b.cell(r, c)) << a.name() << " row " << r << " col " << c;
-    }
-  }
-}
-
 /// One benchmark per source-instance shape (Table 2 names): MLB is a
 /// relational family, Yelp document, Tencent graph.
 const char* const kShapeBenchmarks[] = {"MLB-1", "Yelp-1", "Tencent-1"};
 
 RecordForest BigInstance(const workload::Benchmark& bench) {
   // Scale chosen so broken roots land far apart in a forest of hundreds of
-  // roots, and the engine's parallel fan-out has rows to split.
+  // roots.
   auto instance = workload::GenerateSource(bench, /*seed=*/11, /*scale=*/300);
   EXPECT_TRUE(instance.ok()) << instance.status().ToString();
   return std::move(instance).ValueOrDie();
@@ -134,101 +117,6 @@ TEST(Ingest, FirstValidationErrorIsTheSameOnEveryPath) {
     std::swap(wide->prims[1], wide->prims[2]);
     wide->prims.pop_back();
     ExpectFirstErrorOnEveryPath(*bench, shuffled);
-  }
-}
-
-// ------------------------------------- end-to-end migration parity --------
-
-TEST(Ingest, MigrationOutputsAndStatsAgreeAcrossBlockSizes) {
-  for (const char* name : kShapeBenchmarks) {
-    const workload::Benchmark* bench = workload::FindBenchmark(name);
-    ASSERT_NE(bench, nullptr);
-    RecordForest instance = BigInstance(*bench);
-
-    SessionOptions seq_opts;
-    seq_opts.engine.probe_block_rows = 1;
-    Session seq = Session::Create(bench->source, bench->target, seq_opts).ValueOrDie();
-    MigrationStats seq_stats;
-    auto seq_out = seq.Migrate(bench->golden, instance, &seq_stats);
-    ASSERT_TRUE(seq_out.ok()) << name << ": " << seq_out.status().ToString();
-
-    for (size_t block : {3u, 1024u}) {
-      SessionOptions par_opts;
-      par_opts.engine.probe_block_rows = block;
-      Session par = Session::Create(bench->source, bench->target, par_opts).ValueOrDie();
-      MigrationStats par_stats;
-      auto par_out = par.Migrate(bench->golden, instance, &par_stats);
-      ASSERT_TRUE(par_out.ok()) << name << ": " << par_out.status().ToString();
-      EXPECT_TRUE(ForestEquals(seq_out.ValueOrDie(), par_out.ValueOrDie()))
-          << name << " block=" << block;
-      // Everything except timings is part of the bit-identity contract.
-      EXPECT_EQ(seq_stats.source_records, par_stats.source_records) << name;
-      EXPECT_EQ(seq_stats.source_facts, par_stats.source_facts) << name;
-      EXPECT_EQ(seq_stats.target_facts, par_stats.target_facts) << name;
-      EXPECT_EQ(seq_stats.target_records, par_stats.target_records) << name;
-      EXPECT_EQ(seq_stats.ingest.child_index_builds, par_stats.ingest.child_index_builds)
-          << name;
-      EXPECT_EQ(seq_stats.ingest.child_index_lookups, par_stats.ingest.child_index_lookups)
-          << name;
-      EXPECT_EQ(seq.engine_stats().plan_refreshes, par.engine_stats().plan_refreshes)
-          << name;
-    }
-  }
-}
-
-// ------------------------------------------- block-size invariance --------
-
-/// Skewed int edge relation: Zipf-distributed targets give hash groups with
-/// giant posting lists, the adversarial shape for batched probes.
-FactDatabase SkewedEdges(int n) {
-  FactDatabase db;
-  db.DeclareRelation("edge", {"s", "t"}).ValueOrDie();
-  Rng rng(99);
-  workload::ZipfDist zipf(n, 1.1);
-  for (int i = 0; i < n; ++i) {
-    db.AddFact("edge", Tuple({Value::Int(i), Value::Int(static_cast<int64_t>(
-                                                 zipf.Sample(&rng)))}));
-    db.AddFact("edge", Tuple({Value::Int(i), Value::Int((i * 7 + 3) % n)}));
-  }
-  return db;
-}
-
-DatalogEngine BlockEngine(size_t block_rows) {
-  DatalogEngine::Options opts;
-  opts.probe_block_rows = block_rows;
-  return DatalogEngine(opts);
-}
-
-TEST(VectorizedProbes, BlockSizeInvariantJoin) {
-  FactDatabase db = SkewedEdges(600);
-  Program join = Program::Parse("j(x, z) :- edge(x, y), edge(y, z).").ValueOrDie();
-  auto baseline = BlockEngine(/*block_rows=*/1).EvalAutoSignatures(join, db);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  const Relation* j1 = baseline.ValueOrDie().Find("j").ValueOrDie();
-  ASSERT_GT(j1->size(), 0u);
-
-  for (size_t block : {3u, 64u, 1024u}) {
-    auto out = BlockEngine(block).EvalAutoSignatures(join, db);
-    ASSERT_TRUE(out.ok()) << "block=" << block << ": " << out.status().ToString();
-    ExpectBitIdentical(*j1, *out.ValueOrDie().Find("j").ValueOrDie());
-  }
-}
-
-TEST(VectorizedProbes, BlockSizeInvariantRecursiveFixpoint) {
-  FactDatabase db = SkewedEdges(150);
-  Program tc = Program::Parse(R"(
-    tc(x, y) :- edge(x, y).
-    tc(x, y) :- tc(x, z), edge(z, y).
-  )")
-                   .ValueOrDie();
-  auto baseline = BlockEngine(1).EvalAutoSignatures(tc, db);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  const Relation* tc1 = baseline.ValueOrDie().Find("tc").ValueOrDie();
-
-  for (size_t block : {2u, 1024u}) {
-    auto out = BlockEngine(block).EvalAutoSignatures(tc, db);
-    ASSERT_TRUE(out.ok()) << "block=" << block << ": " << out.status().ToString();
-    ExpectBitIdentical(*tc1, *out.ValueOrDie().Find("tc").ValueOrDie());
   }
 }
 
