@@ -745,13 +745,11 @@ class Evaluator {
           const Slot& s = pa.slots[p];
           key_vals.push_back(s.is_const ? s.constant : env[static_cast<size_t>(s.var)]);
         }
-        const PostingList* matches =
+        const PostingList matches =
             v.index->Lookup(*v.rel, key_vals.data(), key_vals.size());
-        if (matches == nullptr) return false;
         // Posting lists are sorted ascending; restrict to [lo, hi).
-        auto it = std::lower_bound(matches->begin(), matches->end(),
-                                   static_cast<uint32_t>(lo));
-        for (; it != matches->end() && *it < hi && !sink.Stopped(); ++it) {
+        auto it = std::lower_bound(matches.begin(), matches.end(), static_cast<uint32_t>(lo));
+        for (; it != matches.end() && *it < hi && !sink.Stopped(); ++it) {
           reached |= try_row(*it);
           if (reached && pa.existential) break;
         }

@@ -23,11 +23,16 @@
 // indexed in insertion order), which is what makes range-restricted lookups
 // (the delta views) a lower_bound away.
 //
-// Posting lists live in one monotonic arena per index: a key group costs a
-// bump allocation per growth step rather than a heap block of its own, and
-// dropping an index frees a handful of arena blocks rather than one block
-// per distinct key. The buffers a list outgrows stay in the arena until
-// the index dies (at most about as much again as the lists' final size).
+// A group's postings are its representative row until a second row
+// arrives: a key carried by one row (the usual case on an EDB relation's
+// unique-id columns) allocates nothing beyond its group. Only a second
+// row gives the group an array, starting with a copy of the representative;
+// the array doubles whenever it is full. These arrays live in one monotonic
+// arena per index: a growth step is a bump allocation rather than a heap
+// block of its own, and dropping an index frees a handful of arena blocks
+// rather than one block per distinct key. The arrays a group outgrows stay
+// in the arena until the index dies (at most about as much again as the
+// postings' final size).
 //
 // Thread-safety contract: Refresh and IndexCache::Get mutate and require
 // exclusive access; Lookup is const and safe to call concurrently from any
@@ -38,6 +43,7 @@
 #ifndef DYNAMITE_DATALOG_INDEX_H_
 #define DYNAMITE_DATALOG_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -53,8 +59,27 @@
 
 namespace dynamite {
 
-/// A posting list: the ascending row indexes of one key group.
-using PostingList = std::pmr::vector<uint32_t>;
+/// A read-only view of one key group's postings: its row indexes,
+/// ascending. Empty when the key is absent. Valid until the next Refresh of
+/// the index that returned it.
+class PostingList {
+ public:
+  PostingList() = default;
+  PostingList(const uint32_t* rows, size_t count) : rows_(rows), count_(count) {}
+
+  const uint32_t* begin() const { return rows_; }
+  const uint32_t* end() const { return rows_ + count_; }
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+
+  friend bool operator==(const PostingList& a, const PostingList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  const uint32_t* rows_ = nullptr;
+  size_t count_ = 0;
+};
 
 /// Hash index of one relation on a fixed set of key positions, extended
 /// incrementally as the relation grows.
@@ -95,28 +120,31 @@ class JoinIndex {
       if (group_slots_[s] == kEmptySlot) {
         group_slots_[s] = static_cast<uint32_t>(groups_.size());
         MemoryBudget::ChargeCurrent(sizeof(Group));
-        groups_.push_back(Group{h, static_cast<uint32_t>(i), PostingList(&postings_arena_)});
+        groups_.push_back(Group{h, static_cast<uint32_t>(i), 1, nullptr});
+      } else {
+        AddRow(groups_[group_slots_[s]], static_cast<uint32_t>(i));
       }
-      groups_[group_slots_[s]].rows.push_back(static_cast<uint32_t>(i));
     }
     indexed_upto_ = n;
   }
 
   /// Row indices whose key columns equal `key[0..count)`, sorted ascending;
-  /// nullptr if none. `rel` must be the relation this index was built over
-  /// (key verification reads its columns). The returned pointer is stable
-  /// until the next Refresh.
-  const PostingList* Lookup(const Relation& rel, const Value* key, size_t count) const {
-    if (group_slots_.empty()) return nullptr;
+  /// empty if none. `rel` must be the relation this index was built over
+  /// (key verification reads its columns). The view is valid until the
+  /// next Refresh.
+  PostingList Lookup(const Relation& rel, const Value* key, size_t count) const {
+    if (group_slots_.empty()) return {};
     size_t seed = HashValueRange(key, count);
     size_t mask = group_slots_.size() - 1;
     size_t s = seed & mask;
     while (group_slots_[s] != kEmptySlot) {
       const Group& g = groups_[group_slots_[s]];
-      if (g.hash == seed && KeysEqualValues(rel, g.head_row, key)) return &g.rows;
+      if (g.hash == seed && KeysEqualValues(rel, g.head_row, key)) {
+        return g.count == 1 ? PostingList(&g.head_row, 1) : PostingList(g.rows, g.count);
+      }
       s = (s + 1) & mask;
     }
-    return nullptr;
+    return {};
   }
 
   size_t indexed_upto() const { return indexed_upto_; }
@@ -125,12 +153,30 @@ class JoinIndex {
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
   /// One distinct key: its hash, a representative row (the key cells live in
-  /// the relation's columns — no copy), and the posting list.
+  /// the relation's columns — no copy) and its postings. With one row the
+  /// postings are head_row alone and `rows` is null; from the second row on
+  /// they are rows[0, count), an arena array whose capacity is the smallest
+  /// power of two at or above `count`.
   struct Group {
     size_t hash;
     uint32_t head_row;
-    PostingList rows;
+    uint32_t count;
+    uint32_t* rows;
   };
+  static_assert(sizeof(Group) <= 32, "a group stays small: most keys have one row");
+
+  /// Appends `row` to `g`'s postings, growing its array (a fresh arena array
+  /// of twice the size, the old rows copied in) when it is full.
+  void AddRow(Group& g, uint32_t row) {
+    if ((g.count & (g.count - 1)) == 0) {  // full: count is 1 or a power of two
+      const uint32_t* old = g.count == 1 ? &g.head_row : g.rows;
+      auto* grown = static_cast<uint32_t*>(
+          postings_arena_.allocate(2 * size_t{g.count} * sizeof(uint32_t), alignof(uint32_t)));
+      std::copy(old, old + g.count, grown);
+      g.rows = grown;
+    }
+    g.rows[g.count++] = row;
+  }
 
   size_t HashRowKey(const Relation& rel, size_t row) const {
     ValueRowHasher h(key_positions_.size());
@@ -170,8 +216,7 @@ class JoinIndex {
 
   std::vector<size_t> key_positions_;
   size_t indexed_upto_ = 0;
-  /// Backs every posting list (see the file comment). Declared before
-  /// groups_ so it outlives the lists it backs.
+  /// Backs every posting array (see the file comment).
   std::pmr::monotonic_buffer_resource postings_arena_;
   std::vector<Group> groups_;
   /// Open-addressing (linear probing) table of indices into groups_.

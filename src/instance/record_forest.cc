@@ -48,12 +48,11 @@ RecordTypeTable::RecordTypeTable(const Schema& schema) {
   const std::vector<std::string>& names = schema.RecordNames();
   types_.resize(names.size());
   for (size_t t = 0; t < names.size(); ++t) {
+    types_[t].index = t;
     types_[t].name = names[t];
-    index_.emplace(types_[t].name, t);
   }
   for (size_t t = 0; t < names.size(); ++t) {
     Type& type = types_[t];
-    type.index = t;
     const std::vector<std::string>& attrs = schema.AttrsOf(names[t]);
     type.attrs.assign(attrs.begin(), attrs.end());
     type.nested = schema.IsNestedRecord(names[t]);
@@ -63,9 +62,9 @@ RecordTypeTable::RecordTypeTable(const Schema& schema) {
       if (schema.IsPrimitive(attrs[i])) {
         type.is_prim[i] = true;
         type.prim_type[i] = schema.PrimitiveOf(attrs[i]);
-      } else if (auto it = index_.find(type.attrs[i]); it != index_.end()) {
+      } else if (const Type* child = Find(type.attrs[i]); child != nullptr) {
         type.record_attrs.push_back(i);
-        type.record_types.push_back(it->second);
+        type.record_types.push_back(child->index);
       }
     }
   }
@@ -79,8 +78,43 @@ Name RecordTypeTable::Type::AttrName(std::string_view attr) const {
 }
 
 const RecordTypeTable::Type* RecordTypeTable::Find(Name name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? nullptr : &types_[it->second];
+  for (const Type& type : types_) {
+    if (type.name == name) return &type;
+  }
+  return nullptr;
+}
+
+const RecordTypeTable::Type* RecordTypeTable::CountRoot(
+    const RecordNode& root, std::vector<size_t>* records_by_type) const {
+  const Type* type = Find(root.type);
+  if (type == nullptr || type->nested) return nullptr;
+  return CountNode(root, *type, records_by_type) ? type : nullptr;
+}
+
+bool RecordTypeTable::CountNode(const RecordNode& node, const Type& type,
+                                std::vector<size_t>* records_by_type) const {
+  ++(*records_by_type)[type.index];
+  for (const auto& [attr, kids] : node.children) {
+    size_t k = 0;
+    while (k < type.record_attrs.size() && type.attrs[type.record_attrs[k]] != attr) ++k;
+    if (k == type.record_attrs.size() || &node.Children(attr) != &kids) {
+      // A walk over the type's record attributes never reaches this list,
+      // so its records are validated in full here.
+      const Type* kid_type = Find(attr);
+      if (kid_type == nullptr) return false;
+      for (const RecordNode& kid : kids) {
+        if (kid.type != attr || !ValidateNode(kid, *kid_type, records_by_type).ok()) {
+          return false;
+        }
+      }
+      continue;
+    }
+    const Type& kid_type = types_[type.record_types[k]];
+    for (const RecordNode& kid : kids) {
+      if (kid.type != attr || !CountNode(kid, kid_type, records_by_type)) return false;
+    }
+  }
+  return true;
 }
 
 Result<const RecordTypeTable::Type*> RecordTypeTable::ValidateRoot(

@@ -18,7 +18,6 @@
 
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -106,7 +105,18 @@ class RecordTypeTable {
   const std::vector<Type>& types() const { return types_; }
 
   /// The record type named `name`; nullptr when `name` is not a record type.
+  /// A scan of types() by Name handle: a schema has a few record types.
   const Type* Find(Name name) const;
+
+  /// The structure-only half of ValidateRoot: checks one top-level
+  /// record's type, that the type is not nested, and under each child list
+  /// the list's attribute and every child's type, and adds one per record
+  /// to its type's entry of `records_by_type` (sized types().size()).
+  /// Returns the root's type, or nullptr when ValidateRoot would fail on a
+  /// check made here. Primitive cells are left to the caller for every
+  /// record reached through Type::record_attrs (the first child list under
+  /// each); the records under any other child list are validated in full.
+  const Type* CountRoot(const RecordNode& root, std::vector<size_t>* records_by_type) const;
 
   /// Validates one top-level record and its subtree and returns its type;
   /// the error is the one ValidateForest reports when this root is the
@@ -121,9 +131,10 @@ class RecordTypeTable {
  private:
   Status ValidateNode(const RecordNode& node, const Type& type,
                       std::vector<size_t>* records_by_type) const;
+  bool CountNode(const RecordNode& node, const Type& type,
+                 std::vector<size_t>* records_by_type) const;
 
   std::vector<Type> types_;
-  std::unordered_map<Name, size_t> index_;
 };
 
 /// Validates that every record in the forest conforms to `schema`: known

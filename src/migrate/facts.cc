@@ -30,9 +30,10 @@ std::map<std::string, std::vector<std::string>> FactSignatures(const Schema& sch
 
 namespace {
 
-/// Depth-first emission of validated roots: each record's row is appended
-/// straight into its type's relation, with identifiers drawn from
-/// `*next_id` in visit order.
+/// Depth-first emission of roots whose structure CountRoot checked: each
+/// record's row is appended straight into its type's relation, with
+/// identifiers drawn from `*next_id` in visit order. Emit reads every
+/// primitive cell once, checking it as it goes into the row.
 struct TreeEmitter {
   const RecordTypeTable& table;
   /// The relation each record type emits into, by Type::index.
@@ -40,7 +41,9 @@ struct TreeEmitter {
   uint64_t* next_id;
   std::vector<Value> row_buf;
 
-  void Emit(const RecordNode& node, const RecordTypeTable::Type& type,
+  /// Emits `node` and its subtree; false at the first primitive cell that
+  /// is missing or of the wrong type (the caller then discards every row).
+  bool Emit(const RecordNode& node, const RecordTypeTable::Type& type,
             const Value* parent_id) {
     Value my_id = Value::Id((*next_id)++);
     row_buf.clear();
@@ -48,16 +51,23 @@ struct TreeEmitter {
     const std::vector<Name>& attrs = type.attrs;
     RecordTypeTable::PrimReader prims(node);
     for (size_t i = 0; i < attrs.size(); ++i) {
-      row_buf.push_back(type.is_prim[i] ? prims.Next(attrs[i]) : my_id);
+      if (!type.is_prim[i]) {
+        row_buf.push_back(my_id);
+        continue;
+      }
+      const Value& v = prims.Next(attrs[i]);
+      if (!ValueMatchesType(v, type.prim_type[i])) return false;  // null matches no type
+      row_buf.push_back(v);
     }
     rels[type.index]->InsertRow(row_buf.data(), row_buf.size());
     // row_buf is free to reuse below: InsertRow copied the row.
     for (size_t k = 0; k < type.record_attrs.size(); ++k) {
       const RecordTypeTable::Type& child_type = table.types()[type.record_types[k]];
       for (const RecordNode& child : node.Children(attrs[type.record_attrs[k]])) {
-        Emit(child, child_type, &my_id);
+        if (!Emit(child, child_type, &my_id)) return false;
       }
     }
+    return true;
   }
 };
 
@@ -67,17 +77,37 @@ Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
                              uint64_t* next_id, const RunContext* ctx, size_t* records) {
   DYNAMITE_TRACE_SPAN("ingest.to_facts");
   const RecordTypeTable table(schema);
+  const size_t num_roots = forest.roots.size();
+  const uint64_t first_id = *next_id;
+  // The checks are split over the two passes, so a failure in either is
+  // answered after the fact: with the first error ValidateRoot finds among
+  // the first `checked` roots (exactly ValidateForest's, and nothing is
+  // then drawn from *next_id), else with `failure` itself.
+  auto first_error = [&](size_t checked, Status failure) -> Status {
+    for (size_t r = 0; r < checked; ++r) {
+      Status status = table.ValidateRoot(forest.roots[r]).status();
+      if (!status.ok()) {
+        *next_id = first_id;
+        return status;
+      }
+    }
+    return failure;
+  };
   size_t ticks = 0;
-  // Pass 1: validate every root, counting the records of each type.
+  // Pass 1: check every root's structure, counting the records of each type.
   std::vector<size_t> counts(table.types().size(), 0);
   std::vector<const RecordTypeTable::Type*> root_types;
-  root_types.reserve(forest.roots.size());
-  for (const RecordNode& root : forest.roots) {
+  root_types.reserve(num_roots);
+  for (size_t r = 0; r < num_roots; ++r) {
     if (ctx != nullptr && (++ticks & 0xff) == 0) {
-      DYNAMITE_RETURN_NOT_OK(ctx->Check("facts conversion"));
+      if (Status status = ctx->Check("facts conversion"); !status.ok()) {
+        return first_error(r, std::move(status));
+      }
     }
-    DYNAMITE_ASSIGN_OR_RETURN(const RecordTypeTable::Type* type,
-                              table.ValidateRoot(root, &counts));
+    const RecordTypeTable::Type* type = table.CountRoot(forest.roots[r], &counts);
+    if (type == nullptr) {
+      return first_error(r + 1, Status::Internal("facts conversion: malformed root"));
+    }
     root_types.push_back(type);
   }
   // One relation per record type, declared in schema RecordNames() order
@@ -88,18 +118,24 @@ Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
     DYNAMITE_ASSIGN_OR_RETURN(Relation * rel,
                               db.DeclareRelation(type.name, FactSignature(schema, type.name)));
     if (!rel->Reserve(counts[type.index])) {
-      return MemoryBudget::Current()->ToStatus("facts conversion");
+      return first_error(num_roots, MemoryBudget::Current()->ToStatus("facts conversion"));
     }
     emitter.rels.push_back(rel);
   }
-  // Pass 2: emit, in the same root order.
-  for (size_t r = 0; r < forest.roots.size(); ++r) {
-    DYNAMITE_FAILPOINT("facts.emit");
-    if (ctx != nullptr && (++ticks & 0xff) == 0) {
-      DYNAMITE_RETURN_NOT_OK(ctx->Check("facts conversion"));
+  // Pass 2: emit, in the same root order, checking the primitive cells.
+  auto emit = [&]() -> Status {
+    for (size_t r = 0; r < num_roots; ++r) {
+      DYNAMITE_FAILPOINT("facts.emit");
+      if (ctx != nullptr && (++ticks & 0xff) == 0) {
+        DYNAMITE_RETURN_NOT_OK(ctx->Check("facts conversion"));
+      }
+      if (!emitter.Emit(forest.roots[r], *root_types[r], nullptr)) {
+        return Status::Internal("facts conversion: malformed cell");
+      }
     }
-    emitter.Emit(forest.roots[r], *root_types[r], nullptr);
-  }
+    return Status::OK();
+  };
+  if (Status status = emit(); !status.ok()) return first_error(num_roots, std::move(status));
   if (records != nullptr) {
     *records = 0;
     for (size_t n : counts) *records += n;
@@ -121,11 +157,8 @@ class ChildIndex {
     if (rel_ != nullptr) index_.Refresh(*rel_);
   }
 
-  const PostingList& Lookup(const Value& parent) const {
-    static const PostingList kEmpty;
-    if (rel_ == nullptr) return kEmpty;
-    const PostingList* rows = index_.Lookup(*rel_, &parent, 1);
-    return rows == nullptr ? kEmpty : *rows;
+  PostingList Lookup(const Value& parent) const {
+    return rel_ == nullptr ? PostingList() : index_.Lookup(*rel_, &parent, 1);
   }
 
   const Relation* relation() const { return rel_; }
@@ -182,7 +215,7 @@ struct Rebuilder {
       const RecordTypeTable::Type& child = table.types()[type.record_types[k]];
       const ChildIndex& index = IndexFor(child);
       if (stats != nullptr) ++stats->child_index_lookups;
-      const PostingList& rows = index.Lookup(fact[offset + i]);
+      const PostingList rows = index.Lookup(fact[offset + i]);
       std::vector<RecordNode> kids;
       kids.reserve(rows.size());
       uncharged_bytes += kids.capacity() * sizeof(RecordNode);

@@ -48,17 +48,20 @@ std::map<std::string, std::vector<std::string>> FactSignatures(const Schema& sch
 
 /// Converts a record forest into Datalog facts. Fresh identifiers are drawn
 /// from `*next_id` (incremented); relations are declared for every record
-/// type of the schema (even if empty). A first pass validates every root and
-/// counts the records of each type; a malformed forest fails there, before
-/// anything is emitted, with exactly the Status ValidateForest returns (the
-/// first error in root order). Each relation is then sized for its count
-/// (Relation::Reserve; a MemoryBudget that refuses the storage fails the
-/// conversion with kResourceExhausted) and a second pass emits the rows in
-/// depth-first visit order. `ctx` (optional) is polled between top-level
-/// records in both passes: cancellation/deadline aborts the conversion, and
-/// may do so before a later root's validation error is reached. `records`
-/// (optional) receives the number of records in the forest, nested ones
-/// included (RecordForest::TotalRecords, counted by the validation pass).
+/// type of the schema (even if empty). A first pass checks every root's
+/// structure (RecordTypeTable::CountRoot) and counts the records of each
+/// type. Each relation is then sized for its count (Relation::Reserve) and
+/// a second pass emits the rows in depth-first visit order, checking each
+/// primitive cell as it reads it. A malformed forest fails with exactly the
+/// Status ValidateForest returns (the first error in root order), whichever
+/// pass meets it, and leaves `*next_id` unchanged; the error is recomputed
+/// with ValidateRoot on any failure, so it also outranks a MemoryBudget
+/// that refuses the storage (kResourceExhausted when the forest is valid).
+/// `ctx` (optional) is polled between top-level records in both passes:
+/// cancellation/deadline aborts the conversion, and may do so before a
+/// later root's validation error is reached. `records` (optional) receives
+/// the number of records in the forest, nested ones included
+/// (RecordForest::TotalRecords, counted by the structure pass).
 Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
                              uint64_t* next_id, const RunContext* ctx = nullptr,
                              size_t* records = nullptr);

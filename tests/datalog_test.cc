@@ -597,5 +597,42 @@ TEST(ExistenceOnlyJoins, CancelAndDeadlineLandInsideAHeadDependentProduct) {
   EXPECT_EQ(timed_out.status().code(), StatusCode::kTimeout);
 }
 
+TEST(ExistenceOnlyJoins, TrailingAtomsStopAtTheirFirstCompletingRow) {
+  // B and D bind no head variable, so each stops at its first row that
+  // completes the plan: B is a positional scan, D an index probe. The token
+  // is cancelled before Eval and the engine polls it once per 1024 join
+  // candidates, so an Eval that inspected B's or D's 5000 rows would end
+  // kCancelled; each inspects one, and the Eval succeeds.
+  FactDatabase db;
+  for (auto [name, attrs] : std::vector<std::pair<std::string, std::vector<std::string>>>{
+           {"A", {"x", "y"}}, {"B", {"y"}}, {"C", {"x", "y"}}, {"D", {"y", "z"}}}) {
+    db.DeclareRelation(name, attrs).ValueOrDie();
+  }
+  db.AddFact("A", Tuple({Value::Int(1), Value::Int(0)}));
+  db.AddFact("C", Tuple({Value::Int(1), Value::Int(0)}));
+  for (int i = 0; i < 5000; ++i) {
+    db.AddFact("B", Tuple({Value::Int(i)}));
+    db.AddFact("D", Tuple({Value::Int(0), Value::Int(i)}));
+  }
+  DatalogEngine::Options opts;
+  opts.reorder_joins = false;  // the body order is the plan order
+  CancelSource source;
+  source.RequestCancel();
+  RunContext ctx;
+  ctx.cancel = source.token();
+  for (const char* text : {"H(x) :- A(x, _), B(y), C(x, y).", "H(x) :- A(x, y), D(y, _)."}) {
+    SCOPED_TRACE(text);
+    ASSERT_OK_AND_ASSIGN(Program p, Program::Parse(text));
+    ASSERT_OK_AND_ASSIGN(FactDatabase out, DatalogEngine(opts).EvalAutoSignatures(p, db, &ctx));
+    EXPECT_EQ(RowsOf(*out.Find("H").ValueOrDie()), Rows({{Value::Int(1)}}));
+  }
+  // The control: B binding a head variable is enumerated in full, and the
+  // cancelled token is seen.
+  ASSERT_OK_AND_ASSIGN(Program full, Program::Parse("H(x, y) :- A(x, _), B(y), C(x, _)."));
+  auto cancelled = DatalogEngine(opts).EvalAutoSignatures(full, db, &ctx);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+}
+
 }  // namespace
 }  // namespace dynamite

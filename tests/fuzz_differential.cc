@@ -529,6 +529,9 @@ int RunSmoke(const CliOptions& cli) {
           rel.InsertRow(&one, 1);
           JoinIndex probe({0});
           probe.Refresh(rel);
+          if (probe.Lookup(rel, &one, 1).size() != 1) {
+            return Status::Internal("index probe lost its only row");
+          }
           return Status::OK();
         });
       }

@@ -1,7 +1,9 @@
 // Ingest tests: ToFacts declares relations in schema order, and on
 // relational, document, and graph instances it and Session::Migrate fail a
-// malformed forest with exactly ValidateForest's error. Also sanity checks
-// for the skewed and wide instance generators in workload/datagen.h.
+// malformed forest with exactly ValidateForest's error, whichever of
+// ToFacts' passes meets it and under a budget that refuses the facts. Also
+// sanity checks for the skewed and wide instance generators in
+// workload/datagen.h.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 
 #include "api/session.h"
 #include "migrate/facts.h"
+#include "util/mem_budget.h"
 #include "util/rng.h"
 #include "value/database.h"
 #include "workload/benchmarks.h"
@@ -74,17 +77,27 @@ std::vector<size_t> BreakForest(RecordForest* forest) {
 }
 
 /// The error ValidateForest reports for `instance` is the one ToFacts and
-/// Session::Migrate (as kSchemaMismatch) report.
+/// Session::Migrate (as kSchemaMismatch) report, and ToFacts draws no
+/// identifier. `memory_limit` (0 = none) bounds both calls' byte budget.
 void ExpectFirstErrorOnEveryPath(const workload::Benchmark& bench,
-                                 const RecordForest& instance) {
+                                 const RecordForest& instance, size_t memory_limit = 0) {
   Status expected = ValidateForest(instance, bench.source);
   ASSERT_FALSE(expected.ok()) << bench.name;
   SCOPED_TRACE(bench.name);
 
-  uint64_t next_id = 1;
-  auto facts = ToFacts(instance, bench.source, &next_id, nullptr);
-  EXPECT_EQ(facts.status().ToString(), expected.ToString());
-  auto session = Session::Create(bench.source, bench.target);
+  {
+    MemoryBudget budget(memory_limit);
+    MemoryBudgetScope scope(&budget);
+    RunContext ctx;
+    ctx.memory = &budget;
+    uint64_t next_id = 1;
+    auto facts = ToFacts(instance, bench.source, &next_id, &ctx);
+    EXPECT_EQ(facts.status().ToString(), expected.ToString());
+    EXPECT_EQ(next_id, 1u);
+  }
+  SessionOptions options;
+  options.max_memory_bytes = memory_limit;
+  auto session = Session::Create(bench.source, bench.target, options);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   auto migrated = session.ValueOrDie().Migrate(bench.golden, instance);
   EXPECT_EQ(migrated.status().ToString(),
@@ -117,6 +130,105 @@ TEST(Ingest, FirstValidationErrorIsTheSameOnEveryPath) {
     std::swap(wide->prims[1], wide->prims[2]);
     wide->prims.pop_back();
     ExpectFirstErrorOnEveryPath(*bench, shuffled);
+  }
+}
+
+/// A type error in `root`'s first primitive cell.
+void BreakCell(RecordNode* root) { root->prims[0].second = Value::Id(7); }
+
+/// A root type the schema does not have.
+void BreakStructure(RecordNode* root) { root->type = "Ghost"; }
+
+using ChildList = std::pair<Name, std::vector<RecordNode>>;
+
+/// The first non-empty child list of `node`; nullptr if it has none.
+ChildList* FirstChildList(RecordNode* node) {
+  for (ChildList& list : node->children) {
+    if (!list.second.empty()) return &list;
+  }
+  return nullptr;
+}
+
+/// The first root at or after `from` with a non-empty child list.
+RecordNode* RootWithChildren(RecordForest* forest, size_t from) {
+  for (size_t r = from; r < forest->roots.size(); ++r) {
+    if (FirstChildList(&forest->roots[r]) != nullptr) return &forest->roots[r];
+  }
+  return nullptr;
+}
+
+TEST(Ingest, CellAndStructureErrorsKeepTheirRootOrder) {
+  // ToFacts checks structure in its counting pass and cells as it emits;
+  // whichever error comes first in root order is the one reported.
+  for (const char* name : kShapeBenchmarks) {
+    const workload::Benchmark* bench = workload::FindBenchmark(name);
+    ASSERT_NE(bench, nullptr);
+    const RecordForest pristine = BigInstance(*bench);
+    const size_t n = pristine.roots.size();
+
+    RecordForest cell_first = pristine;
+    BreakCell(&cell_first.roots[n / 4]);
+    BreakStructure(&cell_first.roots[3 * n / 4]);
+    ExpectFirstErrorOnEveryPath(*bench, cell_first);
+
+    RecordForest structure_first = pristine;
+    BreakStructure(&structure_first.roots[n / 4]);
+    BreakCell(&structure_first.roots[3 * n / 4]);
+    ExpectFirstErrorOnEveryPath(*bench, structure_first);
+  }
+}
+
+TEST(Ingest, BadNestedChildrenFailLikeValidateForest) {
+  const workload::Benchmark* bench = workload::FindBenchmark("Yelp-1");
+  ASSERT_NE(bench, nullptr);
+  const RecordForest pristine = BigInstance(*bench);
+  const size_t n = pristine.roots.size();
+
+  // A child of the wrong type, with a bad cell in a later root and then
+  // also in an earlier one; then a child with a bad cell.
+  RecordForest wrong_type = pristine;
+  RecordNode* parent = RootWithChildren(&wrong_type, n / 3);
+  ASSERT_NE(parent, nullptr);
+  FirstChildList(parent)->second.back().type = parent->type;
+  BreakCell(&wrong_type.roots[n - 5]);
+  ExpectFirstErrorOnEveryPath(*bench, wrong_type);
+  BreakCell(&wrong_type.roots[n / 4]);
+  ExpectFirstErrorOnEveryPath(*bench, wrong_type);
+
+  RecordForest bad_child_cell = pristine;
+  parent = RootWithChildren(&bad_child_cell, n / 3);
+  BreakCell(&FirstChildList(parent)->second.back());
+  ExpectFirstErrorOnEveryPath(*bench, bad_child_cell);
+
+  // Child lists that emission never visits are still validated: a second
+  // list under the same attribute, and a list under a record type that is
+  // not one of the parent's attributes.
+  RecordForest repeated_list = pristine;
+  parent = RootWithChildren(&repeated_list, n / 3);
+  ChildList repeated = *FirstChildList(parent);
+  BreakCell(&repeated.second.back());
+  parent->children.push_back(repeated);
+  ExpectFirstErrorOnEveryPath(*bench, repeated_list);
+
+  RecordForest foreign_list = pristine;
+  parent = RootWithChildren(&foreign_list, n / 3);
+  RecordNode stray = *parent;
+  stray.children.clear();
+  BreakCell(&stray);
+  parent->children.push_back({parent->type, {stray}});
+  ExpectFirstErrorOnEveryPath(*bench, foreign_list);
+}
+
+TEST(Ingest, ValidationErrorOutranksARefusedReservation) {
+  // 16 bytes hold no relation, so the reservation after the counting pass
+  // is refused; the cell error later in the forest is still what is
+  // reported.
+  for (const char* name : kShapeBenchmarks) {
+    const workload::Benchmark* bench = workload::FindBenchmark(name);
+    ASSERT_NE(bench, nullptr);
+    RecordForest instance = BigInstance(*bench);
+    BreakCell(&instance.roots[instance.roots.size() - 5]);
+    ExpectFirstErrorOnEveryPath(*bench, instance, /*memory_limit=*/16);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -181,16 +182,16 @@ TEST(JoinIndex, IncrementalRefreshMatchesFromScratch) {
   scratch.Refresh(r);
   for (int round = 0; round < 5; ++round) {
     Value key = Value::Int(round);
-    const PostingList* a = incremental.Lookup(r, &key, 1);
-    const PostingList* b = scratch.Lookup(r, &key, 1);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(*a, *b);
+    const PostingList a = incremental.Lookup(r, &key, 1);
+    const PostingList b = scratch.Lookup(r, &key, 1);
+    ASSERT_FALSE(a.empty());
+    ASSERT_FALSE(b.empty());
+    EXPECT_EQ(a, b);
     // Posting lists are sorted ascending (required by delta range views).
-    EXPECT_TRUE(std::is_sorted(a->begin(), a->end()));
+    EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
   }
   Value missing = Value::Int(99);
-  EXPECT_EQ(incremental.Lookup(r, &missing, 1), nullptr);
+  EXPECT_TRUE(incremental.Lookup(r, &missing, 1).empty());
 }
 
 TEST(JoinIndex, FirstBuildIsSizedOnceAndChargedOnce) {
@@ -214,12 +215,64 @@ TEST(JoinIndex, FirstBuildIsSizedOnceAndChargedOnce) {
   EXPECT_EQ(first_budget.used(), incremental_budget.used());
   for (int i = 0; i < 1000; ++i) {
     Value key = Value::Int(i);
-    const PostingList* a = first.Lookup(r, &key, 1);
-    const PostingList* b = incremental.Lookup(r, &key, 1);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(*a, *b);
+    const PostingList a = first.Lookup(r, &key, 1);
+    const PostingList b = incremental.Lookup(r, &key, 1);
+    ASSERT_FALSE(a.empty());
+    ASSERT_FALSE(b.empty());
+    EXPECT_EQ(a, b);
   }
+}
+
+TEST(JoinIndex, PostingsOfEveryGroupSizeMatchAFreshBuild) {
+  // Keys 0..3 carry 1, 2, 3 and 1000 rows, interleaved and indexed over
+  // many Refresh calls: each multi-row group starts as its one inline row,
+  // gets an array at its second row and regrows in later refreshes.
+  const size_t sizes[] = {1, 2, 3, 1000};
+  Relation r("edge", {"k", "v"});
+  JoinIndex grown({0});
+  std::vector<std::vector<uint32_t>> expected(4);
+  for (size_t step = 0; step < 1000; ++step) {
+    for (size_t k = 0; k < 4; ++k) {
+      if (step >= sizes[k]) continue;
+      expected[k].push_back(static_cast<uint32_t>(r.size()));
+      r.Insert(Tuple({Value::Int(static_cast<int64_t>(k)), Value::Int(static_cast<int64_t>(step))}));
+    }
+    if (step < 4 || step % 7 == 0) grown.Refresh(r);
+  }
+  grown.Refresh(r);
+  JoinIndex fresh({0});
+  fresh.Refresh(r);
+  for (size_t k = 0; k < 4; ++k) {
+    SCOPED_TRACE(k);
+    Value key = Value::Int(static_cast<int64_t>(k));
+    const PostingList a = grown.Lookup(r, &key, 1);
+    const PostingList b = fresh.Lookup(r, &key, 1);
+    EXPECT_EQ(std::vector<uint32_t>(a.begin(), a.end()), expected[k]);
+    EXPECT_EQ(std::vector<uint32_t>(b.begin(), b.end()), expected[k]);
+    EXPECT_EQ(a, b);
+  }
+}
+
+TEST(JoinIndex, DeltaRangeLowerBoundFindsAOneRowGroup) {
+  // A semi-naive delta [lo, hi) restricts a posting list with lower_bound;
+  // a key with one row answers from its group's inline row.
+  Relation r("edge", {"k", "v"});
+  for (int i = 0; i < 6; ++i) r.Insert(Tuple({Value::Int(i % 2), Value::Int(i)}));
+  r.Insert(Tuple({Value::Int(9), Value::Int(0)}));  // row 6, the key's only row
+  JoinIndex index({0});
+  index.Refresh(r);
+  Value key = Value::Int(9);
+  const PostingList rows = index.Lookup(r, &key, 1);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(*rows.begin(), 6u);
+  const auto in_delta = [&](uint32_t lo, uint32_t hi) {
+    auto it = std::lower_bound(rows.begin(), rows.end(), lo);
+    return it != rows.end() && *it < hi;
+  };
+  EXPECT_TRUE(in_delta(0, 7));
+  EXPECT_TRUE(in_delta(6, 7));
+  EXPECT_FALSE(in_delta(7, 9));
+  EXPECT_FALSE(in_delta(0, 6));
 }
 
 TEST(IndexCache, ReusesByUidAndExtends) {
@@ -233,8 +286,7 @@ TEST(IndexCache, ReusesByUidAndExtends) {
   EXPECT_EQ(again, idx);  // same (uid, positions) -> same index, extended
   EXPECT_EQ(again->indexed_upto(), 2u);
   Value key = Value::Int(1);
-  ASSERT_NE(again->Lookup(r, &key, 1), nullptr);
-  EXPECT_EQ(again->Lookup(r, &key, 1)->size(), 2u);
+  EXPECT_EQ(again->Lookup(r, &key, 1).size(), 2u);
   // A copy is a different instance: it must not share the cached index.
   Relation copy = r;
   JoinIndex* copy_idx = cache.Get(copy, {0});
